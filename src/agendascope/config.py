@@ -105,6 +105,9 @@ def load_config(path: str | Path) -> RunConfig:
         contrast = t.get("contrast")
         if contrast is not None and len(contrast) != 2:
             violations.append(f"effects.targets[{i}].contrast must have two levels")
+        if t.get("hold", "typical") not in ("typical", "observed"):
+            violations.append(
+                f"effects.targets[{i}].hold must be 'typical' or 'observed'")
         targets.append(EffectTarget(covariate=t.get("covariate", ""),
                                     topics=list(topics), contrast=contrast,
                                     grid_points=t.get("grid_points", 50),

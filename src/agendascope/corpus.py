@@ -147,12 +147,6 @@ class Corpus:
             out[d, idx] = True
         return out
 
-    def counts_dense(self) -> np.ndarray:
-        out = np.zeros((self.n_docs, self.n_terms), dtype=np.int64)
-        for d, (idx, cts) in enumerate(self.docs):
-            out[d, idx] = cts
-        return out
-
     def subset(self, indices: np.ndarray | list[int]) -> "Corpus":
         """Row subset sharing the vocabulary (used for per-analysis drops)."""
         idx = list(int(i) for i in indices)

@@ -48,10 +48,12 @@ class NonFiniteObjective(AgendascopeError):
 
 
 class HessianNotPD(AgendascopeError):
-    """Raised internally when a curvature matrix fails Cholesky.
+    """A curvature matrix could not be factored.
 
-    Callers fall back to a damped, identity-regularized inverse; this never
-    escapes the E-step.
+    Indefinite E-step curvature is first damped toward the identity; this
+    escapes ``fit`` and ``e_step_doc`` when a curvature block is non-finite
+    or cannot be damped to positive definite, and ``e_step_doc`` raises it
+    for a ``sigma_inv`` that is not positive definite.
     """
 
 
@@ -73,6 +75,15 @@ class TermAbsentFromCorpus(AgendascopeError):
 
 class DegenerateX(AgendascopeError):
     pass
+
+
+class CandidateFailed(AgendascopeError):
+    """One candidate fit of a K search failed; the cause is chained."""
+
+    def __init__(self, k: int, cause: BaseException):
+        super().__init__(f"candidate k={k} failed: "
+                         f"{type(cause).__name__}: {cause}")
+        self.k = k
 
 
 # -- effects ---------------------------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus
-from .errors import DegenerateX
+from .errors import CandidateFailed, DegenerateX
 from .jsonio import read_json, write_json
 from .metrics import DEFAULT_FREX_WEIGHT, DEFAULT_TOP_WORDS, model_quality
 from .stm import FitConfig, FittedModel, PrevalenceDesign, fit
@@ -130,7 +130,7 @@ def search(corpus: Corpus, design: PrevalenceDesign, k_grid: list[int],
         try:
             model = fit(corpus, design, cand_config, threads=threads)
         except Exception as exc:
-            raise type(exc)(f"candidate k={k} failed: {exc}") from exc
+            raise CandidateFailed(k, exc) from exc
         quality = model_quality(model.beta, corpus, m=coherence_m, frex_w=frex_w)
         logger.info("candidate k=%d coherence=%.4f exclusivity=%.4f",
                     k, quality.mean_coherence, quality.mean_exclusivity)

@@ -2,9 +2,10 @@
 
 Documents draw a (K-1)-dimensional logistic-normal prevalence vector whose
 mean is a linear function of document covariates; token topics follow the
-softmax-with-pinned-zero proportions. Fitting alternates a per-document
-Laplace E-step (Newton ascent to the posterior mode, inverse curvature as
-the posterior covariance) with closed-form M-step updates.
+softmax-with-pinned-zero proportions. Fitting alternates a Laplace E-step
+(Newton ascent to each document's posterior mode, inverse curvature as the
+posterior covariance), batched over fixed 64-document chunks, with
+closed-form M-step updates.
 """
 
 from __future__ import annotations
@@ -165,150 +166,8 @@ def softmax_with_zero(eta: np.ndarray) -> np.ndarray:
     return full
 
 
-# -- per-document Laplace step ----------------------------------------------
-
-
-def _cholesky_pd(mat: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, or HessianNotPD (LAPACK passes NaN through)."""
-    try:
-        factor = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        raise HessianNotPD("curvature matrix is not positive definite") from None
-    if not np.all(np.isfinite(factor)):
-        raise HessianNotPD("curvature matrix is not finite")
-    return factor
-
-
-def _robust_cholesky(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky with identity damping escalated until the factorization
-    succeeds. Returns (factor, matrix actually factored)."""
-    try:
-        return _cholesky_pd(mat), mat
-    except HessianNotPD:
-        pass
-    scale = max(float(np.abs(np.diag(mat)).max()), 1.0)
-    lam = 1e-10 * scale
-    eye = np.eye(mat.shape[0])
-    for _ in range(40):
-        damped = mat + lam * eye
-        try:
-            return _cholesky_pd(damped), damped
-        except HessianNotPD:
-            lam *= 10.0
-    raise HessianNotPD("curvature matrix could not be regularized")
-
-
 def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve((chol, True), rhs, check_finite=False)
-
-
-def _doc_value(eta: np.ndarray, mu: np.ndarray, sigma_inv: np.ndarray,
-               beta_doc: np.ndarray, cts: np.ndarray, total: float) -> float:
-    """Per-document objective at eta (mode-finding target)."""
-    full = np.append(eta, 0.0)
-    full -= full.max()
-    w = np.exp(full)
-    denom = w @ beta_doc
-    diff = eta - mu
-    return float(cts @ np.log(denom) - total * np.log(w.sum())
-                 - 0.5 * diff @ sigma_inv @ diff)
-
-
-def _doc_state(eta, mu, sigma_inv, beta_doc, cts, total):
-    """Objective value, free-coordinate gradient, responsibilities, theta."""
-    full = np.append(eta, 0.0)
-    full -= full.max()
-    w = np.exp(full)
-    wsum = w.sum()
-    theta = w / wsum
-    phi = beta_doc * w[:, None]
-    denom = phi.sum(axis=0)
-    phi /= denom
-    diff = eta - mu
-    value = float(cts @ np.log(denom) - total * np.log(wsum)
-                  - 0.5 * diff @ sigma_inv @ diff)
-    q = phi @ cts
-    grad = (q - total * theta)[:-1] - sigma_inv @ diff
-    return value, grad, phi, q, theta
-
-
-def _neg_hessian(q, theta, phi, cts, sigma_inv, total):
-    """Negative Hessian of the per-document objective, free coordinates."""
-    pw = phi * np.sqrt(cts)
-    a_full = pw @ pw.T - total * np.outer(theta, theta)
-    m_full = a_full.copy()
-    np.fill_diagonal(m_full, np.diag(a_full) - (q - total * theta))
-    return sigma_inv + m_full[:-1, :-1]
-
-
-def _optimize_eta(eta0, mu, sigma_inv, beta_doc, cts, *,
-                  max_iter: int = 200, grad_tol: float = 1e-8):
-    """Damped-Newton ascent of the per-document objective.
-
-    Returns (eta, value, grad, phi, q, theta) at the mode.
-    """
-    total = float(cts.sum())
-    eta = np.array(eta0, dtype=float, copy=True)
-    value, grad, phi, q, theta = _doc_state(eta, mu, sigma_inv, beta_doc, cts, total)
-    tol = grad_tol * max(1.0, total)
-    for _ in range(max_iter):
-        if np.abs(grad).max() < tol:
-            break
-        neg_h = _neg_hessian(q, theta, phi, cts, sigma_inv, total)
-        chol, _ = _robust_cholesky(neg_h)
-        step = _chol_solve(chol, grad)
-        slope = float(grad @ step)
-        t = 1.0
-        accepted = False
-        while t >= 2.0 ** -30:
-            cand = eta + t * step
-            cand_value = _doc_value(cand, mu, sigma_inv, beta_doc, cts, total)
-            if cand_value >= value + 1e-4 * t * slope:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break  # no ascent direction left at float precision
-        eta = cand
-        prev_value = value
-        value, grad, phi, q, theta = _doc_state(eta, mu, sigma_inv, beta_doc, cts, total)
-        if abs(value - prev_value) <= 1e-13 * (1.0 + abs(value)):
-            if np.abs(grad).max() < tol:
-                break
-    return eta, value, grad, phi, q, theta
-
-
-def _laplace_at_mode(eta, value, phi, q, theta, cts, sigma_inv, total):
-    """Posterior covariance and the per-document Laplace bound term
-    (prior normalization excluded; the fit adds -0.5 log|sigma| per doc)."""
-    neg_h = _neg_hessian(q, theta, phi, cts, sigma_inv, total)
-    chol, _ = _robust_cholesky(neg_h)
-    nu = _chol_solve(chol, np.eye(neg_h.shape[0]))
-    nu = 0.5 * (nu + nu.T)
-    logdet_nu = -2.0 * float(np.log(np.diag(chol)).sum())
-    return nu, value + 0.5 * logdet_nu
-
-
-def e_step_doc(counts_d: np.ndarray, mu_d: np.ndarray, sigma_inv: np.ndarray,
-               beta: np.ndarray) -> DocPosterior:
-    """Laplace posterior for one document given a dense V-vector of counts."""
-    counts_d = np.asarray(counts_d, dtype=float)
-    idx = np.nonzero(counts_d)[0]
-    if idx.size == 0:
-        raise DimensionMismatch("document has no tokens")
-    sigma_inv = np.asarray(sigma_inv, dtype=float)
-    if sigma_inv.shape != (beta.shape[0] - 1, beta.shape[0] - 1):
-        raise DimensionMismatch("sigma_inv shape does not match topic count")
-    if not np.allclose(sigma_inv, sigma_inv.T):
-        raise DimensionMismatch("sigma_inv must be symmetric")
-    _cholesky_pd(sigma_inv)
-    cts = counts_d[idx]
-    beta_doc = beta[:, idx]
-    total = float(cts.sum())
-    eta, value, _, phi, q, theta = _optimize_eta(
-        np.asarray(mu_d, dtype=float), mu_d, sigma_inv, beta_doc, cts)
-    nu, _ = _laplace_at_mode(eta, value, phi, q, theta, cts, sigma_inv, total)
-    return DocPosterior(eta=eta, nu=nu, phi_sums=q)
 
 
 # -- M-step ------------------------------------------------------------------
@@ -324,9 +183,13 @@ def _floor_eigenvalues(mat: np.ndarray, floor: float) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _m_step_core(eta: np.ndarray, nu_mean: np.ndarray, x: np.ndarray,
-                 config: FitConfig, expected_counts: np.ndarray):
-    beta = np.maximum(expected_counts, BETA_FLOOR)
+def m_step(eta: np.ndarray, nu_mean: np.ndarray, x: np.ndarray,
+           config: FitConfig, expected_counts: np.ndarray):
+    """Closed-form updates ``m_step(eta, nu_mean, x, config,
+    expected_counts) -> (beta, gamma, sigma)`` from the D x (K-1) posterior
+    modes, their mean (K-1) x (K-1) covariance, the D x P design and the
+    K x V expected token counts summed over documents."""
+    beta = np.maximum(np.asarray(expected_counts, dtype=float), BETA_FLOOR)
     beta /= beta.sum(axis=1, keepdims=True)
 
     n_cols = x.shape[1]
@@ -345,19 +208,7 @@ def _m_step_core(eta: np.ndarray, nu_mean: np.ndarray, x: np.ndarray,
     return beta, gamma, sigma
 
 
-def m_step(posteriors: list[DocPosterior], x: np.ndarray, config: FitConfig,
-           expected_counts: np.ndarray):
-    """Closed-form parameter updates from per-document posteriors.
-
-    ``expected_counts`` is the K x V matrix of expected token counts
-    accumulated over documents (posteriors carry only per-topic sums).
-    """
-    eta = np.stack([p.eta for p in posteriors])
-    nu_mean = np.mean(np.stack([p.nu for p in posteriors]), axis=0)
-    return _m_step_core(eta, nu_mean, x, config, np.asarray(expected_counts, dtype=float))
-
-
-# -- initialization and the EM driver ----------------------------------------
+# -- initialization ----------------------------------------------------------
 
 
 def init_params(corpus: Corpus, config: FitConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -371,6 +222,9 @@ def init_params(corpus: Corpus, config: FitConfig) -> tuple[np.ndarray, np.ndarr
     beta0 /= beta0.sum(axis=1, keepdims=True)
     eta0 = np.zeros((corpus.n_docs, config.k - 1))
     return beta0, eta0
+
+
+# -- batched Laplace E-step --------------------------------------------------
 
 
 class _Chunk:
@@ -390,31 +244,24 @@ class _Chunk:
 
 
 def _batch_value(eta, mu, sigma_inv, b, cts, totals):
-    """Objective values for a batch; padding columns carry zero counts."""
+    """Objective values for a batch, with the pieces the gradient reuses;
+    padding columns carry zero counts."""
     full = np.concatenate([eta, np.zeros((eta.shape[0], 1))], axis=1)
     full -= full.max(axis=1, keepdims=True)
     w = np.exp(full)
     wsum = w.sum(axis=1)
     den = np.einsum("mk,mkn->mn", w, b)
-    diff = eta - mu
-    quad = np.einsum("mi,ij,mj->m", diff, sigma_inv, diff)
-    return ((cts * np.log(den)).sum(axis=1) - totals * np.log(wsum)
-            - 0.5 * quad)
-
-
-def _batch_state(eta, mu, sigma_inv, b, cts, totals):
-    full = np.concatenate([eta, np.zeros((eta.shape[0], 1))], axis=1)
-    full -= full.max(axis=1, keepdims=True)
-    w = np.exp(full)
-    wsum = w.sum(axis=1)
-    theta = w / wsum[:, None]
-    den = np.einsum("mk,mkn->mn", w, b)
-    ratio = cts / den
-    q = np.einsum("mn,mkn->mk", ratio, b) * w
     diff = eta - mu
     quad = np.einsum("mi,ij,mj->m", diff, sigma_inv, diff)
     value = ((cts * np.log(den)).sum(axis=1) - totals * np.log(wsum)
              - 0.5 * quad)
+    return value, w, wsum, den, diff
+
+
+def _batch_state(eta, mu, sigma_inv, b, cts, totals):
+    value, w, wsum, den, diff = _batch_value(eta, mu, sigma_inv, b, cts, totals)
+    theta = w / wsum[:, None]
+    q = np.einsum("mn,mkn->mk", cts / den, b) * w
     grad = (q - totals[:, None] * theta)[:, :-1] - diff @ sigma_inv
     return value, grad, w, den, q, theta
 
@@ -430,16 +277,38 @@ def _batch_neg_hessian(q, theta, w, den, b, cts, sigma_inv, totals):
     return sigma_inv[None, :, :] + a[:, :-1, :-1]
 
 
-def _batch_spd(neg_h):
-    """Stacked Cholesky factors, damping individual blocks as needed."""
+def _damped_cholesky(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a stack of symmetric matrices.
+
+    Returns (factors, matrices actually factored). One batched call serves
+    when every block is positive definite; otherwise each failing block is
+    damped by ``lam * I``, ``lam`` growing tenfold from 1e-10 x max(1, its
+    largest |diagonal|). Raises HessianNotPD for a non-finite block (batched
+    LAPACK returns NaN factors for it) or one 40 dampings leave indefinite.
+    """
     try:
-        return np.linalg.cholesky(neg_h), neg_h
+        factors = np.linalg.cholesky(mats)
+        if np.isfinite(factors).all():
+            return factors, mats
     except np.linalg.LinAlgError:
-        fixed = neg_h.copy()
-        chols = np.empty_like(neg_h)
-        for i in range(neg_h.shape[0]):
-            chols[i], fixed[i] = _robust_cholesky(neg_h[i])
-        return chols, fixed
+        pass
+    factors = np.empty_like(mats)
+    fixed = mats.copy()
+    eye = np.eye(mats.shape[-1])
+    for i, mat in enumerate(mats):
+        if not np.isfinite(mat).all():
+            raise HessianNotPD(f"curvature block {i} is not finite")
+        lam = 1e-10 * max(float(np.abs(np.diag(mat)).max()), 1.0)
+        for _ in range(41):
+            try:
+                factors[i] = np.linalg.cholesky(fixed[i])
+                break
+            except np.linalg.LinAlgError:
+                fixed[i] = mat + lam * eye
+                lam *= 10.0
+        else:
+            raise HessianNotPD(f"curvature block {i} could not be regularized")
+    return factors, fixed
 
 
 def _estep_chunk(chunk: _Chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
@@ -465,15 +334,13 @@ def _estep_chunk(chunk: _Chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
             break
         if not live.all():
             active = active[live]
-            eta_a = eta[active]
             value, grad = value[live], grad[live]
             w, den, q, theta = w[live], den[live], q[live], theta[live]
-        else:
-            eta_a = eta[active]
+        eta_a = eta[active]
         b_a, cts_a, tot_a, mu_a = b[active], cts[active], totals[active], mu[active]
 
         neg_h = _batch_neg_hessian(q, theta, w, den, b_a, cts_a, sigma_inv, tot_a)
-        _, neg_h = _batch_spd(neg_h)
+        _, neg_h = _damped_cholesky(neg_h)
         step = np.linalg.solve(neg_h, grad[:, :, None])[:, :, 0]
         slope = (grad * step).sum(axis=1)
         t = np.ones(len(active))
@@ -481,7 +348,7 @@ def _estep_chunk(chunk: _Chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
         cand = eta_a.copy()
         for _ in range(31):
             trial = eta_a + t[:, None] * step
-            trial_value = _batch_value(trial, mu_a, sigma_inv, b_a, cts_a, tot_a)
+            trial_value = _batch_value(trial, mu_a, sigma_inv, b_a, cts_a, tot_a)[0]
             ok = trial_value >= value + 1e-4 * t * slope
             newly = ok & ~accepted
             cand[newly] = trial[newly]
@@ -500,7 +367,7 @@ def _estep_chunk(chunk: _Chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
     # Laplace pieces at the modes, for every document of the chunk
     value, grad, w, den, q, theta = _batch_state(eta, mu, sigma_inv, b, cts, totals)
     neg_h = _batch_neg_hessian(q, theta, w, den, b, cts, sigma_inv, totals)
-    chols, neg_h = _batch_spd(neg_h)
+    chols, neg_h = _damped_cholesky(neg_h)
     k_free = neg_h.shape[1]
     eye = np.broadcast_to(np.eye(k_free), neg_h.shape)
     nu = np.linalg.solve(neg_h, eye)
@@ -514,6 +381,36 @@ def _estep_chunk(chunk: _Chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
     beta_ss = np.zeros((beta.shape[0], beta.shape[1]))
     np.add.at(beta_ss, (slice(None), chunk.idx), phi_c.transpose(1, 0, 2))
     return beta_ss, bound
+
+
+def e_step_doc(counts_d: np.ndarray, mu_d: np.ndarray, sigma_inv: np.ndarray,
+               beta: np.ndarray) -> DocPosterior:
+    """Laplace posterior for one document given a dense V-vector of counts.
+
+    Runs the fit's batched E-step on a one-document chunk, with Newton
+    ascent starting from the prior mean ``mu_d``.
+    """
+    counts_d = np.asarray(counts_d, dtype=float)
+    idx = np.nonzero(counts_d)[0]
+    if idx.size == 0:
+        raise DimensionMismatch("document has no tokens")
+    k_free = beta.shape[0] - 1
+    sigma_inv = np.asarray(sigma_inv, dtype=float)
+    if sigma_inv.shape != (k_free, k_free):
+        raise DimensionMismatch("sigma_inv shape does not match topic count")
+    if not (np.isfinite(sigma_inv).all() and np.allclose(sigma_inv, sigma_inv.T)):
+        raise DimensionMismatch("sigma_inv must be finite and symmetric")
+    if np.linalg.eigvalsh(sigma_inv).min() <= 0:
+        raise HessianNotPD("sigma_inv is not positive definite")
+    mu = np.asarray(mu_d, dtype=float).reshape(1, k_free)
+    eta = mu.copy()
+    nu = np.zeros((1, k_free, k_free))
+    chunk = _Chunk(range(1), [(idx, counts_d[idx])])
+    beta_ss, _ = _estep_chunk(chunk, eta, nu, mu, sigma_inv, beta)
+    return DocPosterior(eta=eta[0], nu=nu[0], phi_sums=beta_ss.sum(axis=1))
+
+
+# -- the EM loop -------------------------------------------------------------
 
 
 def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
@@ -568,8 +465,8 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
                 break
             if iteration == config.max_em_iters - 1:
                 break
-            beta, gamma, sigma = _m_step_core(eta, nu.mean(axis=0), x,
-                                              config, beta_ss)
+            beta, gamma, sigma = m_step(eta, nu.mean(axis=0), x, config,
+                                        beta_ss)
             prev_bound = bound
     finally:
         if pool is not None:

@@ -88,6 +88,14 @@ def greedy_align(beta_true: np.ndarray, beta_fit: np.ndarray,
     return mapping
 
 
+def counts_dense(corpus: Corpus) -> np.ndarray:
+    """Dense D x V integer count matrix of a corpus."""
+    out = np.zeros((corpus.n_docs, corpus.n_terms), dtype=np.int64)
+    for d, (idx, cts) in enumerate(corpus.docs):
+        out[d, idx] = cts
+    return out
+
+
 def tiny_corpus(doc_terms: list[list[str]], doc_ids: list[str] | None = None) -> Corpus:
     """Corpus straight from term lists (no thresholding), for metric tests."""
     vocab = sorted({t for terms in doc_terms for t in terms})

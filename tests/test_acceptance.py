@@ -25,7 +25,8 @@ from agendascope.search import CandidatePoint, rank_candidates
 from agendascope.stm import (FitConfig, FittedModel, PrevalenceDesign,
                              e_step_doc, fit, softmax_with_zero)
 from oracles import coherence_brute_force, ols_closed_form
-from synth import greedy_align, model_draw, tiny_corpus, two_block_corpus
+from synth import (counts_dense, greedy_align, model_draw, tiny_corpus,
+                   two_block_corpus)
 
 
 def _report(name: str, ok: bool) -> None:
@@ -123,7 +124,7 @@ def test_criterion_3_inference_invariants():
     corpus, design, model = fits[1]
     sigma_inv = np.linalg.inv(model.sigma)
     mu = design.x @ model.gamma
-    dense = corpus.counts_dense().astype(float)
+    dense = counts_dense(corpus).astype(float)
     for d in range(0, corpus.n_docs, 7):
         post = e_step_doc(dense[d], mu[d], sigma_inv, model.beta)
         ok = ok and abs(post.phi_sums.sum() - dense[d].sum()) <= 1e-6

@@ -109,6 +109,15 @@ class TestConfig:
         assert "n_draws" in text
         assert "seed" in text
 
+    def test_misspelled_hold_rejected(self, sample_run):
+        config, _ = sample_run
+        obj = json.loads(config.read_text())
+        obj["effects"]["targets"][0]["hold"] = "observerd"
+        config.write_text(json.dumps(obj))
+        with pytest.raises(ConfigError) as err:
+            load_config(config)
+        assert any("targets[0].hold" in v for v in err.value.violations)
+
     def test_relative_paths_resolve_against_config(self, sample_run):
         config, _ = sample_run
         cfg = load_config(config)

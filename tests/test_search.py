@@ -1,14 +1,18 @@
 """Model search: OLS line, residual selection, full grid runs."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from agendascope.errors import DegenerateX
+from agendascope.errors import CandidateFailed, DegenerateX, NonFiniteObjective
 from agendascope.search import (CandidatePoint, ModelSearchResult, ols_line,
                                 rank_candidates, refit_selected, search)
 from agendascope.stm import FitConfig, PrevalenceDesign
 from oracles import ols_closed_form
 from synth import two_block_corpus
+
+search_mod = importlib.import_module("agendascope.search")  # the package re-exports search()
 
 
 class TestOlsLine:
@@ -142,3 +146,20 @@ class TestSearch:
         design = PrevalenceDesign.intercept_only(corpus.n_docs)
         with pytest.raises(Exception, match="k=99"):
             search(corpus, design, [2, 3, 99], FitConfig(k=2, seed=0))
+
+    def test_candidate_failure_keeps_cause(self, monkeypatch):
+        corpus = two_block_corpus(seed=16, n_docs=10, n_terms=12)
+        design = PrevalenceDesign.intercept_only(corpus.n_docs)
+        real_fit = search_mod.fit
+
+        def fit_failing_at_k3(corpus, design, config, threads=1):
+            if config.k == 3:
+                raise NonFiniteObjective(3)
+            return real_fit(corpus, design, config, threads=threads)
+
+        monkeypatch.setattr(search_mod, "fit", fit_failing_at_k3)
+        with pytest.raises(CandidateFailed) as err:
+            search(corpus, design, [2, 3, 4], FitConfig(k=2, seed=0))
+        assert err.value.k == 3
+        assert err.value.__cause__.iteration == 3
+        assert "NonFiniteObjective" in str(err.value)

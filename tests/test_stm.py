@@ -8,11 +8,12 @@ from agendascope.errors import (DimensionMismatch, HessianNotPD,
                                 KExceedsVocabulary, NonFiniteObjective,
                                 SingularDesign)
 from agendascope.jsonio import dumps_canonical
-from agendascope.stm import (DocPosterior, FitConfig, FittedModel,
-                             PrevalenceDesign, _robust_cholesky, e_step_doc,
-                             fit, init_params, m_step, softmax_with_zero)
+from agendascope.stm import (FitConfig, FittedModel, PrevalenceDesign,
+                             _damped_cholesky, e_step_doc, fit, init_params,
+                             m_step, softmax_with_zero)
 from oracles import grid_search_eta, ridge_closed_form
-from synth import greedy_align, model_draw, tiny_corpus, two_block_corpus
+from synth import (counts_dense, greedy_align, model_draw, tiny_corpus,
+                   two_block_corpus)
 
 
 class TestInitParams:
@@ -103,21 +104,27 @@ class TestEStepDoc:
         with pytest.raises(DimensionMismatch):
             e_step_doc(np.zeros(3), np.zeros(1), np.eye(1), beta)
 
+    @pytest.mark.parametrize("sigma_inv, error", [
+        (np.eye(3), DimensionMismatch),                           # wrong shape
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), DimensionMismatch),  # asymmetric
+        (np.full((2, 2), np.nan), DimensionMismatch),             # non-finite
+        (np.array([[1.0, 0.0], [0.0, -1.0]]), HessianNotPD),      # indefinite
+    ])
+    def test_bad_sigma_inv_rejected(self, sigma_inv, error):
+        beta = np.full((3, 4), 0.25)
+        with pytest.raises(error):
+            e_step_doc(np.array([1.0, 2.0, 0.0, 1.0]), np.zeros(2),
+                       sigma_inv, beta)
+
 
 class TestMStep:
-    def _posteriors(self, eta_rows, nu):
-        return [DocPosterior(eta=np.asarray(e, dtype=float),
-                             nu=np.asarray(nu, dtype=float),
-                             phi_sums=np.array([1.0, 1.0]))
-                for e in eta_rows]
-
     def test_zero_residuals_intercept_only(self):
-        eta_rows = [[0.7], [0.7], [0.7]]
-        nu = [[0.04]]
+        eta = np.array([[0.7], [0.7], [0.7]])
+        nu_mean = np.array([[0.04]])
         x = np.ones((3, 1))
         cfg = FitConfig(k=2, sigma_floor=1e-6)
         counts = np.array([[3.0, 1.0], [1.0, 3.0]])
-        beta, gamma, sigma = m_step(self._posteriors(eta_rows, nu), x, cfg, counts)
+        beta, gamma, sigma = m_step(eta, nu_mean, x, cfg, counts)
         assert gamma == pytest.approx(np.array([[0.7]]))
         assert sigma == pytest.approx(np.array([[0.04]]), abs=1e-12)
         assert beta == pytest.approx(counts / counts.sum(axis=1, keepdims=True))
@@ -125,26 +132,25 @@ class TestMStep:
     def test_huge_ridge_shrinks_slopes_to_zero(self):
         rng = np.random.default_rng(1)
         x = np.column_stack([np.ones(20), rng.normal(size=20)])
-        eta_rows = rng.normal(size=(20, 1))
+        eta = rng.normal(size=(20, 1))
         cfg = FitConfig(k=2, ridge_gamma=1e12)
-        _, gamma, _ = m_step(self._posteriors(eta_rows, [[0.0]]), x, cfg,
+        _, gamma, _ = m_step(eta, np.zeros((1, 1)), x, cfg,
                              np.array([[1.0, 1.0], [1.0, 1.0]]))
         assert abs(gamma[1, 0]) < 1e-9
-        assert gamma[0, 0] == pytest.approx(eta_rows.mean(), abs=1e-9)
+        assert gamma[0, 0] == pytest.approx(eta.mean(), abs=1e-9)
 
     def test_matches_closed_form_ridge(self):
         x = np.array([[1.0, 0.2], [1.0, -1.1], [1.0, 0.9]])
-        eta_rows = [[0.5], [-0.3], [1.2]]
+        eta = np.array([[0.5], [-0.3], [1.2]])
         cfg = FitConfig(k=2, ridge_gamma=1.7)
-        _, gamma, _ = m_step(self._posteriors(eta_rows, [[0.0]]), x, cfg,
+        _, gamma, _ = m_step(eta, np.zeros((1, 1)), x, cfg,
                              np.array([[1.0, 1.0], [1.0, 1.0]]))
-        oracle = ridge_closed_form(x, np.array(eta_rows)[:, 0], 1.7)
+        oracle = ridge_closed_form(x, eta[:, 0], 1.7)
         assert gamma[:, 0] == pytest.approx(oracle, abs=1e-10)
 
     def test_beta_floor_and_normalization(self):
         counts = np.array([[0.0, 5.0], [2.0, 0.0]])
-        _, _, _ = FitConfig(k=2), None, None
-        beta, _, _ = m_step(self._posteriors([[0.0]], [[0.0]]), np.ones((1, 1)),
+        beta, _, _ = m_step(np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1)),
                             FitConfig(k=2), counts)
         assert np.all(beta > 0)
         assert beta.sum(axis=1) == pytest.approx(np.ones(2), abs=1e-12)
@@ -153,16 +159,13 @@ class TestMStep:
         x = np.column_stack([np.ones(4), np.ones(4), np.zeros(4)])
         cfg = FitConfig(k=2, ridge_gamma=0.0)
         with pytest.raises(SingularDesign):
-            m_step(self._posteriors([[0.0]] * 4, [[0.0]]), x, cfg,
+            m_step(np.zeros((4, 1)), np.zeros((1, 1)), x, cfg,
                    np.array([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_sigma_eigenvalue_floor(self):
-        eta_rows = [[0.0, 0.0]] * 5  # zero residuals, zero nu
-        posts = [DocPosterior(eta=np.array(e, dtype=float),
-                              nu=np.zeros((2, 2)),
-                              phi_sums=np.ones(3)) for e in eta_rows]
+        eta = np.zeros((5, 2))  # zero residuals, zero nu
         cfg = FitConfig(k=3, sigma_floor=1e-4)
-        _, _, sigma = m_step(posts, np.ones((5, 1)), cfg,
+        _, _, sigma = m_step(eta, np.zeros((2, 2)), np.ones((5, 1)), cfg,
                              np.ones((3, 4)))
         assert np.linalg.eigvalsh(sigma).min() >= 1e-4 - 1e-12
 
@@ -238,7 +241,7 @@ class TestFit:
         design = PrevalenceDesign.intercept_only(corpus.n_docs)
         model = fit(corpus, design, FitConfig(k=3, seed=5, max_em_iters=8))
         sigma_inv = np.linalg.inv(model.sigma)
-        dense = corpus.counts_dense().astype(float)
+        dense = counts_dense(corpus).astype(float)
         mu = design.x @ model.gamma
         for d in range(corpus.n_docs):
             post = e_step_doc(dense[d], mu[d], sigma_inv, model.beta)
@@ -256,13 +259,16 @@ class TestFit:
             fit(corpus, design, FitConfig(k=2, seed=0, max_em_iters=3))
         assert err.value.iteration == 0
 
-    def test_robust_cholesky_damps_indefinite_curvature(self):
+    def test_damped_cholesky_damps_indefinite_curvature(self):
+        pd = np.array([[2.0, 0.3], [0.3, 1.0]])
         indefinite = np.array([[1.0, 0.0], [0.0, -2.0]])
-        chol, damped = _robust_cholesky(indefinite)
-        assert np.allclose(chol @ chol.T, damped)
-        assert np.linalg.eigvalsh(damped).min() > 0
+        chols, fixed = _damped_cholesky(np.stack([pd, indefinite]))
+        assert np.array_equal(chols[0], np.linalg.cholesky(pd))
+        assert np.array_equal(fixed[0], pd)
+        assert np.allclose(chols[1] @ chols[1].T, fixed[1])
+        assert np.linalg.eigvalsh(fixed[1]).min() > 0
         with pytest.raises(HessianNotPD):
-            _robust_cholesky(np.full((2, 2), np.nan))
+            _damped_cholesky(np.stack([pd, indefinite, np.full((2, 2), np.nan)]))
 
     def test_serialization_round_trip(self, tmp_path):
         corpus = two_block_corpus(seed=10, n_docs=12)
