@@ -81,6 +81,19 @@ def load_config(path: str | Path) -> RunConfig:
                 or any(not isinstance(v, int) or v < 2 for v in k_grid)):
             violations.append("fit.k_grid needs >= 3 distinct integers >= 2")
 
+    max_em_iters = fit_obj.get("max_em_iters", 200)
+    if not isinstance(max_em_iters, int) or max_em_iters < 1:
+        violations.append("fit.max_em_iters must be an integer >= 1")
+    for key, zero_ok in (("rel_tol", False), ("ridge_gamma", True),
+                         ("sigma_floor", False), ("candidate_rel_tol", False)):
+        if key not in fit_obj:
+            continue
+        value = fit_obj[key]
+        if not (isinstance(value, (int, float))
+                and (value >= 0 if zero_ok else value > 0)):
+            violations.append(
+                f"fit.{key} must be a number {'>=' if zero_ok else '>'} 0")
+
     formula_text = obj.get("formula", "")
     if not formula_text:
         violations.append("formula is required")

@@ -15,26 +15,24 @@ from typing import Any
 import numpy as np
 
 
-def _plain(obj: Any) -> Any:
-    """Recursively convert numpy scalars/arrays to builtin types."""
+def _numpy_default(obj: Any) -> Any:
+    """``json.dumps`` fallback for the numpy types the encoder does not
+    know; ``np.float64`` needs none, being a ``float`` subclass."""
     if isinstance(obj, np.ndarray):
-        return [_plain(x) for x in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
+        return obj.tolist()
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(x) for x in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dumps_canonical(obj: Any) -> str:
-    return json.dumps(_plain(obj), sort_keys=True, ensure_ascii=False,
-                      separators=(",", ":"), allow_nan=False) + "\n"
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False,
+                      separators=(",", ":"), allow_nan=False,
+                      default=_numpy_default) + "\n"
 
 
 def write_json(path: str | Path, obj: Any) -> Path:

@@ -38,6 +38,8 @@ class FitConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be at least 2")
+        if self.max_em_iters < 1:
+            raise ValueError("max_em_iters must be at least 1")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
         if self.ridge_gamma < 0:
@@ -250,7 +252,7 @@ def _batch_value(eta, mu, sigma_inv, b, cts, totals):
     full -= full.max(axis=1, keepdims=True)
     w = np.exp(full)
     wsum = w.sum(axis=1)
-    den = np.einsum("mk,mkn->mn", w, b)
+    den = (w[:, None, :] @ b)[:, 0, :]
     diff = eta - mu
     quad = np.einsum("mi,ij,mj->m", diff, sigma_inv, diff)
     value = ((cts * np.log(den)).sum(axis=1) - totals * np.log(wsum)
@@ -261,14 +263,14 @@ def _batch_value(eta, mu, sigma_inv, b, cts, totals):
 def _batch_state(eta, mu, sigma_inv, b, cts, totals):
     value, w, wsum, den, diff = _batch_value(eta, mu, sigma_inv, b, cts, totals)
     theta = w / wsum[:, None]
-    q = np.einsum("mn,mkn->mk", cts / den, b) * w
+    q = (b @ (cts / den)[:, :, None])[:, :, 0] * w
     grad = (q - totals[:, None] * theta)[:, :-1] - diff @ sigma_inv
     return value, grad, w, den, q, theta
 
 
 def _batch_neg_hessian(q, theta, w, den, b, cts, sigma_inv, totals):
     s = b * (np.sqrt(cts) / den)[:, None, :]
-    a = np.einsum("mkn,mjn->mkj", s, s)
+    a = s @ s.transpose(0, 2, 1)
     a *= w[:, :, None] * w[:, None, :]
     a -= totals[:, None, None] * theta[:, :, None] * theta[:, None, :]
     k = a.shape[1]
@@ -309,6 +311,18 @@ def _damped_cholesky(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         else:
             raise HessianNotPD(f"curvature block {i} could not be regularized")
     return factors, fixed
+
+
+def _scatter_counts(phi_c: np.ndarray, idx: np.ndarray, n_terms: int) -> np.ndarray:
+    """K x V sums of a chunk's m x K x width expected counts by term id.
+
+    One bincount per topic adds each term's entries in the same (document,
+    position) order as ``np.add.at``, so the sums are bit-identical to it.
+    """
+    terms = idx.ravel()
+    return np.stack([np.bincount(terms, weights=phi_c[:, j].ravel(),
+                                 minlength=n_terms)
+                     for j in range(phi_c.shape[1])])
 
 
 def _estep_chunk(chunk: _Chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
@@ -378,9 +392,7 @@ def _estep_chunk(chunk: _Chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
     eta_all[rows] = eta
     nu_all[rows] = nu
     phi_c = b * (w[:, :, None] / den[:, None, :]) * cts[:, None, :]
-    beta_ss = np.zeros((beta.shape[0], beta.shape[1]))
-    np.add.at(beta_ss, (slice(None), chunk.idx), phi_c.transpose(1, 0, 2))
-    return beta_ss, bound
+    return _scatter_counts(phi_c, chunk.idx, beta.shape[1]), bound
 
 
 def e_step_doc(counts_d: np.ndarray, mu_d: np.ndarray, sigma_inv: np.ndarray,

@@ -118,6 +118,29 @@ class TestConfig:
             load_config(config)
         assert any("targets[0].hold" in v for v in err.value.violations)
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_em_iters", 0), ("max_em_iters", 2.5), ("rel_tol", 0),
+        ("rel_tol", "1e-5"), ("ridge_gamma", -1.0), ("sigma_floor", 0.0),
+        ("candidate_rel_tol", -1e-4)])
+    def test_out_of_range_fit_value_rejected(self, sample_run, key, value):
+        config, _ = sample_run
+        obj = json.loads(config.read_text())
+        obj["fit"][key] = value
+        config.write_text(json.dumps(obj))
+        with pytest.raises(ConfigError) as err:
+            load_config(config)
+        assert [v for v in err.value.violations if v.startswith(f"fit.{key} ")]
+
+    def test_zero_rel_tol_exit_is_structured(self, sample_run, capsys):
+        config, _ = sample_run
+        obj = json.loads(config.read_text())
+        obj["fit"] = {"k": 5, "rel_tol": 0}
+        config.write_text(json.dumps(obj))
+        assert run_cli("fit", "--config", config) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["violations"] == ["fit.rel_tol must be a number > 0"]
+
     def test_relative_paths_resolve_against_config(self, sample_run):
         config, _ = sample_run
         cfg = load_config(config)

@@ -9,8 +9,10 @@ from agendascope.errors import (DimensionMismatch, HessianNotPD,
                                 SingularDesign)
 from agendascope.jsonio import dumps_canonical
 from agendascope.stm import (FitConfig, FittedModel, PrevalenceDesign,
-                             _damped_cholesky, e_step_doc, fit, init_params,
-                             m_step, softmax_with_zero)
+                             _batch_neg_hessian, _batch_state, _batch_value,
+                             _Chunk, _damped_cholesky, _scatter_counts,
+                             e_step_doc, fit, init_params, m_step,
+                             softmax_with_zero)
 from oracles import grid_search_eta, ridge_closed_form
 from synth import (counts_dense, greedy_align, model_draw, tiny_corpus,
                    two_block_corpus)
@@ -39,6 +41,10 @@ class TestInitParams:
         assert np.allclose(b.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(b > 0)
         assert np.array_equal(e, np.zeros((3, 2)))
+
+    def test_no_em_iterations_rejected(self):
+        with pytest.raises(ValueError, match="max_em_iters"):
+            FitConfig(k=2, max_em_iters=0)
 
     def test_k_exceeds_vocabulary(self):
         with pytest.raises(KExceedsVocabulary):
@@ -115,6 +121,58 @@ class TestEStepDoc:
         with pytest.raises(error):
             e_step_doc(np.array([1.0, 2.0, 0.0, 1.0]), np.zeros(2),
                        sigma_inv, beta)
+
+
+class TestKernel:
+    """The batched E-step's pieces against independent references."""
+
+    @staticmethod
+    def chunk():
+        # three documents of different lengths: the shorter two get padding
+        # columns (term 0, count 0) next to a real count for term 0
+        docs = [(np.array([0, 3, 5]), np.array([2.0, 1.0, 4.0])),
+                (np.array([0, 1]), np.array([1.0, 3.0])),
+                (np.array([0, 2, 4, 6, 7]), np.array([1.0, 2.0, 1.0, 5.0, 2.0]))]
+        return _Chunk(range(3), docs)
+
+    @pytest.mark.parametrize("k", [2, 5, 30])
+    def test_neg_hessian_matches_finite_differences(self, k):
+        rng = np.random.default_rng(k)
+        chunk = self.chunk()
+        beta = rng.dirichlet(np.ones(8), size=k)
+        b = np.ascontiguousarray(beta[:, chunk.idx].transpose(1, 0, 2))
+        eta = rng.normal(scale=0.5, size=(3, k - 1))
+        mu = rng.normal(scale=0.5, size=(3, k - 1))
+        root = rng.normal(size=(k - 1, k - 1))
+        sigma_inv = 0.1 * (root @ root.T / k + np.eye(k - 1))
+        args = (mu, sigma_inv, b, chunk.cts, chunk.totals)
+
+        _, _, w, den, q, theta = _batch_state(eta, *args)
+        neg_h = _batch_neg_hessian(q, theta, w, den, b, chunk.cts, sigma_inv,
+                                   chunk.totals)
+
+        h = 1e-3
+        step = h * np.eye(k - 1)
+        fd = np.empty_like(neg_h)
+        for i in range(k - 1):
+            for j in range(i, k - 1):
+                f = [_batch_value(eta + si * step[i] + sj * step[j], *args)[0]
+                     for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+                fd[:, i, j] = fd[:, j, i] = -(f[0] - f[1] - f[2] + f[3]) / (4 * h * h)
+        assert np.abs(neg_h - fd).max() <= 1e-5 * np.abs(fd).max()
+
+    def test_scatter_equals_add_at(self):
+        rng = np.random.default_rng(3)
+        m, k, width, n_terms = 20, 4, 50, 12
+        idx = rng.integers(0, n_terms, size=(m, width))
+        idx[:, 40:] = 0  # padding columns, as in _Chunk
+        # magnitudes over 16 decades, so another summation order would
+        # round differently; padding entries are zero, as in the E-step
+        phi_c = rng.random((m, k, width)) * 10.0 ** rng.integers(-8, 8, (m, k, width))
+        phi_c[:, :, 40:] = 0.0
+        reference = np.zeros((k, n_terms))
+        np.add.at(reference, (slice(None), idx), phi_c.transpose(1, 0, 2))
+        assert np.array_equal(_scatter_counts(phi_c, idx, n_terms), reference)
 
 
 class TestMStep:
