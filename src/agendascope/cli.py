@@ -82,30 +82,25 @@ def _design_and_subset(cfg: RunConfig, corpus: Corpus):
     return built, corpus.subset(built.kept_rows)
 
 
-def run_ingest(cfg: RunConfig) -> list[Path]:
+Stage = tuple[dict[str, str | Path], list[Path]]  # (manifest inputs, outputs)
+
+
+def run_ingest(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
-    start = time.perf_counter()
     docs, covs, skipped = load_ungdc_layout(cfg.corpus_dir, cfg.metadata)
     corpus, report = build_corpus(docs, covs, _preprocess_config(cfg))
     corpus_path = corpus.save(out_dir / CORPUS_FILE)
     report_path = write_json(out_dir / INGEST_REPORT_FILE, {
-        "skipped_files": [[name, reason] for name, reason in skipped],
-        **report.as_dict(),
+        "skipped_files": skipped, **vars(report),
         "n_docs": corpus.n_docs, "n_terms": corpus.n_terms})
-    outputs = [corpus_path, report_path]
-    write_manifest(out_dir, "ingest", inputs={"metadata": cfg.metadata},
-                   outputs=outputs, seed=cfg.seed,
-                   timings={"total": time.perf_counter() - start},
-                   deterministic=cfg.deterministic)
-    return outputs
+    return {"metadata": cfg.metadata}, [corpus_path, report_path]
 
 
-def run_search(cfg: RunConfig) -> list[Path]:
+def run_search(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     if cfg.k_grid is None:
         raise ConfigError(["search stage requires fit.k_grid"])
     corpus_path = _require(out_dir, CORPUS_FILE, "ingest")
-    start = time.perf_counter()
     corpus = Corpus.load(corpus_path)
     built, sub = _design_and_subset(cfg, corpus)
     result = search(sub, built.design, cfg.k_grid,
@@ -117,18 +112,12 @@ def run_search(cfg: RunConfig) -> list[Path]:
     points_path = _write_csv(out_dir / SEARCH_POINTS_FILE,
                              ["k", "coherence", "exclusivity", "residual"],
                              result.plot_rows())
-    outputs = [search_path, points_path]
-    write_manifest(out_dir, "search", inputs={"corpus": corpus_path},
-                   outputs=outputs, seed=cfg.seed,
-                   timings={"total": time.perf_counter() - start},
-                   deterministic=cfg.deterministic)
-    return outputs
+    return {"corpus": corpus_path}, [search_path, points_path]
 
 
-def run_fit(cfg: RunConfig) -> list[Path]:
+def run_fit(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     corpus_path = _require(out_dir, CORPUS_FILE, "ingest")
-    start = time.perf_counter()
     corpus = Corpus.load(corpus_path)
     inputs = {"corpus": corpus_path}
     if cfg.k is not None:
@@ -139,39 +128,27 @@ def run_fit(cfg: RunConfig) -> list[Path]:
         k = ModelSearchResult.load(search_path).selected_k
     built, sub = _design_and_subset(cfg, corpus)
     model = fit(sub, built.design, _fit_config(cfg, k), threads=cfg.threads or 1)
-    model_path = model.save(out_dir / MODEL_FILE)
-    write_manifest(out_dir, "fit", inputs=inputs, outputs=[model_path],
-                   seed=cfg.seed,
-                   timings={"total": time.perf_counter() - start},
-                   deterministic=cfg.deterministic)
-    return [model_path]
+    return inputs, [model.save(out_dir / MODEL_FILE)]
 
 
-def run_metrics(cfg: RunConfig) -> list[Path]:
+def run_metrics(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     corpus_path = _require(out_dir, CORPUS_FILE, "ingest")
     model_path = _require(out_dir, MODEL_FILE, "fit")
-    start = time.perf_counter()
     corpus = Corpus.load(corpus_path)
     model = FittedModel.load(model_path)
     summaries = summarize_topics(model.beta, model.vocabulary, corpus,
                                  n_words=cfg.top_words, frex_w=cfg.frex_w)
     quality = model_quality(model.beta, corpus, m=cfg.coherence_m,
                             frex_w=cfg.frex_w)
-    summaries_path = write_json(out_dir / SUMMARIES_FILE,
-                                {"topics": [s.as_dict() for s in summaries]})
-    quality_path = write_json(out_dir / QUALITY_FILE, quality.as_dict())
+    summaries_path = write_json(out_dir / SUMMARIES_FILE, {"topics": summaries})
+    quality_path = write_json(out_dir / QUALITY_FILE, quality)
     table = top_words_table(summaries)
     print(table)
     table_path = out_dir / TOP_WORDS_FILE
     table_path.write_text(table, encoding="utf-8")
-    outputs = [summaries_path, quality_path, table_path]
-    write_manifest(out_dir, "metrics",
-                   inputs={"corpus": corpus_path, "model": model_path},
-                   outputs=outputs, seed=cfg.seed,
-                   timings={"total": time.perf_counter() - start},
-                   deterministic=cfg.deterministic)
-    return outputs
+    return ({"corpus": corpus_path, "model": model_path},
+            [summaries_path, quality_path, table_path])
 
 
 def _aligned_table(corpus: Corpus, model: FittedModel) -> dict[str, list]:
@@ -184,11 +161,10 @@ def _aligned_table(corpus: Corpus, model: FittedModel) -> dict[str, list]:
     return {name: [column[i] for i in rows] for name, column in table.items()}
 
 
-def run_effects(cfg: RunConfig) -> list[Path]:
+def run_effects(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     corpus_path = _require(out_dir, CORPUS_FILE, "ingest")
     model_path = _require(out_dir, MODEL_FILE, "fit")
-    start = time.perf_counter()
     corpus = Corpus.load(corpus_path)
     model = FittedModel.load(model_path)
     table = _aligned_table(corpus, model)
@@ -207,69 +183,62 @@ def run_effects(cfg: RunConfig) -> list[Path]:
                                         n_draws=cfg.n_draws, seed=seed)
                 outputs.append(write_json(
                     effects_dir / f"contrast_{target.covariate}_topic{topic}.json",
-                    est.as_dict()))
+                    est))
             else:
                 est = estimate_effect(model, cfg.formula, table, topic,
                                       target.covariate, n_draws=cfg.n_draws,
                                       seed=seed, grid_points=target.grid_points,
                                       hold=target.hold)
                 stem = f"effect_{target.covariate}_topic{topic}"
-                outputs.append(write_json(effects_dir / f"{stem}.json",
-                                          est.as_dict()))
+                outputs.append(write_json(effects_dir / f"{stem}.json", est))
                 outputs.append(_write_csv(effects_dir / f"{stem}.csv",
                                           ["grid", "mean", "lo", "hi"],
                                           est.table_rows()))
-    write_manifest(out_dir, "effects",
-                   inputs={"corpus": corpus_path, "model": model_path},
-                   outputs=outputs, seed=cfg.seed,
-                   timings={"total": time.perf_counter() - start},
-                   deterministic=cfg.deterministic)
-    return outputs
+    return {"corpus": corpus_path, "model": model_path}, outputs
 
 
-def run_report(cfg: RunConfig) -> list[Path]:
+def run_report(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     model_path = _require(out_dir, MODEL_FILE, "fit")
-    start = time.perf_counter()
     model = FittedModel.load(model_path)
     report_dir = out_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
     for a, b in cfg.perspectives:
-        contrast = perspective_contrast(model, a, b)
         outputs.append(write_json(report_dir / f"perspective_{a}_{b}.json",
-                                  contrast.as_dict()))
+                                  perspective_contrast(model, a, b)))
     graph = topic_graph(model, threshold=cfg.graph_threshold)
-    outputs.append(write_json(report_dir / "topic_graph.json", graph.as_dict()))
+    outputs.append(write_json(report_dir / "topic_graph.json", graph))
     dot_path = report_dir / "topic_graph.dot"
     dot_path.write_text(graph.to_dot(), encoding="utf-8")
     outputs.append(dot_path)
     for topic in cfg.wordcloud_topics:
-        cloud = wordcloud_data(model, topic, cfg.wordcloud_n)
-        outputs.append(write_json(report_dir / f"wordcloud_topic{topic}.json",
-                                  {"topic_index": topic,
-                                   "entries": [[t, v] for t, v in cloud]}))
-    write_manifest(out_dir, "report", inputs={"model": model_path},
-                   outputs=outputs, seed=cfg.seed,
+        outputs.append(write_json(
+            report_dir / f"wordcloud_topic{topic}.json",
+            {"topic_index": topic,
+             "entries": wordcloud_data(model, topic, cfg.wordcloud_n)}))
+    return {"model": model_path}, outputs
+
+
+_STAGES = {"ingest": run_ingest, "search": run_search, "fit": run_fit,
+           "metrics": run_metrics, "effects": run_effects,
+           "report": run_report}
+
+
+def _run_stage(name: str, cfg: RunConfig) -> list[Path]:
+    """Run one stage and write its manifest; returns the stage outputs."""
+    start = time.perf_counter()
+    inputs, outputs = _STAGES[name](cfg)
+    write_manifest(cfg.out_dir, name, inputs=inputs, outputs=outputs,
+                   seed=cfg.seed,
                    timings={"total": time.perf_counter() - start},
                    deterministic=cfg.deterministic)
     return outputs
 
 
 def run_all(cfg: RunConfig) -> list[Path]:
-    outputs = run_ingest(cfg)
-    if cfg.k_grid is not None:
-        outputs += run_search(cfg)
-    outputs += run_fit(cfg)
-    outputs += run_metrics(cfg)
-    outputs += run_effects(cfg)
-    outputs += run_report(cfg)
-    return outputs
-
-
-_STAGES = {"ingest": run_ingest, "search": run_search, "fit": run_fit,
-           "metrics": run_metrics, "effects": run_effects,
-           "report": run_report, "all": run_all}
+    names = [name for name in _STAGES if name != "search" or cfg.k_grid is not None]
+    return [path for name in names for path in _run_stage(name, cfg)]
 
 
 def _resolve_threads(flag_value: int | None, cfg_value: int | None) -> int:
@@ -291,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="agendascope",
         description="Topic-model pipeline over speech corpora")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _STAGES:
+    for name in [*_STAGES, "all"]:
         cmd = sub.add_parser(name, help=f"run the {name} stage")
         cmd.add_argument("--config", required=True, help="run-config JSON")
         cmd.add_argument("--seed", type=int, default=None,
@@ -316,7 +285,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.deterministic is not None:
             cfg.deterministic = args.deterministic
         cfg.threads = _resolve_threads(args.threads, cfg.threads)
-        outputs = _STAGES[args.command](cfg)
+        outputs = (run_all(cfg) if args.command == "all"
+                   else _run_stage(args.command, cfg))
     except AgendascopeError as exc:
         report = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ConfigError):

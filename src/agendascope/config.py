@@ -53,6 +53,14 @@ def _get(obj: dict, section: str, key: str, default):
     return obj.get(section, {}).get(key, default)
 
 
+def _is_int(value, low: int) -> bool:
+    return isinstance(value, int) and value >= low
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float))
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a run-configuration file.
 
@@ -82,17 +90,28 @@ def load_config(path: str | Path) -> RunConfig:
             violations.append("fit.k_grid needs >= 3 distinct integers >= 2")
 
     max_em_iters = fit_obj.get("max_em_iters", 200)
-    if not isinstance(max_em_iters, int) or max_em_iters < 1:
+    if not _is_int(max_em_iters, 1):
         violations.append("fit.max_em_iters must be an integer >= 1")
     for key, zero_ok in (("rel_tol", False), ("ridge_gamma", True),
                          ("sigma_floor", False), ("candidate_rel_tol", False)):
         if key not in fit_obj:
             continue
         value = fit_obj[key]
-        if not (isinstance(value, (int, float))
-                and (value >= 0 if zero_ok else value > 0)):
+        if not (_is_number(value) and (value >= 0 if zero_ok else value > 0)):
             violations.append(
                 f"fit.{key} must be a number {'>=' if zero_ok else '>'} 0")
+
+    pre = obj.get("preprocess", {})
+    min_doc_freq = pre.get("min_doc_freq", 10)
+    if not _is_int(min_doc_freq, 1):
+        violations.append("preprocess.min_doc_freq must be an integer >= 1")
+
+    coherence_m = _get(obj, "metrics", "coherence_m", 10)
+    if not _is_int(coherence_m, 2):
+        violations.append("metrics.coherence_m must be an integer >= 2")
+    frex_w = _get(obj, "metrics", "frex_w", 0.7)
+    if not (_is_number(frex_w) and 0 <= frex_w <= 1):
+        violations.append("metrics.frex_w must be a number in [0, 1]")
 
     formula_text = obj.get("formula", "")
     if not formula_text:
@@ -113,17 +132,20 @@ def load_config(path: str | Path) -> RunConfig:
             violations.append(f"effects.targets[{i}].covariate is required")
             continue
         topics = t.get("topics", [])
-        if not topics or any(not isinstance(v, int) or v < 0 for v in topics):
+        if (not isinstance(topics, list) or not topics
+                or any(not _is_int(v, 0) for v in topics)):
             violations.append(f"effects.targets[{i}].topics must be non-negative integers")
         contrast = t.get("contrast")
-        if contrast is not None and len(contrast) != 2:
+        if contrast is not None and not (isinstance(contrast, list) and len(contrast) == 2):
             violations.append(f"effects.targets[{i}].contrast must have two levels")
+        grid_points = t.get("grid_points", 50)
+        if not _is_int(grid_points, 2):
+            violations.append(f"effects.targets[{i}].grid_points must be an integer >= 2")
         if t.get("hold", "typical") not in ("typical", "observed"):
             violations.append(
                 f"effects.targets[{i}].hold must be 'typical' or 'observed'")
-        targets.append(EffectTarget(covariate=t.get("covariate", ""),
-                                    topics=list(topics), contrast=contrast,
-                                    grid_points=t.get("grid_points", 50),
+        targets.append(EffectTarget(covariate=t["covariate"], topics=topics,
+                                    contrast=contrast, grid_points=grid_points,
                                     hold=t.get("hold", "typical")))
 
     seed = obj.get("seed", 0)
@@ -132,8 +154,8 @@ def load_config(path: str | Path) -> RunConfig:
 
     report_obj = obj.get("report", {})
     threshold = report_obj.get("graph_threshold", 0.05)
-    if not -1.0 < threshold < 1.0:
-        violations.append("report.graph_threshold must lie in (-1, 1)")
+    if not (_is_number(threshold) and -1.0 < threshold < 1.0):
+        violations.append("report.graph_threshold must be a number in (-1, 1)")
 
     out_dir = paths.get("out_dir")
     if out_dir:
@@ -153,13 +175,12 @@ def load_config(path: str | Path) -> RunConfig:
         return str(candidate if candidate.is_absolute()
                    else path.parent / candidate)
 
-    pre = obj.get("preprocess", {})
     return RunConfig(
         corpus_dir=_near_config(paths["corpus_dir"]),
         metadata=_near_config(paths["metadata"]),
         out_dir=paths["out_dir"], formula=formula_text,
         k=k, k_grid=list(k_grid) if k_grid else None,
-        min_doc_freq=pre.get("min_doc_freq", 10),
+        min_doc_freq=min_doc_freq,
         min_term_len=pre.get("min_term_len", 3),
         stopword_file=(_near_config(pre["stopword_file"])
                        if pre.get("stopword_file") else None),
@@ -168,8 +189,7 @@ def load_config(path: str | Path) -> RunConfig:
         ridge_gamma=fit_obj.get("ridge_gamma", 1.0),
         sigma_floor=fit_obj.get("sigma_floor", 1e-6),
         candidate_rel_tol=fit_obj.get("candidate_rel_tol", 1e-4),
-        coherence_m=_get(obj, "metrics", "coherence_m", 10),
-        frex_w=_get(obj, "metrics", "frex_w", 0.7),
+        coherence_m=coherence_m, frex_w=frex_w,
         top_words=_get(obj, "metrics", "top_words", 20),
         effects_targets=targets, n_draws=n_draws,
         perspectives=[list(p) for p in report_obj.get("perspectives", [])],

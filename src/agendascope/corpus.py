@@ -7,7 +7,7 @@ import csv
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -87,12 +87,6 @@ class CovariateRecord:
         if self.region not in REGIONS:
             raise ValueError(f"region {self.region!r} not one of {REGIONS}")
 
-    def as_dict(self) -> dict:
-        return {"doc_id": self.doc_id, "gdp_pc": self.gdp_pc,
-                "population": self.population, "oda": self.oda,
-                "polity": self.polity, "conflict": self.conflict,
-                "region": self.region}
-
 
 @dataclass
 class BuildReport:
@@ -101,11 +95,6 @@ class BuildReport:
     emptied_docs: list[str] = field(default_factory=list)
     docs_without_covariates: list[str] = field(default_factory=list)
     unmatched_covariates: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {"emptied_docs": self.emptied_docs,
-                "docs_without_covariates": self.docs_without_covariates,
-                "unmatched_covariates": self.unmatched_covariates}
 
 
 @dataclass
@@ -162,9 +151,8 @@ class Corpus:
                                   ("doc_id", "gdp_pc", "population", "oda",
                                    "polity", "conflict", "region", "year")}
         for rec, year in zip(self.covariates, self.years):
-            d = rec.as_dict()
-            d["conflict"] = None if rec.conflict is None else int(rec.conflict)
-            d["year"] = year
+            d = {**vars(rec), "year": year,
+                 "conflict": None if rec.conflict is None else int(rec.conflict)}
             for k in table:
                 table[k].append(d[k])
         return table
@@ -179,7 +167,7 @@ class Corpus:
                       "terms": [[int(i), int(c)] for i, c in zip(idx, cts)]}
                      for did, year, (idx, cts) in
                      zip(self.doc_ids, self.years, self.docs)],
-            "covariates": [rec.as_dict() for rec in self.covariates],
+            "covariates": [asdict(rec) for rec in self.covariates],
         }
 
     @classmethod

@@ -36,14 +36,6 @@ class EffectEstimate:
     ci_upper: np.ndarray
     n_draws: int
 
-    def as_dict(self) -> dict:
-        return {"topic_index": self.topic_index, "covariate": self.covariate,
-                "grid": list(self.grid),
-                "mean": [float(v) for v in self.mean],
-                "ci_lower": [float(v) for v in self.ci_lower],
-                "ci_upper": [float(v) for v in self.ci_upper],
-                "n_draws": self.n_draws}
-
     def table_rows(self) -> list[tuple]:
         """(grid, mean, lo, hi) rows for plot-ready delimited output."""
         return [(g, float(m), float(lo), float(hi))
@@ -59,11 +51,6 @@ class ContrastEstimate:
     level_b: object
     point: float
     ci: tuple[float, float]
-
-    def as_dict(self) -> dict:
-        return {"topic_index": self.topic_index, "covariate": self.covariate,
-                "level_a": self.level_a, "level_b": self.level_b,
-                "point": self.point, "ci": [self.ci[0], self.ci[1]]}
 
 
 def _interp_quantile(sorted_draws: np.ndarray, p: float) -> np.ndarray:

@@ -8,6 +8,7 @@ UTF-8, trailing newline.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Any
@@ -17,7 +18,10 @@ import numpy as np
 
 def _numpy_default(obj: Any) -> Any:
     """``json.dumps`` fallback for the numpy types the encoder does not
-    know; ``np.float64`` needs none, being a ``float`` subclass."""
+    know (``np.float64`` needs none, being a ``float`` subclass), and for
+    dataclass instances, which encode as ``{field name: value}``."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.floating):

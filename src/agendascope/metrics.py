@@ -122,15 +122,6 @@ class TopicSummary:
     top_score: list[tuple[str, float]]
     n_words: int
 
-    def as_dict(self) -> dict:
-        def pairs(entries):
-            return [[t, float(v)] for t, v in entries]
-        return {"topic_index": self.topic_index, "n_words": self.n_words,
-                "top_prob": pairs(self.top_prob),
-                "top_frex": pairs(self.top_frex),
-                "top_lift": pairs(self.top_lift),
-                "top_score": pairs(self.top_score)}
-
 
 @dataclass
 class ModelQuality:
@@ -140,14 +131,6 @@ class ModelQuality:
     mean_coherence: float
     mean_exclusivity: float
     m_top_words: int
-
-    def as_dict(self) -> dict:
-        return {"k": self.k,
-                "coherence_per_topic": [float(c) for c in self.coherence_per_topic],
-                "exclusivity_per_topic": [float(e) for e in self.exclusivity_per_topic],
-                "mean_coherence": self.mean_coherence,
-                "mean_exclusivity": self.mean_exclusivity,
-                "m_top_words": self.m_top_words}
 
 
 def model_quality(beta: np.ndarray, corpus: Corpus, m: int = DEFAULT_TOP_WORDS,

@@ -24,21 +24,12 @@ class PerspectiveContrast:
     topic_b: int
     entries: list[tuple[str, float, float]]  # (term, delta, size)
 
-    def as_dict(self) -> dict:
-        return {"topic_a": self.topic_a, "topic_b": self.topic_b,
-                "entries": [[t, float(d), float(s)] for t, d, s in self.entries]}
-
 
 @dataclass
 class TopicGraph:
     nodes: list[tuple[int, str]]              # (topic index, label)
     edges: list[tuple[int, int, float]]       # (i, j, correlation), i < j
     threshold: float
-
-    def as_dict(self) -> dict:
-        return {"nodes": [[i, label] for i, label in self.nodes],
-                "edges": [[i, j, float(c)] for i, j, c in self.edges],
-                "threshold": self.threshold}
 
     def to_dot(self) -> str:
         lines = ["graph topics {"]

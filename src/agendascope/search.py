@@ -55,11 +55,6 @@ class CandidatePoint:
     mean_exclusivity: float
     fit_ref: str
 
-    def as_dict(self) -> dict:
-        return {"k": self.k, "mean_coherence": self.mean_coherence,
-                "mean_exclusivity": self.mean_exclusivity,
-                "fit_ref": self.fit_ref}
-
 
 @dataclass
 class ModelSearchResult:
@@ -74,25 +69,16 @@ class ModelSearchResult:
         return [(c.k, c.mean_coherence, c.mean_exclusivity, float(r))
                 for c, r in zip(self.candidates, self.residuals)]
 
-    def to_json_obj(self) -> dict:
-        return {"candidates": [c.as_dict() for c in self.candidates],
-                "slope": self.slope, "intercept": self.intercept,
-                "residuals": [float(r) for r in self.residuals],
-                "selected_k": self.selected_k}
+    def save(self, path: str | Path) -> Path:
+        return write_json(path, self)
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "ModelSearchResult":
+    def load(cls, path: str | Path) -> "ModelSearchResult":
+        obj = read_json(path)
         return cls(candidates=[CandidatePoint(**c) for c in obj["candidates"]],
                    slope=obj["slope"], intercept=obj["intercept"],
                    residuals=np.array(obj["residuals"], dtype=float),
                    selected_k=obj["selected_k"])
-
-    def save(self, path: str | Path) -> Path:
-        return write_json(path, self.to_json_obj())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ModelSearchResult":
-        return cls.from_json_obj(read_json(path))
 
 
 def rank_candidates(candidates: list[CandidatePoint]) -> ModelSearchResult:

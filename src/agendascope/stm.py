@@ -11,6 +11,7 @@ closed-form M-step updates.
 from __future__ import annotations
 
 import concurrent.futures
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from .corpus import Corpus
 from .errors import (DimensionMismatch, HessianNotPD, KExceedsVocabulary,
                      NonFiniteObjective, SingularDesign)
 from .jsonio import read_json, write_json
+
+logger = logging.getLogger(__name__)
 
 BETA_FLOOR = 1e-12
 _CHUNK = 64  # fixed E-step partition size; reduction order never depends on thread count
@@ -44,16 +47,6 @@ class FitConfig:
             raise ValueError("rel_tol must be positive")
         if self.ridge_gamma < 0:
             raise ValueError("ridge_gamma must be non-negative")
-
-    def as_dict(self) -> dict:
-        return {"k": self.k, "seed": self.seed,
-                "max_em_iters": self.max_em_iters, "rel_tol": self.rel_tol,
-                "ridge_gamma": self.ridge_gamma,
-                "sigma_floor": self.sigma_floor}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "FitConfig":
-        return cls(**obj)
 
 
 @dataclass
@@ -123,38 +116,35 @@ class FittedModel:
         """D x K document-topic proportions, softmax of eta with pinned 0."""
         return softmax_with_zero(self.eta)
 
-    def to_json_obj(self) -> dict:
-        return {"k": self.k,
-                "vocabulary": list(self.vocabulary),
-                "beta": self.beta.tolist(),
-                "gamma": self.gamma.tolist(),
-                "sigma": self.sigma.tolist(),
-                "eta": self.eta.tolist(),
-                "nu": self.nu.tolist(),
-                "bound_trace": [float(b) for b in self.bound_trace],
-                "config": self.config.as_dict(),
-                "design_column_names": list(self.design_column_names),
-                "doc_ids": list(self.doc_ids)}
+    @property
+    def converged(self) -> bool:
+        """Whether the last EM iteration met ``fit``'s stopping test; False
+        for a fit that ran to ``config.max_em_iters`` without meeting it."""
+        trace = self.bound_trace
+        return len(trace) >= 2 and _bound_settled(trace[-2], trace[-1],
+                                                  self.config.rel_tol)
+
+    def save(self, path: str | Path) -> Path:
+        return write_json(path, self)
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "FittedModel":
+    def load(cls, path: str | Path) -> "FittedModel":
+        obj = read_json(path)
         return cls(beta=np.array(obj["beta"], dtype=float),
                    gamma=np.array(obj["gamma"], dtype=float),
                    sigma=np.array(obj["sigma"], dtype=float),
                    eta=np.array(obj["eta"], dtype=float),
                    nu=np.array(obj["nu"], dtype=float),
                    bound_trace=list(obj["bound_trace"]),
-                   config=FitConfig.from_dict(obj["config"]),
+                   config=FitConfig(**obj["config"]),
                    vocabulary=list(obj["vocabulary"]),
                    design_column_names=list(obj["design_column_names"]),
                    doc_ids=list(obj["doc_ids"]))
 
-    def save(self, path: str | Path) -> Path:
-        return write_json(path, self.to_json_obj())
 
-    @classmethod
-    def load(cls, path: str | Path) -> "FittedModel":
-        return cls.from_json_obj(read_json(path))
+def _bound_settled(prev: float, bound: float, rel_tol: float) -> bool:
+    """EM stopping test: the bound moved by less than ``rel_tol`` relative."""
+    return abs(bound - prev) < rel_tol * abs(prev)
 
 
 def softmax_with_zero(eta: np.ndarray) -> np.ndarray:
@@ -473,7 +463,7 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
                 raise NonFiniteObjective(iteration)
             bound_trace.append(bound)
             if (prev_bound is not None
-                    and abs(bound - prev_bound) < config.rel_tol * abs(prev_bound)):
+                    and _bound_settled(prev_bound, bound, config.rel_tol)):
                 break
             if iteration == config.max_em_iters - 1:
                 break
@@ -484,8 +474,15 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
         if pool is not None:
             pool.shutdown()
 
-    return FittedModel(beta=beta, gamma=gamma, sigma=sigma, eta=eta, nu=nu,
-                       bound_trace=bound_trace, config=config,
-                       vocabulary=list(corpus.vocabulary),
-                       design_column_names=list(design.column_names),
-                       doc_ids=list(corpus.doc_ids))
+    model = FittedModel(beta=beta, gamma=gamma, sigma=sigma, eta=eta, nu=nu,
+                        bound_trace=bound_trace, config=config,
+                        vocabulary=list(corpus.vocabulary),
+                        design_column_names=list(design.column_names),
+                        doc_ids=list(corpus.doc_ids))
+    if not model.converged:
+        change = (abs(bound_trace[-1] - bound_trace[-2]) / abs(bound_trace[-2])
+                  if len(bound_trace) >= 2 else float("nan"))
+        logger.warning("fit stopped at max_em_iters=%d without converging: "
+                       "last relative bound change %.3g, rel_tol %g",
+                       len(bound_trace), change, config.rel_tol)
+    return model

@@ -1,7 +1,11 @@
 """Pipeline CLI: stage wiring, manifests, determinism, config validation."""
 
 import json
+import os
+import re
 import shutil
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -14,6 +18,7 @@ from agendascope.jsonio import read_json
 from agendascope.manifest import file_sha256
 
 SAMPLE = Path(str(resources.files("agendascope").joinpath("data/sample")))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -131,6 +136,25 @@ class TestConfig:
             load_config(config)
         assert [v for v in err.value.violations if v.startswith(f"fit.{key} ")]
 
+    @pytest.mark.parametrize("name, value", [
+        ("report.graph_threshold", "0.1"), ("effects.targets[0].topics", 1),
+        ("effects.targets[1].contrast", 1), ("metrics.frex_w", 2.0),
+        ("metrics.coherence_m", 1), ("effects.targets[0].grid_points", 0),
+        ("preprocess.min_doc_freq", "5")])
+    def test_bad_value_collected(self, sample_run, name, value):
+        config, _ = sample_run
+        obj = json.loads(config.read_text())
+        *keys, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", name)]
+        parent = obj
+        for key in keys:
+            parent = parent[key]
+        parent[last] = value
+        config.write_text(json.dumps(obj))
+        with pytest.raises(ConfigError) as err:
+            load_config(config)
+        [violation] = err.value.violations
+        assert violation.startswith(f"{name} ")
+
     def test_zero_rel_tol_exit_is_structured(self, sample_run, capsys):
         config, _ = sample_run
         obj = json.loads(config.read_text())
@@ -166,3 +190,20 @@ class TestConfig:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert isinstance(err["violations"], list)
+
+
+def test_tracer_sees_every_layer(sample_run, tmp_path):
+    """The benchmark tracer wraps module globals of the program; a refactor
+    that bypasses them would silently zero its layer metrics."""
+    config, _ = sample_run
+    spans_path = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "tracer.py"), str(spans_path),
+         "all", "--config", str(config)],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    names = {span["name"] for span in json.loads(spans_path.read_text())["spans"]}
+    assert {"jsonio.corpus_save", "jsonio.corpus_load", "jsonio.model_save",
+            "jsonio.model_load", "manifest.write_manifest", "stm.fit",
+            "search.search"} <= names

@@ -1,5 +1,7 @@
 """Model fitting: initialization, E-step, M-step, EM invariants."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import agendascope.stm as stm_mod
 from agendascope.errors import (DimensionMismatch, HessianNotPD,
                                 KExceedsVocabulary, NonFiniteObjective,
                                 SingularDesign)
-from agendascope.jsonio import dumps_canonical
+from agendascope.jsonio import dumps_canonical, read_json, write_json
 from agendascope.stm import (FitConfig, FittedModel, PrevalenceDesign,
                              _batch_neg_hessian, _batch_state, _batch_value,
                              _Chunk, _damped_cholesky, _scatter_counts,
@@ -270,7 +272,7 @@ class TestFit:
         cfg = FitConfig(k=2, seed=11, max_em_iters=15)
         m1 = fit(corpus, design, cfg)
         m2 = fit(corpus, design, cfg)
-        assert dumps_canonical(m1.to_json_obj()) == dumps_canonical(m2.to_json_obj())
+        assert dumps_canonical(m1) == dumps_canonical(m2)
 
     def test_thread_count_does_not_change_result(self):
         corpus = two_block_corpus(seed=6, n_docs=130)  # spans 3 chunks
@@ -278,8 +280,7 @@ class TestFit:
         cfg = FitConfig(k=2, seed=4, max_em_iters=10)
         serial = fit(corpus, design, cfg, threads=1)
         threaded = fit(corpus, design, cfg, threads=4)
-        assert dumps_canonical(serial.to_json_obj()) == \
-            dumps_canonical(threaded.to_json_obj())
+        assert dumps_canonical(serial) == dumps_canonical(threaded)
 
     def test_constant_design_column_rejected(self):
         corpus = two_block_corpus(seed=7, n_docs=10)
@@ -334,8 +335,31 @@ class TestFit:
         model = fit(corpus, design, FitConfig(k=2, seed=6, max_em_iters=6))
         path = model.save(tmp_path / "model.json")
         back = FittedModel.load(path)
-        assert dumps_canonical(back.to_json_obj()) == \
-            dumps_canonical(model.to_json_obj())
+        assert dumps_canonical(back) == dumps_canonical(model)
+
+    def test_legacy_model_with_k_loads(self, tmp_path):
+        corpus = two_block_corpus(seed=10, n_docs=12)
+        design = PrevalenceDesign.intercept_only(corpus.n_docs)
+        model = fit(corpus, design, FitConfig(k=2, seed=6, max_em_iters=6))
+        path = tmp_path / "model.json"
+        write_json(path, {**read_json(model.save(path)), "k": 2})
+        assert dumps_canonical(FittedModel.load(path)) == dumps_canonical(model)
+
+    def test_converged_flags_capped_fit_and_warns(self, caplog):
+        corpus = two_block_corpus(seed=5, n_docs=24)
+        design = PrevalenceDesign.intercept_only(corpus.n_docs)
+        with caplog.at_level(logging.WARNING, logger="agendascope.stm"):
+            capped = fit(corpus, design, FitConfig(k=2, seed=11, max_em_iters=2))
+        assert not capped.converged
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "max_em_iters=2" in record.getMessage()
+        assert "rel_tol 1e-05" in record.getMessage()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="agendascope.stm"):
+            done = fit(corpus, design, FitConfig(k=2, seed=11, max_em_iters=200))
+        assert done.converged and len(done.bound_trace) < 200
+        assert not caplog.records
 
 
 class TestRecovery:
