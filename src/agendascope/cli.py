@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -107,7 +106,7 @@ def run_search(cfg: RunConfig) -> Stage:
                     _fit_config(cfg, cfg.k_grid[0]),
                     coherence_m=cfg.coherence_m, frex_w=cfg.frex_w,
                     candidate_rel_tol=cfg.candidate_rel_tol,
-                    threads=cfg.threads or 1)
+                    threads=cfg.threads)
     search_path = result.save(out_dir / SEARCH_FILE)
     points_path = _write_csv(out_dir / SEARCH_POINTS_FILE,
                              ["k", "coherence", "exclusivity", "residual"],
@@ -127,7 +126,7 @@ def run_fit(cfg: RunConfig) -> Stage:
         inputs["search"] = search_path
         k = ModelSearchResult.load(search_path).selected_k
     built, sub = _design_and_subset(cfg, corpus)
-    model = fit(sub, built.design, _fit_config(cfg, k), threads=cfg.threads or 1)
+    model = fit(sub, built.design, _fit_config(cfg, k), threads=cfg.threads)
     return inputs, [model.save(out_dir / MODEL_FILE)]
 
 
@@ -172,7 +171,7 @@ def run_effects(cfg: RunConfig) -> Stage:
     effects_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
     estimate_index = 0
-    for target in cfg.effects_targets:
+    for target in cfg.targets:
         for topic in target.topics:
             seed = cfg.seed + _EFFECT_SEED_STRIDE * (estimate_index + 1)
             estimate_index += 1
@@ -241,52 +240,34 @@ def run_all(cfg: RunConfig) -> list[Path]:
     return [path for name in names for path in _run_stage(name, cfg)]
 
 
-def _resolve_threads(flag_value: int | None, cfg_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    if cfg_value is not None:
-        return cfg_value
-    env = os.environ.get("AGENDASCOPE_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError([f"AGENDASCOPE_THREADS is not an integer: {env!r}"]) from None
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """Each override flag's dest is the config key it replaces; a flag left
+    unset stays out of the parsed namespace."""
     parser = argparse.ArgumentParser(
         prog="agendascope",
         description="Topic-model pipeline over speech corpora")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in [*_STAGES, "all"]:
-        cmd = sub.add_parser(name, help=f"run the {name} stage")
+        cmd = sub.add_parser(name, help=f"run the {name} stage",
+                             argument_default=argparse.SUPPRESS)
         cmd.add_argument("--config", required=True, help="run-config JSON")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the config seed")
-        cmd.add_argument("--threads", type=int, default=None,
+        cmd.add_argument("--seed", type=int, help="override the config seed")
+        cmd.add_argument("--threads", type=int,
                          help="intra-stage parallelism (env AGENDASCOPE_THREADS as fallback)")
-        cmd.add_argument("--out", default=None, help="override the output dir")
+        cmd.add_argument("--out", dest="paths.out_dir", metavar="DIR",
+                         help="override the output dir")
         cmd.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
-                         default=None, help="override deterministic mode")
+                         help="override deterministic mode")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    overrides = vars(build_parser().parse_args(argv))
+    command, config = overrides.pop("command"), overrides.pop("config")
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out_dir = args.out
-            Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-        if args.deterministic is not None:
-            cfg.deterministic = args.deterministic
-        cfg.threads = _resolve_threads(args.threads, cfg.threads)
-        outputs = (run_all(cfg) if args.command == "all"
-                   else _run_stage(args.command, cfg))
+        cfg = load_config(config, overrides)
+        outputs = (run_all(cfg) if command == "all"
+                   else _run_stage(command, cfg))
     except AgendascopeError as exc:
         report = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ConfigError):

@@ -1,13 +1,26 @@
-"""Run configuration: one JSON file drives the whole pipeline."""
+"""Run configuration: one JSON file drives the whole pipeline.
+
+Each file key is declared once, in ``_SETTINGS`` (the keys of an effects
+target in ``_TARGET_SETTINGS``), with its check and what a valid value must
+be. The key's last dotted part names the dataclass field it fills; a field's
+default is the key's default, and a field without one is a required key.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
+from .effects import DEFAULT_DRAWS, DEFAULT_GRID_POINTS, MIN_DRAWS
 from .errors import ConfigError, FormulaSyntaxError
 from .formula import parse_formula
 from .jsonio import read_json
+from .metrics import DEFAULT_FREX_WEIGHT
+from .search import CANDIDATE_REL_TOL
+from .stm import FitConfig
+
+THREADS_ENV = "AGENDASCOPE_THREADS"
 
 
 @dataclass
@@ -15,7 +28,7 @@ class EffectTarget:
     covariate: str
     topics: list[int]
     contrast: list | None = None  # [level_a, level_b] switches to a contrast
-    grid_points: int = 50
+    grid_points: int = DEFAULT_GRID_POINTS
     hold: str = "typical"
 
 
@@ -30,138 +43,167 @@ class RunConfig:
     min_doc_freq: int = 10
     min_term_len: int = 3
     stopword_file: str | None = None
-    max_em_iters: int = 200
-    rel_tol: float = 1e-5
-    ridge_gamma: float = 1.0
-    sigma_floor: float = 1e-6
-    candidate_rel_tol: float = 1e-4
+    max_em_iters: int = FitConfig.max_em_iters
+    rel_tol: float = FitConfig.rel_tol
+    ridge_gamma: float = FitConfig.ridge_gamma
+    sigma_floor: float = FitConfig.sigma_floor
+    candidate_rel_tol: float = CANDIDATE_REL_TOL
     coherence_m: int = 10
-    frex_w: float = 0.7
+    frex_w: float = DEFAULT_FREX_WEIGHT
     top_words: int = 20
-    effects_targets: list[EffectTarget] = field(default_factory=list)
-    n_draws: int = 500
+    targets: list[EffectTarget] = field(default_factory=list)
+    n_draws: int = DEFAULT_DRAWS
     perspectives: list[list[int]] = field(default_factory=list)
     wordcloud_topics: list[int] = field(default_factory=list)
     wordcloud_n: int = 50
     graph_threshold: float = 0.05
     seed: int = 0
     deterministic: bool = True
-    threads: int | None = None  # None defers to the CLI fallback chain
+    threads: int = 1
 
 
-def _get(obj: dict, section: str, key: str, default):
-    return obj.get(section, {}).get(key, default)
-
-
-def _is_int(value, low: int) -> bool:
-    return isinstance(value, int) and value >= low
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def load_config(path: str | Path) -> RunConfig:
+def _is_topics(value) -> bool:
+    return isinstance(value, list) and all(_is_int(v) and v >= 0 for v in value)
+
+
+def _int_at_least(low: int):
+    return lambda v: _is_int(v) and v >= low, f"an integer >= {low}"
+
+
+_TEXT = (lambda v: isinstance(v, str) and v != "", "a non-empty string")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a number > 0")
+
+# dotted file key -> (check, what a valid value must be)
+_SETTINGS = {
+    "paths.corpus_dir": _TEXT,
+    "paths.metadata": _TEXT,
+    "paths.out_dir": _TEXT,
+    "preprocess.min_doc_freq": _int_at_least(1),
+    "preprocess.min_term_len": _int_at_least(1),
+    "preprocess.stopword_file": _TEXT,
+    "fit.k": _int_at_least(2),
+    "fit.k_grid": (lambda v: isinstance(v, list) and all(_is_int(k) and k >= 2 for k in v)
+                   and len(set(v)) >= 3, "a list of >= 3 distinct integers >= 2"),
+    "fit.max_em_iters": _int_at_least(1),
+    "fit.rel_tol": _POSITIVE,
+    "fit.ridge_gamma": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    "fit.sigma_floor": _POSITIVE,
+    "fit.candidate_rel_tol": _POSITIVE,
+    "formula": _TEXT,
+    "metrics.coherence_m": _int_at_least(2),
+    "metrics.frex_w": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "metrics.top_words": _int_at_least(1),
+    "effects.n_draws": _int_at_least(MIN_DRAWS),
+    "effects.targets": (lambda v: isinstance(v, list) and all(isinstance(t, dict) for t in v),
+                        "a list of objects"),
+    "report.perspectives": (lambda v: isinstance(v, list)
+                            and all(_is_topics(p) and len(p) == 2 for p in v),
+                            "a list of topic pairs [a, b]"),
+    "report.wordcloud_topics": (_is_topics, "a list of integers >= 0"),
+    "report.wordcloud_n": _int_at_least(1),
+    "report.graph_threshold": (lambda v: _is_number(v) and -1 < v < 1,
+                               "a number in (-1, 1)"),
+    "seed": _int_at_least(0),
+    "deterministic": (lambda v: isinstance(v, bool), "true or false"),
+    "threads": _int_at_least(1),
+}
+
+_TARGET_SETTINGS = {
+    "covariate": _TEXT,
+    "topics": (lambda v: _is_topics(v) and v != [], "a non-empty list of integers >= 0"),
+    "contrast": (lambda v: isinstance(v, list) and len(v) == 2, "a list of two levels"),
+    "grid_points": _int_at_least(2),
+    "hold": (lambda v: v in ("typical", "observed"), "'typical' or 'observed'"),
+}
+
+_SECTIONS = {key.partition(".")[0] for key in _SETTINGS if "." in key}
+
+
+def _field(key: str) -> str:
+    return key.rpartition(".")[2]
+
+
+def _flatten(obj: dict, violations: list[str]) -> dict:
+    """The file object with each section's keys raised to dotted keys."""
+    flat = {}
+    for key, value in obj.items():
+        if key not in _SECTIONS:
+            flat[key] = value
+        elif isinstance(value, dict):
+            flat.update((f"{key}.{k}", v) for k, v in value.items())
+        else:
+            violations.append(f"{key} must be an object")
+    return flat
+
+
+def _checked(cls, table: dict, obj: dict, prefix: str, violations: list[str]) -> dict:
+    """The values in ``obj`` that pass their ``table`` check, keyed by ``cls``
+    field. Adds a violation for every unknown key, failed check and missing
+    required key; null leaves a field whose default is None unset."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    values = {}
+    for key, value in obj.items():
+        if key not in table:
+            violations.append(f"{prefix}{key} is not a known setting")
+        elif value is None and defaults[_field(key)] is None:
+            continue
+        elif table[key][0](value):
+            values[_field(key)] = value
+        else:
+            violations.append(f"{prefix}{key} must be {table[key][1]}")
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    violations.extend(f"{prefix}{key} is required" for key in table
+                      if _field(key) in required and key not in obj)
+    return values
+
+
+def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Parse and validate a run-configuration file.
 
+    ``overrides`` maps dotted keys to values that replace the file's before
+    anything is checked, so an override is checked like a file value.
+    Threads come from the override, else the file, else the
+    AGENDASCOPE_THREADS environment variable, else 1.
+
     Every violation is collected; a single ConfigError reports them all.
-    Relative corpus/metadata paths resolve against the config file's
-    directory; a relative out_dir resolves against the working directory.
+    Relative corpus_dir/metadata/stopword_file paths resolve against the
+    config file's directory; a relative out_dir resolves against the working
+    directory. The output directory is created if it is missing.
     """
     path = Path(path)
-    obj = read_json(path)
     violations: list[str] = []
-
-    paths = obj.get("paths", {})
-    for key in ("corpus_dir", "metadata", "out_dir"):
-        if not paths.get(key):
-            violations.append(f"paths.{key} is required")
-
-    fit_obj = obj.get("fit", {})
-    k = fit_obj.get("k")
-    k_grid = fit_obj.get("k_grid")
-    if (k is None) == (k_grid is None):
-        violations.append("fit must set exactly one of 'k' or 'k_grid'")
-    if k is not None and (not isinstance(k, int) or k < 2):
-        violations.append("fit.k must be an integer >= 2")
-    if k_grid is not None:
-        if (not isinstance(k_grid, list) or len(set(k_grid)) < 3
-                or any(not isinstance(v, int) or v < 2 for v in k_grid)):
-            violations.append("fit.k_grid needs >= 3 distinct integers >= 2")
-
-    max_em_iters = fit_obj.get("max_em_iters", 200)
-    if not _is_int(max_em_iters, 1):
-        violations.append("fit.max_em_iters must be an integer >= 1")
-    for key, zero_ok in (("rel_tol", False), ("ridge_gamma", True),
-                         ("sigma_floor", False), ("candidate_rel_tol", False)):
-        if key not in fit_obj:
-            continue
-        value = fit_obj[key]
-        if not (_is_number(value) and (value >= 0 if zero_ok else value > 0)):
-            violations.append(
-                f"fit.{key} must be a number {'>=' if zero_ok else '>'} 0")
-
-    pre = obj.get("preprocess", {})
-    min_doc_freq = pre.get("min_doc_freq", 10)
-    if not _is_int(min_doc_freq, 1):
-        violations.append("preprocess.min_doc_freq must be an integer >= 1")
-
-    coherence_m = _get(obj, "metrics", "coherence_m", 10)
-    if not _is_int(coherence_m, 2):
-        violations.append("metrics.coherence_m must be an integer >= 2")
-    frex_w = _get(obj, "metrics", "frex_w", 0.7)
-    if not (_is_number(frex_w) and 0 <= frex_w <= 1):
-        violations.append("metrics.frex_w must be a number in [0, 1]")
-
-    formula_text = obj.get("formula", "")
-    if not formula_text:
-        violations.append("formula is required")
-    else:
+    flat = {**_flatten(read_json(path), violations), **(overrides or {})}
+    env = os.environ.get(THREADS_ENV)
+    if env and "threads" not in flat:
         try:
-            parse_formula(formula_text)
+            flat["threads"] = int(env)
+        except ValueError:
+            violations.append(f"{THREADS_ENV} is not an integer: {env!r}")
+    values = _checked(RunConfig, _SETTINGS, flat, "", violations)
+    targets = [_checked(EffectTarget, _TARGET_SETTINGS, t, f"effects.targets[{i}].", violations)
+               for i, t in enumerate(values.get("targets", []))]
+
+    given = {_field(key) for key in _SETTINGS if flat.get(key) is not None}
+    if ("k" in given) == ("k_grid" in given):
+        violations.append("fit must set exactly one of 'k' or 'k_grid'")
+    if "formula" in values:
+        try:
+            parse_formula(values["formula"])
         except FormulaSyntaxError as exc:
             violations.append(f"formula does not parse: {exc}")
-
-    effects_obj = obj.get("effects", {})
-    n_draws = effects_obj.get("n_draws", 500)
-    if not isinstance(n_draws, int) or n_draws < 100:
-        violations.append("effects.n_draws must be an integer >= 100")
-    targets: list[EffectTarget] = []
-    for i, t in enumerate(effects_obj.get("targets", [])):
-        if not t.get("covariate"):
-            violations.append(f"effects.targets[{i}].covariate is required")
-            continue
-        topics = t.get("topics", [])
-        if (not isinstance(topics, list) or not topics
-                or any(not _is_int(v, 0) for v in topics)):
-            violations.append(f"effects.targets[{i}].topics must be non-negative integers")
-        contrast = t.get("contrast")
-        if contrast is not None and not (isinstance(contrast, list) and len(contrast) == 2):
-            violations.append(f"effects.targets[{i}].contrast must have two levels")
-        grid_points = t.get("grid_points", 50)
-        if not _is_int(grid_points, 2):
-            violations.append(f"effects.targets[{i}].grid_points must be an integer >= 2")
-        if t.get("hold", "typical") not in ("typical", "observed"):
-            violations.append(
-                f"effects.targets[{i}].hold must be 'typical' or 'observed'")
-        targets.append(EffectTarget(covariate=t["covariate"], topics=topics,
-                                    contrast=contrast, grid_points=grid_points,
-                                    hold=t.get("hold", "typical")))
-
-    seed = obj.get("seed", 0)
-    if not isinstance(seed, int):
-        violations.append("seed must be an integer")
-
-    report_obj = obj.get("report", {})
-    threshold = report_obj.get("graph_threshold", 0.05)
-    if not (_is_number(threshold) and -1.0 < threshold < 1.0):
-        violations.append("report.graph_threshold must be a number in (-1, 1)")
-
-    out_dir = paths.get("out_dir")
-    if out_dir:
+    if "out_dir" in values:
         try:
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
-            probe = Path(out_dir) / ".write_probe"
+            Path(values["out_dir"]).mkdir(parents=True, exist_ok=True)
+            probe = Path(values["out_dir"]) / ".write_probe"
             probe.write_text("")
             probe.unlink()
         except OSError as exc:
@@ -169,33 +211,8 @@ def load_config(path: str | Path) -> RunConfig:
 
     if violations:
         raise ConfigError(violations)
-
-    def _near_config(p: str) -> str:
-        candidate = Path(p)
-        return str(candidate if candidate.is_absolute()
-                   else path.parent / candidate)
-
-    return RunConfig(
-        corpus_dir=_near_config(paths["corpus_dir"]),
-        metadata=_near_config(paths["metadata"]),
-        out_dir=paths["out_dir"], formula=formula_text,
-        k=k, k_grid=list(k_grid) if k_grid else None,
-        min_doc_freq=min_doc_freq,
-        min_term_len=pre.get("min_term_len", 3),
-        stopword_file=(_near_config(pre["stopword_file"])
-                       if pre.get("stopword_file") else None),
-        max_em_iters=fit_obj.get("max_em_iters", 200),
-        rel_tol=fit_obj.get("rel_tol", 1e-5),
-        ridge_gamma=fit_obj.get("ridge_gamma", 1.0),
-        sigma_floor=fit_obj.get("sigma_floor", 1e-6),
-        candidate_rel_tol=fit_obj.get("candidate_rel_tol", 1e-4),
-        coherence_m=coherence_m, frex_w=frex_w,
-        top_words=_get(obj, "metrics", "top_words", 20),
-        effects_targets=targets, n_draws=n_draws,
-        perspectives=[list(p) for p in report_obj.get("perspectives", [])],
-        wordcloud_topics=list(report_obj.get("wordcloud_topics", [])),
-        wordcloud_n=report_obj.get("wordcloud_n", 50),
-        graph_threshold=threshold,
-        seed=seed,
-        deterministic=obj.get("deterministic", True),
-        threads=obj.get("threads"))
+    for name in ("corpus_dir", "metadata", "stopword_file"):
+        if name in values:
+            values[name] = str(path.parent / values[name])
+    values["targets"] = [EffectTarget(**t) for t in targets]
+    return RunConfig(**values)

@@ -182,16 +182,9 @@ class Corpus:
             idx = np.array([p[0] for p in pairs], dtype=np.int64)
             cts = np.array([p[1] for p in pairs], dtype=np.int64)
             docs.append((idx, cts))
-        covs = []
-        for c in obj["covariates"]:
-            covs.append(CovariateRecord(
-                doc_id=c["doc_id"], gdp_pc=c["gdp_pc"],
-                population=c["population"], oda=c["oda"],
-                polity=c["polity"],
-                conflict=None if c["conflict"] is None else bool(c["conflict"]),
-                region=c["region"]))
-        return cls(vocabulary=list(obj["vocabulary"]), doc_ids=doc_ids,
-                   docs=docs, covariates=covs, years=years)
+        return cls(vocabulary=list(obj["vocabulary"]), doc_ids=doc_ids, docs=docs,
+                   covariates=[CovariateRecord(**c) for c in obj["covariates"]],
+                   years=years)
 
     def save(self, path: str | Path) -> Path:
         return write_json(path, self.to_json_obj())

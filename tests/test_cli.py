@@ -6,13 +6,15 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from agendascope.cli import main
-from agendascope.config import load_config
+from agendascope.config import (_SETTINGS, _TARGET_SETTINGS, RunConfig,
+                                _flatten, load_config)
 from agendascope.errors import ConfigError
 from agendascope.jsonio import read_json
 from agendascope.manifest import file_sha256
@@ -34,6 +36,18 @@ def sample_run(tmp_path):
 
 def run_cli(*args) -> int:
     return main([str(a) for a in args])
+
+
+def set_setting(config: Path, name: str, value) -> None:
+    """Set the config file's value at a dotted name such as
+    ``effects.targets[0].topics``."""
+    obj = json.loads(config.read_text())
+    *keys, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", name)]
+    parent = obj
+    for key in keys:
+        parent = parent[key]
+    parent[last] = value
+    config.write_text(json.dumps(obj))
 
 
 class TestStages:
@@ -140,20 +154,27 @@ class TestConfig:
         ("report.graph_threshold", "0.1"), ("effects.targets[0].topics", 1),
         ("effects.targets[1].contrast", 1), ("metrics.frex_w", 2.0),
         ("metrics.coherence_m", 1), ("effects.targets[0].grid_points", 0),
-        ("preprocess.min_doc_freq", "5")])
+        ("preprocess.min_doc_freq", "5"), ("threads", "2"),
+        ("preprocess.min_term_len", "3"), ("metrics.top_words", 0),
+        ("report.wordcloud_n", "50"), ("report.wordcloud_topics", [0, "1"]),
+        ("report.perspectives", [[0]]), ("deterministic", "yes"), ("seed", -1)])
     def test_bad_value_collected(self, sample_run, name, value):
         config, _ = sample_run
-        obj = json.loads(config.read_text())
-        *keys, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", name)]
-        parent = obj
-        for key in keys:
-            parent = parent[key]
-        parent[last] = value
-        config.write_text(json.dumps(obj))
+        set_setting(config, name, value)
         with pytest.raises(ConfigError) as err:
             load_config(config)
         [violation] = err.value.violations
         assert violation.startswith(f"{name} ")
+
+    @pytest.mark.parametrize("name, value", [
+        ("fit.max_em_iter", 200), ("sead", 1), ("metric", {"top_words": 12}),
+        ("effects.targets[0].grid_point", 25)])
+    def test_unknown_key_rejected(self, sample_run, name, value):
+        config, _ = sample_run
+        set_setting(config, name, value)
+        with pytest.raises(ConfigError) as err:
+            load_config(config)
+        assert err.value.violations == [f"{name} is not a known setting"]
 
     def test_zero_rel_tol_exit_is_structured(self, sample_run, capsys):
         config, _ = sample_run
@@ -172,15 +193,67 @@ class TestConfig:
         assert Path(cfg.metadata).is_file()
 
     def test_threads_env_fallback(self, sample_run, monkeypatch):
+        """Threads come from the flag, else the file, else the env, else 1."""
         config, _ = sample_run
         monkeypatch.setenv("AGENDASCOPE_THREADS", "3")
-        cfg = load_config(config)
-        assert cfg.threads is None  # config leaves it to the fallback chain
-        from agendascope.cli import _resolve_threads
-        assert _resolve_threads(None, cfg.threads) == 3
-        assert _resolve_threads(2, cfg.threads) == 2
+        assert load_config(config).threads == 3
+        assert load_config(config, {"threads": 2}).threads == 2
+        set_setting(config, "threads", 4)
+        assert load_config(config).threads == 4
+        assert load_config(config, {"threads": 2}).threads == 2
         monkeypatch.delenv("AGENDASCOPE_THREADS")
-        assert _resolve_threads(None, cfg.threads) == 1
+        assert load_config(config).threads == 4
+        obj = json.loads(config.read_text())
+        del obj["threads"]
+        config.write_text(json.dumps(obj))
+        assert load_config(config).threads == 1
+
+    @pytest.mark.parametrize("source", ["flag", "file", "env"])
+    def test_threads_below_one_rejected(self, sample_run, monkeypatch, capsys, source):
+        config, _ = sample_run
+        args = ["ingest", "--config", config]
+        if source == "flag":
+            args += ["--threads", 0]
+        elif source == "file":
+            set_setting(config, "threads", -1)
+        else:
+            monkeypatch.setenv("AGENDASCOPE_THREADS", "0")
+        assert run_cli(*args) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["violations"] == ["threads must be an integer >= 1"]
+
+    def test_out_override_leaves_config_out_dir_alone(self, tmp_path, monkeypatch):
+        work = tmp_path / "sample"
+        shutil.copytree(SAMPLE, work)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("ingest", "--config", work / "config.json", "--out", "o2") == 0
+        assert (tmp_path / "o2" / "corpus.json").is_file()
+        assert not (tmp_path / "out").exists()  # the config file's out_dir
+
+    def test_unwritable_out_is_violation(self, sample_run, tmp_path, capsys):
+        config, out = sample_run
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert run_cli("ingest", "--config", config, "--out", blocker / "o") == 1
+        [violation] = json.loads(capsys.readouterr().err)["violations"]
+        assert violation.startswith("paths.out_dir is not writable: ")
+        assert not out.exists()
+
+    def test_readme_config_block_loads(self, tmp_path, monkeypatch):
+        """The README's run-configuration block shows every key of the
+        settings table at its default, so the two cannot drift apart."""
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"### Run configuration\s+```json\n(.*?)```", readme, re.S)[1]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(block)
+        cfg = load_config(tmp_path / "config.json")
+        obj = json.loads(block)
+        shown = set(_flatten(obj, []))
+        assert shown | {"fit.k"} == set(_SETTINGS)  # fit.k excludes fit.k_grid
+        assert {key for t in obj["effects"]["targets"] for key in t} == set(_TARGET_SETTINGS)
+        for f in fields(RunConfig):
+            if f.default not in (MISSING, None):
+                assert getattr(cfg, f.name) == f.default, f.name
 
     def test_config_error_exit_is_structured(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
