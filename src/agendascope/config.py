@@ -180,8 +180,11 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     directory. The output directory is created if it is missing.
     """
     path = Path(path)
+    obj = read_json(path)
+    if not isinstance(obj, dict):
+        raise ConfigError(["the config file must hold a JSON object"])
     violations: list[str] = []
-    flat = {**_flatten(read_json(path), violations), **(overrides or {})}
+    flat = {**_flatten(obj, violations), **(overrides or {})}
     env = os.environ.get(THREADS_ENV)
     if env and "threads" not in flat:
         try:

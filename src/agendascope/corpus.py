@@ -8,6 +8,7 @@ import logging
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -30,6 +31,7 @@ _METADATA_COLUMNS = ("doc_id", "gdp_pc", "population", "oda", "polity",
                      "conflict", "region")
 
 
+@cache
 def _builtin_stopwords() -> frozenset[str]:
     text = resources.files("agendascope").joinpath("data/stopwords_en.txt").read_text("utf-8")
     return frozenset(w for w in text.split() if w)
@@ -118,9 +120,6 @@ class Corpus:
     @property
     def n_terms(self) -> int:
         return len(self.vocabulary)
-
-    def doc_lengths(self) -> np.ndarray:
-        return np.array([int(c.sum()) for _, c in self.docs], dtype=np.int64)
 
     def term_totals(self) -> np.ndarray:
         """Corpus-wide count of each term."""

@@ -13,7 +13,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .design import BuiltDesign, CategoricalSpec, SplineSpec, build_design
 from .errors import DimensionMismatch, SingularDesign
@@ -72,20 +71,23 @@ def quantile_pair(draws: np.ndarray, level: float = 0.95):
     return lo, hi
 
 
-def _psd_factor(mat: np.ndarray) -> np.ndarray:
-    """F with F @ F.T == mat for symmetric PSD mat (zero matrices stay zero)."""
+def _factor_stack(mats: np.ndarray) -> np.ndarray:
+    """F with F @ F^T == M for each block M of a stack of symmetric PSD
+    matrices: one batched Cholesky, or one batched eigh when any block is
+    singular (zero blocks stay zero)."""
     try:
-        return np.linalg.cholesky(mat)
+        return np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-        return vecs * np.sqrt(np.maximum(vals, 0.0))
+        vals, vecs = np.linalg.eigh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+        return vecs * np.sqrt(np.maximum(vals, 0.0))[..., None, :]
 
 
 class _Composer:
     """Shared per-draw machinery for effects and contrasts."""
 
     def __init__(self, model: FittedModel, formula: Formula | str,
-                 covs: dict[str, list], topic: int, n_draws: int, seed: int):
+                 covs: dict[str, list], topic: int, target: str,
+                 n_draws: int, seed: int):
         if not 0 <= topic < model.k:
             raise ValueError(f"topic {topic} out of range for k={model.k}")
         if n_draws < MIN_DRAWS:
@@ -97,54 +99,57 @@ class _Composer:
         if isinstance(formula, str):
             formula = parse_formula(formula)
         self.built: BuiltDesign = build_design(formula, covs)
+        if target not in self.built.builder.formula.term_names():
+            raise ValueError(f"target {target!r} does not appear in the formula")
         self.covs = covs
         kept = self.built.kept_rows
         self.x = self.built.x
         self.n, self.p = self.x.shape
+        # Rank-revealing least squares. A complete B-spline block sums to 1
+        # on every row, so each spline term is structurally collinear with
+        # the intercept, and only rounding decides whether X'X looks
+        # singular. Dropping the null directions gives the minimum-norm
+        # solution, which leaves predictions unchanged; any deficiency
+        # beyond the structural one is a real error.
         xtx = self.x.T @ self.x
-        try:
-            chol = np.linalg.cholesky(xtx)
-            rank = self.p
-            self.solver = scipy.linalg.cho_solve((chol, True), self.x.T,
-                                                 check_finite=False)
-            xtx_inv = scipy.linalg.cho_solve((chol, True), np.eye(self.p),
-                                             check_finite=False)
-            self.coef_factor = _psd_factor(0.5 * (xtx_inv + xtx_inv.T))
-        except np.linalg.LinAlgError:
-            # A complete B-spline block sums to 1 on every row, so each
-            # spline term is structurally collinear with the intercept.
-            # The minimum-norm solution leaves predictions unchanged; any
-            # deficiency beyond the structural one is a real error.
-            vals, vecs = np.linalg.eigh(0.5 * (xtx + xtx.T))
-            keep = vals > vals.max() * 1e-10
-            rank = int(keep.sum())
-            n_spline_blocks = sum(isinstance(s, SplineSpec)
-                                  for s in self.built.builder.specs)
-            if rank < self.p - n_spline_blocks:
-                raise SingularDesign(
-                    "effects design X'X is singular beyond the structural "
-                    "spline/intercept overlap") from None
-            vecs = vecs[:, keep]
-            inv_vals = 1.0 / vals[keep]
-            self.solver = (vecs * inv_vals) @ (vecs.T @ self.x.T)
-            self.coef_factor = vecs * np.sqrt(inv_vals)
-        self.coef_dim = self.coef_factor.shape[1]
-        self.eta = model.eta[kept]
-        self.nu_factors = np.stack([_psd_factor(model.nu[d]) for d in kept])
-        self.topic = topic
+        vals, vecs = np.linalg.eigh(0.5 * (xtx + xtx.T))
+        keep = vals > vals.max() * 1e-10
+        rank = int(keep.sum())
+        n_spline_blocks = sum(isinstance(s, SplineSpec)
+                              for s in self.built.builder.specs)
+        if rank < self.p - n_spline_blocks:
+            raise SingularDesign(
+                "effects design X'X is singular beyond the structural "
+                "spline/intercept overlap")
+        vecs = vecs[:, keep]
+        inv_vals = 1.0 / vals[keep]
+        self.solver = (vecs * inv_vals) @ (vecs.T @ self.x.T)
+        self.coef_factor = vecs * np.sqrt(inv_vals)
         self.dof = self.n - rank
+        self.eta = model.eta[kept]
+        self.nu_factors = _factor_stack(model.nu[kept])
+        self.topic = topic
         self.n_draws = n_draws
-        self.children = np.random.SeedSequence(seed).spawn(n_draws)
+        self.seed = seed
 
-    def coefficient_draw(self, rng: np.random.Generator) -> np.ndarray:
+    def _coefficient_draw(self, rng: np.random.Generator) -> np.ndarray:
         z = rng.standard_normal(self.eta.shape)
         eta_star = self.eta + np.einsum("nij,nj->ni", self.nu_factors, z)
         y = softmax_with_zero(eta_star)[:, self.topic]
         bhat = self.solver @ y
         resid = y - self.x @ bhat
         s2 = float(resid @ resid) / self.dof
-        zb = rng.standard_normal(self.coef_dim)
+        zb = rng.standard_normal(self.coef_factor.shape[1])
         return bhat + np.sqrt(s2) * (self.coef_factor @ zb)
+
+    def draws(self, rows: np.ndarray) -> np.ndarray:
+        """``rows @ b`` for each seeded coefficient draw b, as an
+        n_draws x len(rows) array. The stream depends only on the seed."""
+        out = np.empty((self.n_draws, len(rows)))
+        children = np.random.SeedSequence(self.seed).spawn(self.n_draws)
+        for i, child in enumerate(children):
+            out[i] = rows @ self._coefficient_draw(np.random.default_rng(child))
+        return out
 
     def typical_row(self, exclude: str) -> dict[str, object]:
         """Held values: means for numeric columns, modes for categoricals
@@ -210,17 +215,11 @@ def estimate_effect(model: FittedModel, formula: Formula | str,
     other covariates held at means/modes (or averaged over observed rows
     with ``hold='observed'``). Per-draw predictions are clipped to [0, 1].
     """
-    composer = _Composer(model, formula, covs, topic, n_draws, seed)
-    if target not in composer.built.builder.formula.term_names():
-        raise ValueError(f"target {target!r} does not appear in the formula")
+    composer = _Composer(model, formula, covs, topic, target, n_draws, seed)
     if grid is None:
         grid = _grid_for(composer, target, grid_points)
     x_grid = _prediction_matrix(composer, target, grid, hold)
-    draws = np.empty((n_draws, len(grid)))
-    for i, child in enumerate(composer.children):
-        rng = np.random.default_rng(child)
-        b = composer.coefficient_draw(rng)
-        draws[i] = np.clip(x_grid @ b, 0.0, 1.0)
+    draws = np.clip(composer.draws(x_grid), 0.0, 1.0)
     lo, hi = quantile_pair(draws)
     return EffectEstimate(topic_index=topic, covariate=target, grid=list(grid),
                           mean=draws.mean(axis=0), ci_lower=lo, ci_upper=hi,
@@ -237,17 +236,11 @@ def estimate_contrast(model: FittedModel, formula: Formula | str,
     the same seed negates the point estimate and mirrors the interval
     exactly.
     """
-    composer = _Composer(model, formula, covs, topic, n_draws, seed)
-    if target not in composer.built.builder.formula.term_names():
-        raise ValueError(f"target {target!r} does not appear in the formula")
+    composer = _Composer(model, formula, covs, topic, target, n_draws, seed)
     x_pair = _prediction_matrix(composer, target, [level_a, level_b],
                                 hold="typical")
     direction = x_pair[0] - x_pair[1]
-    deltas = np.empty(n_draws)
-    for i, child in enumerate(composer.children):
-        rng = np.random.default_rng(child)
-        b = composer.coefficient_draw(rng)
-        deltas[i] = float(direction @ b)
+    deltas = composer.draws(direction[None, :])[:, 0]
     lo, hi = quantile_pair(deltas)
     return ContrastEstimate(topic_index=topic, covariate=target,
                             level_a=level_a, level_b=level_b,

@@ -99,7 +99,6 @@ class _Scanner:
 
 
 def _parse_term(scanner: _Scanner) -> Term:
-    start = scanner.pos
     name = scanner.name()
     if name == "s" and scanner.peek() == "(":
         scanner.expect("(")
@@ -120,7 +119,6 @@ def _parse_term(scanner: _Scanner) -> Term:
         scanner.expect(")")
         return Term(kind=SPLINE, name=inner, df=df)
     kind = CATEGORICAL if name in KNOWN_CATEGORICAL else LINEAR
-    del start
     return Term(kind=kind, name=name)
 
 

@@ -7,6 +7,8 @@ the BLI/LOGI rules). Input must be a lowercase alphabetic token.
 
 from __future__ import annotations
 
+from functools import cache
+
 _VOWELS = frozenset("aeiou")
 
 
@@ -176,8 +178,9 @@ def _step5b(word: str) -> str:
     return word
 
 
+@cache
 def stem(word: str) -> str:
-    """Stem a lowercase alphabetic token."""
+    """Stem a lowercase alphabetic token (memoized: a corpus repeats words)."""
     if len(word) <= 2:
         return word
     for step in (_step1a, _step1b, _step1c, _step2, _step3, _step4,

@@ -264,6 +264,15 @@ class TestConfig:
         assert err["error"] == "ConfigError"
         assert isinstance(err["violations"], list)
 
+    def test_non_object_config_is_violation(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1]")
+        code = run_cli("ingest", "--config", bad)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["violations"] == ["the config file must hold a JSON object"]
+
 
 def test_tracer_sees_every_layer(sample_run, tmp_path):
     """The benchmark tracer wraps module globals of the program; a refactor

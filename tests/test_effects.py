@@ -1,11 +1,18 @@
 """Method-of-composition effects: collapse, antisymmetry, detection."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from agendascope.effects import estimate_contrast, estimate_effect, quantile_pair
+import agendascope
+from agendascope.corpus import PreprocessConfig, build_corpus, load_ungdc_layout
+from agendascope.effects import (_Composer, _factor_stack, estimate_contrast,
+                                 estimate_effect, quantile_pair)
 from agendascope.errors import DimensionMismatch
 from agendascope.stm import FitConfig, FittedModel
+
+SAMPLE = Path(agendascope.__file__).parent / "data" / "sample"
 
 
 def fake_model(eta: np.ndarray, nu: np.ndarray) -> FittedModel:
@@ -219,3 +226,41 @@ class TestQuantilePair:
         lo, hi = quantile_pair(draws)
         inside = np.mean((draws >= lo) & (draws <= hi))
         assert 0.94 <= inside <= 0.96
+
+
+class TestRegressionSolve:
+    def test_spline_overlap_dropped_even_when_cholesky_succeeds(self):
+        # The sample's spline block sums to the intercept column, so X'X has
+        # rank p - 1, yet rounding lets np.linalg.cholesky factor it. The
+        # solve must still see the overlap: residual dof n - rank and a
+        # coefficient factor that does not blow up along the null direction.
+        docs, covs, _ = load_ungdc_layout(SAMPLE / "speeches", SAMPLE / "metadata.csv")
+        corpus, _ = build_corpus(docs, covs, PreprocessConfig(min_doc_freq=5))
+        n = corpus.n_docs
+        model = fake_model(np.zeros((n, 2)), np.tile(np.eye(2) * 1e-3, (n, 1, 1)))
+        composer = _Composer(model, "s(year,df=4) + region + conflict",
+                             corpus.covariate_table(), topic=0, target="year",
+                             n_draws=100, seed=0)
+        assert composer.dof == composer.n - (composer.p - 1)
+        assert np.abs(composer.coef_factor).max() < 1e3
+
+
+class TestFactorStack:
+    def test_positive_definite_stack_matches_per_block_cholesky(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(40, 5, 5))
+        mats = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(5)
+        expected = np.stack([np.linalg.cholesky(m) for m in mats])
+        assert np.array_equal(_factor_stack(mats), expected)
+
+    def test_zero_stack_gives_zero_factors(self):
+        factors = _factor_stack(np.zeros((6, 3, 3)))
+        assert factors.shape == (6, 3, 3)
+        assert np.array_equal(factors, np.zeros((6, 3, 3)))
+
+    def test_singular_block_factor_reproduces_it(self):
+        rng = np.random.default_rng(9)
+        v = rng.normal(size=(4, 3, 1))
+        mats = v @ np.swapaxes(v, 1, 2)  # rank one: Cholesky fails
+        factors = _factor_stack(mats)
+        assert np.allclose(factors @ np.swapaxes(factors, 1, 2), mats, atol=1e-12)
