@@ -12,13 +12,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import InsufficientData
 from .formula import CATEGORICAL, SPLINE, Formula, bind_formula, parse_formula
 from .stm import PrevalenceDesign
 
 SPLINE_DEGREE = 3
+
+
+def _bspline_basis(x: np.ndarray, t: np.ndarray, degree: int) -> np.ndarray:
+    """Dense B-spline design matrix by the Cox-de Boor triangle.
+
+    Each point's span ``ell`` satisfies ``t[ell] <= x < t[ell + 1]``; the
+    top interval is closed, so ``x == t[-1]`` lands in the last one. Only
+    the ``degree + 1`` bases of that span are nonzero, and they are built
+    for all points at once.
+    """
+    n_basis = len(t) - degree - 1
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, degree, n_basis - 1)
+    h = np.zeros((len(x), degree + 1))
+    h[:, 0] = 1.0
+    for j in range(1, degree + 1):
+        prev = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for n in range(1, j + 1):
+            right, left = t[ell + n], t[ell + n - j]
+            width = right - left
+            # a zero-width knot interval contributes nothing
+            w = np.divide(prev[:, n - 1], width, out=np.zeros(len(x)),
+                          where=width > 0)
+            h[:, n - 1] += w * (right - x)
+            h[:, n] = w * (x - left)
+    out = np.zeros((len(x), n_basis))
+    cols = ell[:, None] - degree + np.arange(degree + 1)
+    np.put_along_axis(out, cols, h, axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -37,7 +65,7 @@ class SplineSpec:
 
     def basis(self, values: np.ndarray) -> np.ndarray:
         clipped = np.clip(np.asarray(values, dtype=float), self.lo, self.hi)
-        return BSpline.design_matrix(clipped, self.knots, SPLINE_DEGREE).toarray()
+        return _bspline_basis(clipped, self.knots, SPLINE_DEGREE)
 
 
 @dataclass(frozen=True)

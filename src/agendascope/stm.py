@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .corpus import Corpus
 from .errors import (DimensionMismatch, HessianNotPD, KExceedsVocabulary,
@@ -158,10 +157,6 @@ def softmax_with_zero(eta: np.ndarray) -> np.ndarray:
     return full
 
 
-def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return scipy.linalg.cho_solve((chol, True), rhs, check_finite=False)
-
-
 # -- M-step ------------------------------------------------------------------
 
 
@@ -188,11 +183,11 @@ def m_step(eta: np.ndarray, nu_mean: np.ndarray, x: np.ndarray,
     penalty = np.full(n_cols, config.ridge_gamma)
     penalty[0] = 0.0
     a = x.T @ x + np.diag(penalty)
-    try:
-        chol = np.linalg.cholesky(a)
+    try:  # the factor is discarded: factoring is the positive-definite check
+        np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise SingularDesign("X'X + ridge penalty is not invertible") from None
-    gamma = _chol_solve(chol, x.T @ eta)
+    gamma = np.linalg.solve(a, x.T @ eta)
 
     resid = eta - x @ gamma
     sigma = resid.T @ resid / eta.shape[0] + nu_mean
@@ -445,7 +440,7 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
         prev_bound = None
         for iteration in range(config.max_em_iters):
             chol_sigma = np.linalg.cholesky(sigma)
-            sigma_inv = _chol_solve(chol_sigma, np.eye(k - 1))
+            sigma_inv = np.linalg.solve(sigma, np.eye(k - 1))
             sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
             logdet_sigma = 2.0 * float(np.log(np.diag(chol_sigma)).sum())
             mu = x @ gamma

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline
 
 from agendascope.design import SPLINE_DEGREE, build_design
 from agendascope.errors import InsufficientData
@@ -54,6 +55,24 @@ class TestBuildDesign:
         ours = spec.basis(probe)
         oracle = bspline_basis_matrix(probe, spec.knots, SPLINE_DEGREE)
         assert np.abs(ours - oracle).max() < 1e-10
+
+    @pytest.mark.parametrize("df", [4, 6, 10])
+    def test_spline_matches_scipy_design_matrix(self, df):
+        rng = np.random.default_rng(10 + df)
+        table = numeric_table(rng, 80)
+        built = build_design(f"s(gdp_pc,df={df})", table)
+        spec = built.builder.specs[0]
+        values = np.array([table["gdp_pc"][i] for i in built.kept_rows])
+        span = spec.hi - spec.lo
+        outside = np.array([spec.lo - span, spec.lo - 1e-9, spec.hi + 1e-9,
+                            spec.hi + span])
+        probe = np.concatenate([values, spec.knots, [spec.lo, spec.hi], outside])
+        ours = spec.basis(probe)
+        # basis clips to [lo, hi]; scipy evaluates only inside the range
+        oracle = BSpline.design_matrix(np.clip(probe, spec.lo, spec.hi),
+                                       spec.knots, SPLINE_DEGREE).toarray()
+        assert ours.shape == oracle.shape == (probe.size, df)
+        assert np.abs(ours - oracle).max() < 1e-14
 
     def test_continuous_standardized_with_recorded_params(self):
         rng = np.random.default_rng(3)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from agendascope.errors import TermAbsentFromCorpus
 from agendascope.metrics import (exclusivity_frex, lift, model_quality,
@@ -106,6 +107,29 @@ class TestFrex:
         for k in range(3):
             top = rank_terms(beta[k], 10)
             assert res.scores[k] == pytest.approx(res.frex[k, top].mean())
+
+    def test_ties_take_the_highest_rank(self):
+        # a three-way tie in beta: each tied term's ECDF is 4/5, not 2/5,
+        # 3/5 or their mean; one topic makes every exclusivity 1, ECDF 5/5
+        beta = np.array([[0.1, 0.2, 0.2, 0.2, 0.3]])
+        ecdf_beta = np.array([0.2, 0.8, 0.8, 0.8, 1.0])
+        res = exclusivity_frex(beta, w=0.7)
+        expected = 1.0 / (0.7 / 1.0 + (1.0 - 0.7) / ecdf_beta)
+        assert np.array_equal(res.frex[0], expected)
+        assert np.array_equal(exclusivity_frex(beta, w=0.0).frex[0], ecdf_beta)
+
+    def test_matches_scipy_max_rank_with_tied_columns(self):
+        rng = np.random.default_rng(6)
+        beta = random_beta(rng, 30, 3000)
+        beta[:, 1000:1400] = beta[:, 7:8]         # tied within every row
+        beta[:, 2000:2300] = beta[:, 2300:2600]   # duplicated columns
+        beta /= beta.sum(axis=1, keepdims=True)
+        w, n_terms = 0.7, beta.shape[1]
+        excl = beta / beta.sum(axis=0, keepdims=True)
+        ecdf_excl = rankdata(excl, method="max", axis=1) / n_terms
+        ecdf_beta = rankdata(beta, method="max", axis=1) / n_terms
+        expected = 1.0 / (w / ecdf_excl + (1.0 - w) / ecdf_beta)
+        assert np.array_equal(exclusivity_frex(beta, w=w).frex, expected)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)

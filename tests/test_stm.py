@@ -1,11 +1,15 @@
 """Model fitting: initialization, E-step, M-step, EM invariants."""
 
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import agendascope
 import agendascope.stm as stm_mod
+from agendascope.corpus import PreprocessConfig, build_corpus, load_ungdc_layout
+from agendascope.design import build_design
 from agendascope.errors import (DimensionMismatch, HessianNotPD,
                                 KExceedsVocabulary, NonFiniteObjective,
                                 SingularDesign)
@@ -228,6 +232,52 @@ class TestMStep:
         _, _, sigma = m_step(eta, np.zeros((2, 2)), np.ones((5, 1)), cfg,
                              np.ones((3, 4)))
         assert np.linalg.eigvalsh(sigma).min() >= 1e-4 - 1e-12
+
+
+@pytest.fixture(scope="module")
+def sample_design():
+    """The bundled sample's 50 x 12 design; its spline block sums to the
+    intercept, so the rank is 11."""
+    sample = Path(agendascope.__file__).parent / "data" / "sample"
+    docs, covs, _ = load_ungdc_layout(sample / "speeches", sample / "metadata.csv")
+    corpus, _ = build_corpus(docs, covs, PreprocessConfig(min_doc_freq=5))
+    x = build_design("s(year,df=4) + region + conflict",
+                     corpus.covariate_table()).x
+    assert x.shape == (50, 12) and np.linalg.matrix_rank(x) == 11
+    return x
+
+
+class TestMStepSampleDesign:
+    counts = np.ones((4, 6))
+
+    def eta(self, n):
+        return np.random.default_rng(12).normal(size=(n, 3))
+
+    def test_default_ridge_matches_augmented_least_squares(self, sample_design):
+        x = sample_design
+        eta = self.eta(x.shape[0])
+        _, gamma, _ = m_step(eta, np.zeros((3, 3)), x, FitConfig(k=4), self.counts)
+        root_penalty = np.diag(np.r_[0.0, np.ones(x.shape[1] - 1)])
+        reference = np.linalg.lstsq(np.vstack([x, root_penalty]),
+                                    np.vstack([eta, np.zeros((x.shape[1], 3))]),
+                                    rcond=None)[0]
+        assert np.abs(gamma - reference).max() < 1e-12 * np.abs(reference).max()
+
+    def test_no_ridge_fits_the_least_squares_projection(self, sample_design):
+        # gamma's null-space part is not unique, so compare fitted values
+        x = sample_design
+        eta = self.eta(x.shape[0])
+        _, gamma, _ = m_step(eta, np.zeros((3, 3)), x,
+                             FitConfig(k=4, ridge_gamma=0.0), self.counts)
+        projection = x @ np.linalg.lstsq(x, eta, rcond=None)[0]
+        assert (np.abs(x @ gamma - projection).max()
+                < 1e-10 * np.abs(projection).max())
+
+    def test_failed_cholesky_raises_singular_design(self, sample_design):
+        x = np.column_stack([sample_design, np.zeros(sample_design.shape[0])])
+        with pytest.raises(SingularDesign):
+            m_step(self.eta(x.shape[0]), np.zeros((3, 3)), x,
+                   FitConfig(k=4, ridge_gamma=0.0), self.counts)
 
 
 class TestFit:
