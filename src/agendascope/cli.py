@@ -1,7 +1,8 @@
 """Pipeline CLI.
 
 Subcommands ingest, search, fit, metrics, effects, report, all operate on a
-shared output directory of JSON artifacts; every stage writes a manifest
+shared output directory of JSON artifacts (plus ``model.nu.npy``, the
+posterior covariances of ``model.json``); every stage writes a manifest
 with content hashes. All randomness flows from the single config seed:
 the final fit uses it directly, search candidate k uses ``seed ^ k``, and
 effect estimate number j (config order) uses ``seed + 7919 * (j + 1)``.
@@ -45,6 +46,14 @@ def _require(out_dir: Path, name: str, stage: str) -> Path:
     if not path.exists():
         raise MissingArtifact(stage, str(path))
     return path
+
+
+def _load_model(out_dir: Path) -> tuple[FittedModel, dict[str, Path]]:
+    """The fitted model, and its files as manifest inputs: ``model.json``
+    and the sidecar that holds ``nu``."""
+    model_path = _require(out_dir, MODEL_FILE, "fit")
+    model = FittedModel.load(model_path)
+    return model, {"model": model_path, "model_nu": FittedModel.nu_path(model_path)}
 
 
 def _cell(value) -> str:
@@ -127,15 +136,15 @@ def run_fit(cfg: RunConfig) -> Stage:
         k = ModelSearchResult.load(search_path).selected_k
     built, sub = _design_and_subset(cfg, corpus)
     model = fit(sub, built.design, _fit_config(cfg, k), threads=cfg.threads)
-    return inputs, [model.save(out_dir / MODEL_FILE)]
+    model_path = model.save(out_dir / MODEL_FILE)
+    return inputs, [model_path, FittedModel.nu_path(model_path)]
 
 
 def run_metrics(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     corpus_path = _require(out_dir, CORPUS_FILE, "ingest")
-    model_path = _require(out_dir, MODEL_FILE, "fit")
+    model, model_inputs = _load_model(out_dir)
     corpus = Corpus.load(corpus_path)
-    model = FittedModel.load(model_path)
     summaries = summarize_topics(model.beta, model.vocabulary, corpus,
                                  n_words=cfg.top_words, frex_w=cfg.frex_w)
     quality = model_quality(model.beta, corpus, m=cfg.coherence_m,
@@ -146,7 +155,7 @@ def run_metrics(cfg: RunConfig) -> Stage:
     print(table)
     table_path = out_dir / TOP_WORDS_FILE
     table_path.write_text(table, encoding="utf-8")
-    return ({"corpus": corpus_path, "model": model_path},
+    return ({"corpus": corpus_path, **model_inputs},
             [summaries_path, quality_path, table_path])
 
 
@@ -163,9 +172,8 @@ def _aligned_table(corpus: Corpus, model: FittedModel) -> dict[str, list]:
 def run_effects(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     corpus_path = _require(out_dir, CORPUS_FILE, "ingest")
-    model_path = _require(out_dir, MODEL_FILE, "fit")
+    model, model_inputs = _load_model(out_dir)
     corpus = Corpus.load(corpus_path)
-    model = FittedModel.load(model_path)
     table = _aligned_table(corpus, model)
     effects_dir = out_dir / "effects"
     effects_dir.mkdir(parents=True, exist_ok=True)
@@ -193,13 +201,12 @@ def run_effects(cfg: RunConfig) -> Stage:
                 outputs.append(_write_csv(effects_dir / f"{stem}.csv",
                                           ["grid", "mean", "lo", "hi"],
                                           est.table_rows()))
-    return {"corpus": corpus_path, "model": model_path}, outputs
+    return {"corpus": corpus_path, **model_inputs}, outputs
 
 
 def run_report(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
-    model_path = _require(out_dir, MODEL_FILE, "fit")
-    model = FittedModel.load(model_path)
+    model, model_inputs = _load_model(out_dir)
     report_dir = out_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
@@ -216,7 +223,7 @@ def run_report(cfg: RunConfig) -> Stage:
             report_dir / f"wordcloud_topic{topic}.json",
             {"topic_index": topic,
              "entries": wordcloud_data(model, topic, cfg.wordcloud_n)}))
-    return {"model": model_path}, outputs
+    return model_inputs, outputs
 
 
 _STAGES = {"ingest": run_ingest, "search": run_search, "fit": run_fit,

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import concurrent.futures
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Corpus
 from .errors import (DimensionMismatch, HessianNotPD, KExceedsVocabulary,
-                     NonFiniteObjective, SingularDesign)
+                     MissingArtifact, NonFiniteObjective, SingularDesign)
 from .jsonio import read_json, write_json
 
 logger = logging.getLogger(__name__)
@@ -95,7 +95,7 @@ class FittedModel:
     gamma: np.ndarray                 # P x (K-1)
     sigma: np.ndarray                 # (K-1) x (K-1)
     eta: np.ndarray                   # D x (K-1) posterior modes
-    nu: np.ndarray                    # D x (K-1) x (K-1) posterior covariances
+    nu: np.ndarray                    # D x (K-1) x (K-1) posterior covariances, saved to nu_path
     bound_trace: list[float]
     config: FitConfig
     vocabulary: list[str]
@@ -123,17 +123,39 @@ class FittedModel:
         return len(trace) >= 2 and _bound_settled(trace[-2], trace[-1],
                                                   self.config.rel_tol)
 
+    @staticmethod
+    def nu_path(path: str | Path) -> Path:
+        """The ``.npy`` sidecar that holds ``nu`` for the model at ``path``:
+        ``model.json`` keeps it in ``model.nu.npy``."""
+        return Path(path).with_suffix(".nu.npy")
+
     def save(self, path: str | Path) -> Path:
-        return write_json(path, self)
+        """Write every field but ``nu`` to ``path`` as JSON and ``nu`` to the
+        :meth:`nu_path` sidecar; returns ``path``. ``np.save`` writes the same
+        bytes for the same array, so reruns stay byte-identical."""
+        path = write_json(path, {f.name: getattr(self, f.name)
+                                 for f in fields(self) if f.name != "nu"})
+        np.save(self.nu_path(path), self.nu, allow_pickle=False)
+        return path
 
     @classmethod
     def load(cls, path: str | Path) -> "FittedModel":
         obj = read_json(path)
+        nu_path = cls.nu_path(path)
+        try:
+            nu = np.load(nu_path, allow_pickle=False)
+        except FileNotFoundError:
+            raise MissingArtifact("fit", str(nu_path)) from None
+        k_free = len(obj["beta"]) - 1
+        expected = (len(obj["doc_ids"]), k_free, k_free)
+        if nu.dtype != np.float64 or nu.shape != expected:
+            raise DimensionMismatch(f"{nu_path} holds a {nu.dtype} array of shape "
+                                    f"{nu.shape}; expected float64 {expected}")
         return cls(beta=np.array(obj["beta"], dtype=float),
                    gamma=np.array(obj["gamma"], dtype=float),
                    sigma=np.array(obj["sigma"], dtype=float),
                    eta=np.array(obj["eta"], dtype=float),
-                   nu=np.array(obj["nu"], dtype=float),
+                   nu=nu,
                    bound_trace=list(obj["bound_trace"]),
                    config=FitConfig(**obj["config"]),
                    vocabulary=list(obj["vocabulary"]),

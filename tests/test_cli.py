@@ -23,8 +23,7 @@ SAMPLE = Path(str(resources.files("agendascope").joinpath("data/sample")))
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture()
-def sample_run(tmp_path):
+def copy_sample(tmp_path: Path) -> tuple[Path, Path]:
     """Copy of the bundled sample with a tmp output directory."""
     work = tmp_path / "sample"
     shutil.copytree(SAMPLE, work)
@@ -32,6 +31,19 @@ def sample_run(tmp_path):
     cfg["paths"]["out_dir"] = str(tmp_path / "out")
     (work / "config.json").write_text(json.dumps(cfg))
     return work / "config.json", tmp_path / "out"
+
+
+@pytest.fixture()
+def sample_run(tmp_path):
+    return copy_sample(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def sample_all(tmp_path_factory):
+    """The bundled sample after one ``all`` run; tests must not modify it."""
+    config, out = copy_sample(tmp_path_factory.mktemp("sample_all"))
+    assert main(["all", "--config", str(config)]) == 0
+    return config, out
 
 
 def run_cli(*args) -> int:
@@ -106,6 +118,55 @@ class TestStages:
         assert run_cli("all", "--config", config, "--out", out_b,
                        "--seed", 999) == 0
         assert file_sha256(out_b / "model.json") != model_a
+
+
+class TestModelSidecar:
+    """``nu`` lives in ``model.nu.npy`` next to ``model.json``; the
+    manifests hash it like any other artifact."""
+
+    STAGES = ("metrics", "effects", "report")
+
+    def test_fit_lists_sidecar_as_output(self, sample_all):
+        _, out = sample_all
+        outputs = read_json(out / "fit.manifest.json")["outputs"]
+        assert set(outputs) == {"model.json", "model.nu.npy"}
+        assert outputs["model.nu.npy"] == file_sha256(out / "model.nu.npy")
+
+    def test_downstream_stages_hash_sidecar(self, sample_all):
+        _, out = sample_all
+        sidecar = out / "model.nu.npy"
+        for stage in self.STAGES:
+            entry = read_json(out / f"{stage}.manifest.json")["inputs"]["model_nu"]
+            assert Path(entry["path"]) == sidecar
+            assert entry["sha256"] == file_sha256(sidecar)
+
+    def test_changed_sidecar_byte_changes_input_hash(self, sample_all, tmp_path):
+        config, out = sample_all
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        sidecar = copy / "model.nu.npy"
+        data = bytearray(sidecar.read_bytes())
+        data[-8] ^= 1  # lowest mantissa bit of the last covariance entry
+        sidecar.write_bytes(bytes(data))
+        for stage in self.STAGES:
+            entry = read_json(copy / f"{stage}.manifest.json")["inputs"]["model_nu"]
+            assert entry["sha256"] != file_sha256(sidecar)
+        assert run_cli("report", "--config", config, "--out", copy) == 0
+        entry = read_json(copy / "report.manifest.json")["inputs"]["model_nu"]
+        assert entry["sha256"] == file_sha256(sidecar)
+
+    def test_missing_sidecar_exit_is_structured(self, sample_all, tmp_path, capsys):
+        """An output directory whose model.json was written without the
+        sidecar fails as MissingArtifact naming the sidecar."""
+        config, out = sample_all
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        (copy / "model.nu.npy").unlink()
+        capsys.readouterr()
+        assert run_cli("metrics", "--config", config, "--out", copy) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MissingArtifact"
+        assert str(copy / "model.nu.npy") in err["message"]
 
 
 class TestConfig:

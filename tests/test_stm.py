@@ -11,8 +11,8 @@ import agendascope.stm as stm_mod
 from agendascope.corpus import PreprocessConfig, build_corpus, load_ungdc_layout
 from agendascope.design import build_design
 from agendascope.errors import (DimensionMismatch, HessianNotPD,
-                                KExceedsVocabulary, NonFiniteObjective,
-                                SingularDesign)
+                                KExceedsVocabulary, MissingArtifact,
+                                NonFiniteObjective, SingularDesign)
 from agendascope.jsonio import dumps_canonical, read_json, write_json
 from agendascope.stm import (FitConfig, FittedModel, PrevalenceDesign,
                              _batch_neg_hessian, _batch_state, _batch_value,
@@ -394,6 +394,43 @@ class TestFit:
         path = tmp_path / "model.json"
         write_json(path, {**read_json(model.save(path)), "k": 2})
         assert dumps_canonical(FittedModel.load(path)) == dumps_canonical(model)
+
+    def test_nu_saved_to_sidecar_only(self, tmp_path):
+        corpus = two_block_corpus(seed=10, n_docs=12)
+        design = PrevalenceDesign.intercept_only(corpus.n_docs)
+        model = fit(corpus, design, FitConfig(k=3, seed=6, max_em_iters=6))
+        path = model.save(tmp_path / "model.json")
+        assert path == tmp_path / "model.json"
+        assert FittedModel.nu_path(path) == tmp_path / "model.nu.npy"
+        assert "nu" not in read_json(path)
+        assert np.array_equal(FittedModel.load(path).nu, model.nu)
+        first = FittedModel.nu_path(path).read_bytes()
+        model.save(path)
+        assert FittedModel.nu_path(path).read_bytes() == first
+
+    def test_missing_nu_sidecar(self, tmp_path):
+        corpus = two_block_corpus(seed=10, n_docs=12)
+        design = PrevalenceDesign.intercept_only(corpus.n_docs)
+        model = fit(corpus, design, FitConfig(k=2, seed=6, max_em_iters=2))
+        path = model.save(tmp_path / "model.json")
+        FittedModel.nu_path(path).unlink()
+        with pytest.raises(MissingArtifact) as err:
+            FittedModel.load(path)
+        assert err.value.path == str(tmp_path / "model.nu.npy")
+
+    @pytest.mark.parametrize("bad_nu", [
+        lambda nu: nu.astype(np.float32),  # wrong dtype
+        lambda nu: nu[1:],                 # one document short
+        lambda nu: nu[:, :1, :1],          # (K-1) x (K-1) blocks of a smaller K
+    ], ids=["float32", "fewer_docs", "smaller_k"])
+    def test_bad_nu_sidecar_is_dimension_mismatch(self, tmp_path, bad_nu):
+        corpus = two_block_corpus(seed=10, n_docs=12)
+        design = PrevalenceDesign.intercept_only(corpus.n_docs)
+        model = fit(corpus, design, FitConfig(k=3, seed=6, max_em_iters=2))
+        path = model.save(tmp_path / "model.json")
+        np.save(FittedModel.nu_path(path), bad_nu(model.nu))
+        with pytest.raises(DimensionMismatch, match="model.nu.npy"):
+            FittedModel.load(path)
 
     def test_converged_flags_capped_fit_and_warns(self, caplog):
         corpus = two_block_corpus(seed=5, n_docs=24)
