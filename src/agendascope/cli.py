@@ -5,7 +5,8 @@ shared output directory of JSON artifacts (plus ``model.nu.npy``, the
 posterior covariances of ``model.json``); every stage writes a manifest
 with content hashes. All randomness flows from the single config seed:
 the final fit uses it directly, search candidate k uses ``seed ^ k``, and
-effect estimate number j (config order) uses ``seed + 7919 * (j + 1)``.
+the effects stage draws once from ``seed + 7919``, for every topic, and
+serves each estimate from those draws.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 from .config import RunConfig, load_config
 from .corpus import Corpus, PreprocessConfig, build_corpus, load_ungdc_layout
 from .design import build_design
-from .effects import estimate_contrast, estimate_effect
+from .effects import _Composer, estimate_contrast, estimate_effect
 from .errors import AgendascopeError, ConfigError, MissingArtifact
 from .formula import parse_formula
 from .jsonio import write_json
@@ -38,7 +39,7 @@ SUMMARIES_FILE = "topic_summaries.json"
 QUALITY_FILE = "model_quality.json"
 TOP_WORDS_FILE = "top_words.txt"
 
-_EFFECT_SEED_STRIDE = 7919
+_EFFECT_SEED_OFFSET = 7919
 
 
 def _require(out_dir: Path, name: str, stage: str) -> Path:
@@ -178,16 +179,16 @@ def run_effects(cfg: RunConfig) -> Stage:
     effects_dir = out_dir / "effects"
     effects_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
-    estimate_index = 0
+    seed = cfg.seed + _EFFECT_SEED_OFFSET
+    composer = (_Composer(model, cfg.formula, table, cfg.n_draws, seed)
+                if cfg.targets else None)
     for target in cfg.targets:
         for topic in target.topics:
-            seed = cfg.seed + _EFFECT_SEED_STRIDE * (estimate_index + 1)
-            estimate_index += 1
             if target.contrast is not None:
                 est = estimate_contrast(model, cfg.formula, table, topic,
                                         target.covariate, target.contrast[0],
-                                        target.contrast[1],
-                                        n_draws=cfg.n_draws, seed=seed)
+                                        target.contrast[1], n_draws=cfg.n_draws,
+                                        seed=seed, composer=composer)
                 outputs.append(write_json(
                     effects_dir / f"contrast_{target.covariate}_topic{topic}.json",
                     est))
@@ -195,7 +196,7 @@ def run_effects(cfg: RunConfig) -> Stage:
                 est = estimate_effect(model, cfg.formula, table, topic,
                                       target.covariate, n_draws=cfg.n_draws,
                                       seed=seed, grid_points=target.grid_points,
-                                      hold=target.hold)
+                                      hold=target.hold, composer=composer)
                 stem = f"effect_{target.covariate}_topic{topic}"
                 outputs.append(write_json(effects_dir / f"{stem}.json", est))
                 outputs.append(_write_csv(effects_dir / f"{stem}.csv",

@@ -13,7 +13,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .effects import DEFAULT_DRAWS, DEFAULT_GRID_POINTS, MIN_DRAWS
-from .errors import ConfigError, FormulaSyntaxError
+from .errors import ConfigError, CorruptArtifact, FormulaSyntaxError
 from .formula import parse_formula
 from .jsonio import read_json
 from .metrics import DEFAULT_FREX_WEIGHT
@@ -180,7 +180,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     directory. The output directory is created if it is missing.
     """
     path = Path(path)
-    obj = read_json(path)
+    try:
+        obj = read_json(path)
+    except CorruptArtifact as exc:
+        raise ConfigError([f"the config file is not valid JSON: {exc.reason}"]) from None
     if not isinstance(obj, dict):
         raise ConfigError(["the config file must hold a JSON object"])
     violations: list[str] = []

@@ -1,10 +1,11 @@
 """Covariate effects on topic prevalence via the method of composition.
 
 Each draw resamples document-topic proportions from their per-document
-posterior, refits the covariate regression on the drawn proportions, draws
-a coefficient vector from the regression's sampling distribution, and
-evaluates predictions on a covariate grid. Means and empirical 95%
-intervals summarize the draws.
+posterior, refits every topic's covariate regression on the drawn
+proportions and draws coefficient vectors from the regressions' sampling
+distributions. An effect or contrast evaluates one topic's coefficient
+draws on a covariate grid; means and empirical 95% intervals summarize
+them.
 """
 
 from __future__ import annotations
@@ -83,13 +84,20 @@ def _factor_stack(mats: np.ndarray) -> np.ndarray:
 
 
 class _Composer:
-    """Shared per-draw machinery for effects and contrasts."""
+    """Coefficient draws for every topic of one model and design: the one
+    seeded draw loop that effects and contrasts project.
+
+    Each draw resamples every document's topic proportions from its
+    posterior, regresses all K topics on the covariates at once and draws
+    each topic's coefficients from its regression's sampling distribution,
+    as ``estimateEffect`` in the stm package does. Draw i's generator
+    yields the document normals and then a (K, rank) block of coefficient
+    normals, so a topic's draws depend only on the seed, the model and the
+    design, never on which topics or targets are estimated from them.
+    """
 
     def __init__(self, model: FittedModel, formula: Formula | str,
-                 covs: dict[str, list], topic: int, target: str,
-                 n_draws: int, seed: int):
-        if not 0 <= topic < model.k:
-            raise ValueError(f"topic {topic} out of range for k={model.k}")
+                 covs: dict[str, list], n_draws: int, seed: int):
         if n_draws < MIN_DRAWS:
             raise ValueError(f"n_draws must be at least {MIN_DRAWS}")
         n_rows = len(next(iter(covs.values())))
@@ -99,8 +107,6 @@ class _Composer:
         if isinstance(formula, str):
             formula = parse_formula(formula)
         self.built: BuiltDesign = build_design(formula, covs)
-        if target not in self.built.builder.formula.term_names():
-            raise ValueError(f"target {target!r} does not appear in the formula")
         self.covs = covs
         kept = self.built.kept_rows
         self.x = self.built.x
@@ -126,30 +132,35 @@ class _Composer:
         self.solver = (vecs * inv_vals) @ (vecs.T @ self.x.T)
         self.coef_factor = vecs * np.sqrt(inv_vals)
         self.dof = self.n - rank
-        self.eta = model.eta[kept]
-        self.nu_factors = _factor_stack(model.nu[kept])
-        self.topic = topic
+        self.model = model
         self.n_draws = n_draws
         self.seed = seed
+        self.coef = self._coefficient_draws(model.eta[kept],
+                                            _factor_stack(model.nu[kept]))
 
-    def _coefficient_draw(self, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal(self.eta.shape)
-        eta_star = self.eta + np.einsum("nij,nj->ni", self.nu_factors, z)
-        y = softmax_with_zero(eta_star)[:, self.topic]
-        bhat = self.solver @ y
-        resid = y - self.x @ bhat
-        s2 = float(resid @ resid) / self.dof
-        zb = rng.standard_normal(self.coef_factor.shape[1])
-        return bhat + np.sqrt(s2) * (self.coef_factor @ zb)
-
-    def draws(self, rows: np.ndarray) -> np.ndarray:
-        """``rows @ b`` for each seeded coefficient draw b, as an
-        n_draws x len(rows) array. The stream depends only on the seed."""
-        out = np.empty((self.n_draws, len(rows)))
+    def _coefficient_draws(self, eta: np.ndarray,
+                           nu_factors: np.ndarray) -> np.ndarray:
+        """n_draws x K x p coefficient draws, from one generator per draw
+        spawned from the seed."""
+        k = eta.shape[1] + 1
+        out = np.empty((self.n_draws, k, self.p))
         children = np.random.SeedSequence(self.seed).spawn(self.n_draws)
         for i, child in enumerate(children):
-            out[i] = rows @ self._coefficient_draw(np.random.default_rng(child))
+            rng = np.random.default_rng(child)
+            z = rng.standard_normal(eta.shape)
+            theta = softmax_with_zero(
+                eta + np.einsum("nij,nj->ni", nu_factors, z))
+            bhat = self.solver @ theta
+            resid = theta - self.x @ bhat
+            s2 = np.einsum("nk,nk->k", resid, resid) / self.dof
+            zb = rng.standard_normal((k, self.coef_factor.shape[1]))
+            out[i] = bhat.T + np.sqrt(s2)[:, None] * (zb @ self.coef_factor.T)
         return out
+
+    def draws(self, topic: int, rows: np.ndarray) -> np.ndarray:
+        """``rows @ b`` for each coefficient draw b of ``topic``, as an
+        n_draws x len(rows) array."""
+        return self.coef[:, topic, :] @ rows.T
 
     def typical_row(self, exclude: str) -> dict[str, object]:
         """Held values: means for numeric columns, modes for categoricals
@@ -206,20 +217,42 @@ def _prediction_matrix(composer: _Composer, target: str, grid: list,
     return builder.transform(table)
 
 
+def _composer_for(model: FittedModel, formula: Formula | str,
+                  covs: dict[str, list], topic: int, target: str,
+                  n_draws: int, seed: int,
+                  composer: _Composer | None) -> _Composer:
+    if not 0 <= topic < model.k:
+        raise ValueError(f"topic {topic} out of range for k={model.k}")
+    if composer is None:
+        composer = _Composer(model, formula, covs, n_draws, seed)
+    elif (composer.model is not model or composer.n_draws != n_draws
+          or composer.seed != seed):
+        raise ValueError("composer was built for another model, n_draws or seed")
+    if target not in composer.built.builder.formula.term_names():
+        raise ValueError(f"target {target!r} does not appear in the formula")
+    return composer
+
+
 def estimate_effect(model: FittedModel, formula: Formula | str,
                     covs: dict[str, list], topic: int, target: str, *,
                     grid: list | None = None, n_draws: int = DEFAULT_DRAWS,
                     seed: int = 0, grid_points: int = DEFAULT_GRID_POINTS,
-                    hold: str = "typical") -> EffectEstimate:
+                    hold: str = "typical",
+                    composer: _Composer | None = None) -> EffectEstimate:
     """Expected proportion of ``topic`` over a grid of ``target`` values,
     other covariates held at means/modes (or averaged over observed rows
     with ``hold='observed'``). Per-draw predictions are clipped to [0, 1].
+
+    ``composer`` shares one model's coefficient draws between estimates;
+    it must come from the same model, formula, covariates, ``n_draws`` and
+    ``seed``. Without it the draws are made for this call.
     """
-    composer = _Composer(model, formula, covs, topic, target, n_draws, seed)
+    composer = _composer_for(model, formula, covs, topic, target,
+                             n_draws, seed, composer)
     if grid is None:
         grid = _grid_for(composer, target, grid_points)
     x_grid = _prediction_matrix(composer, target, grid, hold)
-    draws = np.clip(composer.draws(x_grid), 0.0, 1.0)
+    draws = np.clip(composer.draws(topic, x_grid), 0.0, 1.0)
     lo, hi = quantile_pair(draws)
     return EffectEstimate(topic_index=topic, covariate=target, grid=list(grid),
                           mean=draws.mean(axis=0), ci_lower=lo, ci_upper=hi,
@@ -229,18 +262,20 @@ def estimate_effect(model: FittedModel, formula: Formula | str,
 def estimate_contrast(model: FittedModel, formula: Formula | str,
                       covs: dict[str, list], topic: int, target: str,
                       level_a, level_b, *, n_draws: int = DEFAULT_DRAWS,
-                      seed: int = 0) -> ContrastEstimate:
+                      seed: int = 0,
+                      composer: _Composer | None = None) -> ContrastEstimate:
     """Difference in expected topic proportion between two target levels.
 
-    The draw stream depends only on the seed, so swapping the levels under
-    the same seed negates the point estimate and mirrors the interval
-    exactly.
+    The draws depend only on the seed, so swapping the levels under the
+    same seed negates the point estimate and mirrors the interval exactly.
+    ``composer`` shares draws as in :func:`estimate_effect`.
     """
-    composer = _Composer(model, formula, covs, topic, target, n_draws, seed)
+    composer = _composer_for(model, formula, covs, topic, target,
+                             n_draws, seed, composer)
     x_pair = _prediction_matrix(composer, target, [level_a, level_b],
                                 hold="typical")
     direction = x_pair[0] - x_pair[1]
-    deltas = composer.draws(direction[None, :])[:, 0]
+    deltas = composer.draws(topic, direction[None, :])[:, 0]
     lo, hi = quantile_pair(deltas)
     return ContrastEstimate(topic_index=topic, covariate=target,
                             level_a=level_a, level_b=level_b,

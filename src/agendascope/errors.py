@@ -118,6 +118,15 @@ class MissingArtifact(AgendascopeError):
         self.path = path
 
 
+class CorruptArtifact(AgendascopeError):
+    """An artifact exists but cannot be read, e.g. a truncated file."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"corrupt artifact {path}: {reason}")
+        self.path = path
+        self.reason = reason
+
+
 class ConfigError(AgendascopeError):
     """Run-configuration validation failure; carries every violation."""
 

@@ -15,6 +15,8 @@ from typing import Any
 
 import numpy as np
 
+from .errors import CorruptArtifact
+
 
 def _numpy_default(obj: Any) -> Any:
     """``json.dumps`` fallback for the numpy types the encoder does not
@@ -47,4 +49,9 @@ def write_json(path: str | Path, obj: Any) -> Path:
 
 
 def read_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The JSON value in ``path``; a file that is not UTF-8 JSON, such as
+    a truncated one, raises :class:`CorruptArtifact`."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CorruptArtifact(str(path), str(exc)) from None

@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus
-from .errors import (DimensionMismatch, HessianNotPD, KExceedsVocabulary,
-                     MissingArtifact, NonFiniteObjective, SingularDesign)
+from .errors import (CorruptArtifact, DimensionMismatch, HessianNotPD,
+                     KExceedsVocabulary, MissingArtifact, NonFiniteObjective,
+                     SingularDesign)
 from .jsonio import read_json, write_json
 
 logger = logging.getLogger(__name__)
@@ -146,6 +147,8 @@ class FittedModel:
             nu = np.load(nu_path, allow_pickle=False)
         except FileNotFoundError:
             raise MissingArtifact("fit", str(nu_path)) from None
+        except (ValueError, EOFError) as exc:
+            raise CorruptArtifact(str(nu_path), str(exc)) from None
         k_free = len(obj["beta"]) - 1
         expected = (len(obj["doc_ids"]), k_free, k_free)
         if nu.dtype != np.float64 or nu.shape != expected:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from agendascope import effects
 from agendascope.cli import main
 from agendascope.config import (_SETTINGS, _TARGET_SETTINGS, RunConfig,
                                 _flatten, load_config)
@@ -167,6 +168,49 @@ class TestModelSidecar:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "MissingArtifact"
         assert str(copy / "model.nu.npy") in err["message"]
+
+
+    @pytest.mark.parametrize("name, stage", [
+        ("model.nu.npy", "report"),
+        ("model.json", "report"),
+        ("corpus.json", "metrics"),
+    ])
+    def test_truncated_artifact_exit_is_structured(self, sample_all, tmp_path,
+                                                   capsys, name, stage):
+        """A file cut to half its bytes fails as CorruptArtifact naming it,
+        not as a decoder traceback."""
+        config, out = sample_all
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        data = (copy / name).read_bytes()
+        (copy / name).write_bytes(data[:len(data) // 2])
+        capsys.readouterr()
+        assert run_cli(stage, "--config", config, "--out", copy) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CorruptArtifact"
+        assert str(copy / name) in err["message"]
+
+
+class TestEffectsStage:
+    def test_posterior_factored_once_per_stage(self, sample_all, tmp_path,
+                                               monkeypatch):
+        """The sample's four estimates share one draw loop, so the stage
+        factors the documents' posterior covariances once."""
+        config, out = sample_all
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        calls = []
+        factor_stack = effects._factor_stack
+
+        def counting(mats):
+            calls.append(mats.shape)
+            return factor_stack(mats)
+
+        monkeypatch.setattr(effects, "_factor_stack", counting)
+        assert run_cli("effects", "--config", config, "--out", copy) == 0
+        estimates = list((copy / "effects").glob("*.json"))
+        assert len(estimates) == 4
+        assert len(calls) == 1
 
 
 class TestConfig:
@@ -333,6 +377,15 @@ class TestConfig:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["violations"] == ["the config file must hold a JSON object"]
+
+    def test_non_json_config_is_violation(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"seed": 1')
+        assert run_cli("ingest", "--config", bad) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        [violation] = err["violations"]
+        assert violation.startswith("the config file is not valid JSON: ")
 
 
 def test_tracer_sees_every_layer(sample_run, tmp_path):

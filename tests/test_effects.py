@@ -1,15 +1,21 @@
 """Method-of-composition effects: collapse, antisymmetry, detection."""
 
+import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import agendascope
-from agendascope.corpus import PreprocessConfig, build_corpus, load_ungdc_layout
+from agendascope.cli import _aligned_table, main
+from agendascope.config import load_config
+from agendascope.corpus import (Corpus, PreprocessConfig, build_corpus,
+                                load_ungdc_layout)
 from agendascope.effects import (_Composer, _factor_stack, estimate_contrast,
                                  estimate_effect, quantile_pair)
 from agendascope.errors import DimensionMismatch
+from agendascope.jsonio import dumps_canonical
 from agendascope.stm import FitConfig, FittedModel
 
 SAMPLE = Path(agendascope.__file__).parent / "data" / "sample"
@@ -206,6 +212,22 @@ class TestEffectEstimate:
         with pytest.raises(ValueError):
             estimate_effect(model, "x", covs, 0, "x", n_draws=50, seed=0)
 
+    def test_topic_out_of_range_rejected(self):
+        model, covs = planted_binary_model(11)
+        with pytest.raises(ValueError, match="out of range"):
+            estimate_effect(model, "x", covs, 2, "x", n_draws=120, seed=0)
+
+    def test_composer_from_other_draws_rejected(self):
+        model, covs = planted_binary_model(11)
+        composer = _Composer(model, "x", covs, n_draws=120, seed=1)
+        with pytest.raises(ValueError, match="another model"):
+            estimate_effect(model, "x", covs, 0, "x", n_draws=120, seed=2,
+                            composer=composer)
+        shared = estimate_effect(model, "x", covs, 0, "x", n_draws=120,
+                                 seed=1, composer=composer)
+        own = estimate_effect(model, "x", covs, 0, "x", n_draws=120, seed=1)
+        assert dumps_canonical(shared) == dumps_canonical(own)
+
     def test_unknown_target_rejected(self):
         model, covs = planted_binary_model(11)
         with pytest.raises(ValueError):
@@ -228,6 +250,65 @@ class TestQuantilePair:
         assert 0.94 <= inside <= 0.96
 
 
+class TestSharedDraws:
+    """The effects stage serves every estimate from one draw loop seeded
+    with ``seed + 7919``; a topic's draws do not depend on which other
+    topics the stage estimates."""
+
+    TOPIC1_FILES = ("effect_year_topic1.json", "effect_year_topic1.csv",
+                    "contrast_conflict_topic1.json")
+
+    @pytest.fixture(scope="class")
+    def stage_runs(self, tmp_path_factory):
+        """The sample fitted at k=4, then its effects stage run once with
+        topics [0, 1] (the shipped config) and once with topics [1]."""
+        work = tmp_path_factory.mktemp("shared_draws")
+        shutil.copytree(SAMPLE, work / "sample")
+        both = work / "sample" / "config.json"
+        cfg = json.loads(both.read_text())
+        cfg["paths"]["out_dir"] = str(work / "both")
+        del cfg["fit"]["k_grid"]
+        cfg["fit"]["k"] = 4
+        both.write_text(json.dumps(cfg))
+        for target in cfg["effects"]["targets"]:
+            target["topics"] = [1]
+        cfg["paths"]["out_dir"] = str(work / "one")
+        one = work / "sample" / "topic1.json"
+        one.write_text(json.dumps(cfg))
+        for stage in ("ingest", "fit"):
+            assert main([stage, "--config", str(both)]) == 0
+        shutil.copytree(work / "both", work / "one")
+        for config in (both, one):
+            assert main(["effects", "--config", str(config)]) == 0
+        return load_config(both), work / "both", work / "one"
+
+    def test_topic_draws_independent_of_requested_topics(self, stage_runs):
+        _, both, one = stage_runs
+        assert sorted(p.name for p in (one / "effects").iterdir()) == sorted(
+            self.TOPIC1_FILES)
+        for name in self.TOPIC1_FILES:
+            assert (both / "effects" / name).read_bytes() == \
+                (one / "effects" / name).read_bytes(), name
+
+    def test_stage_equals_direct_calls(self, stage_runs):
+        cfg, both, _ = stage_runs
+        model = FittedModel.load(both / "model.json")
+        table = _aligned_table(Corpus.load(both / "corpus.json"), model)
+        year, conflict = cfg.targets
+        seed = cfg.seed + 7919
+        effect = estimate_effect(model, cfg.formula, table, 1, "year",
+                                 n_draws=cfg.n_draws, seed=seed,
+                                 grid_points=year.grid_points, hold=year.hold)
+        contrast = estimate_contrast(model, cfg.formula, table, 1, "conflict",
+                                     *conflict.contrast, n_draws=cfg.n_draws,
+                                     seed=seed)
+        effects = both / "effects"
+        assert dumps_canonical(effect) == \
+            (effects / "effect_year_topic1.json").read_text(encoding="utf-8")
+        assert dumps_canonical(contrast) == \
+            (effects / "contrast_conflict_topic1.json").read_text(encoding="utf-8")
+
+
 class TestRegressionSolve:
     def test_spline_overlap_dropped_even_when_cholesky_succeeds(self):
         # The sample's spline block sums to the intercept column, so X'X has
@@ -239,8 +320,7 @@ class TestRegressionSolve:
         n = corpus.n_docs
         model = fake_model(np.zeros((n, 2)), np.tile(np.eye(2) * 1e-3, (n, 1, 1)))
         composer = _Composer(model, "s(year,df=4) + region + conflict",
-                             corpus.covariate_table(), topic=0, target="year",
-                             n_draws=100, seed=0)
+                             corpus.covariate_table(), n_draws=100, seed=0)
         assert composer.dof == composer.n - (composer.p - 1)
         assert np.abs(composer.coef_factor).max() < 1e3
 
