@@ -57,6 +57,15 @@ def _load_model(out_dir: Path) -> tuple[FittedModel, dict[str, Path]]:
     return model, {"model": model_path, "model_nu": FittedModel.nu_path(model_path)}
 
 
+def _check_topics(model: FittedModel, topics: dict[str, list[int]]) -> None:
+    """Raise one ConfigError naming every configured topic, keyed by its
+    config setting, that the model's K does not have."""
+    violations = [f"{key} names topic {t}, but the model has k={model.k}"
+                  for key, ts in topics.items() for t in ts if t >= model.k]
+    if violations:
+        raise ConfigError(violations)
+
+
 def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -174,6 +183,8 @@ def run_effects(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     corpus_path = _require(out_dir, CORPUS_FILE, "ingest")
     model, model_inputs = _load_model(out_dir)
+    _check_topics(model, {f"effects.targets[{i}].topics": t.topics
+                          for i, t in enumerate(cfg.targets)})
     corpus = Corpus.load(corpus_path)
     table = _aligned_table(corpus, model)
     effects_dir = out_dir / "effects"
@@ -208,6 +219,9 @@ def run_effects(cfg: RunConfig) -> Stage:
 def run_report(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     model, model_inputs = _load_model(out_dir)
+    _check_topics(model, {"report.wordcloud_topics": cfg.wordcloud_topics,
+                          **{f"report.perspectives[{i}]": pair
+                             for i, pair in enumerate(cfg.perspectives)}})
     report_dir = out_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []

@@ -8,6 +8,7 @@ default is the key's default, and a field without one is a required key.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -67,7 +68,9 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int, or a finite float: JSON's Infinity and NaN are not numbers."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
 
 
 def _is_topics(value) -> bool:
@@ -105,8 +108,9 @@ _SETTINGS = {
     "effects.targets": (lambda v: isinstance(v, list) and all(isinstance(t, dict) for t in v),
                         "a list of objects"),
     "report.perspectives": (lambda v: isinstance(v, list)
-                            and all(_is_topics(p) and len(p) == 2 for p in v),
-                            "a list of topic pairs [a, b]"),
+                            and all(_is_topics(p) and len(set(p)) == len(p) == 2
+                                    for p in v),
+                            "a list of pairs [a, b] of distinct topics"),
     "report.wordcloud_topics": (_is_topics, "a list of integers >= 0"),
     "report.wordcloud_n": _int_at_least(1),
     "report.graph_threshold": (lambda v: _is_number(v) and -1 < v < 1,
@@ -203,9 +207,14 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         violations.append("fit must set exactly one of 'k' or 'k_grid'")
     if "formula" in values:
         try:
-            parse_formula(values["formula"])
+            terms = parse_formula(values["formula"]).term_names()
         except FormulaSyntaxError as exc:
             violations.append(f"formula does not parse: {exc}")
+        else:
+            violations.extend(
+                f"effects.targets[{i}].covariate {t['covariate']!r} does not "
+                f"appear in the formula" for i, t in enumerate(targets)
+                if "covariate" in t and t["covariate"] not in terms)
     if "out_dir" in values:
         try:
             Path(values["out_dir"]).mkdir(parents=True, exist_ok=True)

@@ -8,6 +8,7 @@ largest positive residual (ties go to the smaller K).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -108,6 +109,8 @@ def search(corpus: Corpus, design: PrevalenceDesign, k_grid: list[int],
         raise ValueError("k grid needs at least 3 distinct values")
     if any(k < 2 for k in grid):
         raise ValueError("k grid values must be at least 2")
+    if not (math.isfinite(candidate_rel_tol) and candidate_rel_tol > 0):
+        raise ValueError("candidate_rel_tol must be a finite number > 0")
     candidates = []
     for k in grid:
         cand_config = replace(config, k=k,

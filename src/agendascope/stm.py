@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import logging
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -43,10 +44,12 @@ class FitConfig:
             raise ValueError("k must be at least 2")
         if self.max_em_iters < 1:
             raise ValueError("max_em_iters must be at least 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.ridge_gamma < 0:
-            raise ValueError("ridge_gamma must be non-negative")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError("rel_tol must be a finite number > 0")
+        if not (math.isfinite(self.ridge_gamma) and self.ridge_gamma >= 0):
+            raise ValueError("ridge_gamma must be a finite number >= 0")
+        if not (math.isfinite(self.sigma_floor) and self.sigma_floor > 0):
+            raise ValueError("sigma_floor must be a finite number > 0")
 
 
 @dataclass
@@ -270,11 +273,17 @@ def _batch_value(eta, mu, sigma_inv, b, cts, totals):
     return value, w, wsum, den, diff
 
 
-def _batch_state(eta, mu, sigma_inv, b, cts, totals):
-    value, w, wsum, den, diff = _batch_value(eta, mu, sigma_inv, b, cts, totals)
+def _batch_grad(w, wsum, den, diff, sigma_inv, b, cts, totals):
+    """(grad, q, theta) from :func:`_batch_value`'s pieces at the same points."""
     theta = w / wsum[:, None]
     q = (b @ (cts / den)[:, :, None])[:, :, 0] * w
     grad = (q - totals[:, None] * theta)[:, :-1] - diff @ sigma_inv
+    return grad, q, theta
+
+
+def _batch_state(eta, mu, sigma_inv, b, cts, totals):
+    value, w, wsum, den, diff = _batch_value(eta, mu, sigma_inv, b, cts, totals)
+    grad, q, theta = _batch_grad(w, wsum, den, diff, sigma_inv, b, cts, totals)
     return value, grad, w, den, q, theta
 
 
@@ -323,73 +332,91 @@ def _damped_cholesky(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return factors, fixed
 
 
-def _scatter_counts(phi_c: np.ndarray, idx: np.ndarray, n_terms: int) -> np.ndarray:
-    """K x V sums of a chunk's m x K x width expected counts by term id.
+def _scatter_counts(b, w, den, cts, idx, n_terms):
+    """K x V expected token counts of a chunk, summed by term id.
 
-    One bincount per topic adds each term's entries in the same (document,
-    position) order as ``np.add.at``, so the sums are bit-identical to it.
+    Topic j's m x width block ``b[:, j] * (w[:, j] / den) * cts`` goes
+    straight into one bincount, which adds each term's entries in the same
+    (document, position) order as ``np.add.at``, so the sums are
+    bit-identical to it.
     """
     terms = idx.ravel()
-    return np.stack([np.bincount(terms, weights=phi_c[:, j].ravel(),
-                                 minlength=n_terms)
-                     for j in range(phi_c.shape[1])])
+    return np.stack([
+        np.bincount(terms, weights=(b[:, j] * (w[:, j, None] / den) * cts).ravel(),
+                    minlength=n_terms)
+        for j in range(b.shape[1])])
 
 
 def _estep_chunk(chunk: _Chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
                  *, max_iter: int = 200, grad_tol: float = 1e-8):
     """Newton ascent for every document of one chunk, batched.
 
-    Updates eta_all/nu_all rows in place; returns (expected counts
-    contribution, bound contribution).
+    Each document's state (value, gradient and mixture pieces) is carried at
+    its current mode estimate and updated only for the rows a step moves; an
+    accepted step takes its state from its line-search trial. Updates
+    eta_all/nu_all rows in place; returns (expected counts contribution,
+    bound contribution).
     """
     rows = chunk.rows
-    b = np.ascontiguousarray(beta[:, chunk.idx].transpose(1, 0, 2))
+    m = len(rows)
+    b = np.empty((m, beta.shape[0], chunk.idx.shape[1]))
+    for j, beta_j in enumerate(beta):  # one gather per topic row
+        b[:, j] = beta_j[chunk.idx]
     cts = chunk.cts
     totals = chunk.totals
     eta = eta_all[rows].copy()
     mu = mu_all[rows]
     tol = grad_tol * np.maximum(1.0, totals)
 
-    active = np.arange(len(rows))
     value, grad, w, den, q, theta = _batch_state(eta, mu, sigma_inv, b, cts, totals)
+    active = np.arange(m)
     for _ in range(max_iter):
-        live = np.abs(grad).max(axis=1) >= tol[active]
+        live = np.abs(grad[active]).max(axis=1) >= tol[active]
         if not live.any():
             break
-        if not live.all():
-            active = active[live]
-            value, grad = value[live], grad[live]
-            w, den, q, theta = w[live], den[live], q[live], theta[live]
-        eta_a = eta[active]
-        b_a, cts_a, tot_a, mu_a = b[active], cts[active], totals[active], mu[active]
+        active = active[live]
+        whole = len(active) == m
+        eta_a, value_a, grad_a, w_a, den_a, q_a, theta_a, b_a, cts_a, tot_a, mu_a = (
+            (a if whole else a[active])
+            for a in (eta, value, grad, w, den, q, theta, b, cts, totals, mu))
 
-        neg_h = _batch_neg_hessian(q, theta, w, den, b_a, cts_a, sigma_inv, tot_a)
+        neg_h = _batch_neg_hessian(q_a, theta_a, w_a, den_a, b_a, cts_a, sigma_inv,
+                                   tot_a)
         _, neg_h = _damped_cholesky(neg_h)
-        step = np.linalg.solve(neg_h, grad[:, :, None])[:, :, 0]
-        slope = (grad * step).sum(axis=1)
+        step = np.linalg.solve(neg_h, grad_a[:, :, None])[:, :, 0]
+        slope = (grad_a * step).sum(axis=1)
         t = np.ones(len(active))
-        accepted = np.zeros(len(active), dtype=bool)
-        cand = eta_a.copy()
-        for _ in range(31):
+        for attempt in range(31):
             trial = eta_a + t[:, None] * step
-            trial_value = _batch_value(trial, mu_a, sigma_inv, b_a, cts_a, tot_a)[0]
-            ok = trial_value >= value + 1e-4 * t * slope
-            newly = ok & ~accepted
-            cand[newly] = trial[newly]
-            accepted |= ok
+            pieces = (trial,) + _batch_value(trial, mu_a, sigma_inv, b_a, cts_a, tot_a)
+            ok = pieces[1] >= value_a + 1e-4 * t * slope
+            if attempt == 0:
+                kept, accepted = pieces, ok
+            else:
+                newly = ok & ~accepted
+                for dst, src in zip(kept, pieces):
+                    dst[newly] = src[newly]
+                accepted |= ok
             if accepted.all():
                 break
             t[~accepted] *= 0.5
         if not accepted.any():
             break
-        eta[active[accepted]] = cand[accepted]
-        active = active[accepted]  # line-search failures freeze in place
-        value, grad, w, den, q, theta = _batch_state(
-            eta[active], mu[active], sigma_inv, b[active], cts[active],
-            totals[active])
+        if not accepted.all():  # line-search failures freeze in place
+            active = active[accepted]
+            kept = [a[accepted] for a in kept]
+            b_a, cts_a, tot_a = b_a[accepted], cts_a[accepted], tot_a[accepted]
+        eta_m, value_m, w_m, wsum_m, den_m, diff_m = kept
+        grad_m, q_m, theta_m = _batch_grad(w_m, wsum_m, den_m, diff_m, sigma_inv,
+                                           b_a, cts_a, tot_a)
+        if len(active) == m:
+            eta, value, grad, w, den, q, theta = (eta_m, value_m, grad_m, w_m,
+                                                  den_m, q_m, theta_m)
+        else:
+            eta[active], value[active], grad[active] = eta_m, value_m, grad_m
+            w[active], den[active], q[active], theta[active] = w_m, den_m, q_m, theta_m
 
-    # Laplace pieces at the modes, for every document of the chunk
-    value, grad, w, den, q, theta = _batch_state(eta, mu, sigma_inv, b, cts, totals)
+    # Laplace pieces at the modes, from the carried state of every document
     neg_h = _batch_neg_hessian(q, theta, w, den, b, cts, sigma_inv, totals)
     chols, neg_h = _damped_cholesky(neg_h)
     k_free = neg_h.shape[1]
@@ -401,8 +428,7 @@ def _estep_chunk(chunk: _Chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
 
     eta_all[rows] = eta
     nu_all[rows] = nu
-    phi_c = b * (w[:, :, None] / den[:, None, :]) * cts[:, None, :]
-    return _scatter_counts(phi_c, chunk.idx, beta.shape[1]), bound
+    return _scatter_counts(b, w, den, cts, chunk.idx, beta.shape[1]), bound
 
 
 def e_step_doc(counts_d: np.ndarray, mu_d: np.ndarray, sigma_inv: np.ndarray,

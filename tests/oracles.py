@@ -101,3 +101,145 @@ def ols_closed_form(x_vals: np.ndarray, y_vals: np.ndarray):
     slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
     intercept = (sy - slope * sx) / n
     return slope, intercept, y_vals - (intercept + slope * x_vals)
+
+
+# -- the E-step kernel as it was before the carried-state rewrite ------------
+#
+# A verbatim copy of the earlier stm._estep_chunk and its helpers: the
+# transposed fancy-index gather, a whole-state recompute after every
+# accepted step and once more for the whole chunk, and the m x K x width
+# count block. It adds only ``events``, a counter of the branches taken, so
+# a test can show that its chunk exercises the branch it names. The current
+# kernel must match it bit for bit.
+
+
+def _ref_batch_value(eta, mu, sigma_inv, b, cts, totals):
+    full = np.concatenate([eta, np.zeros((eta.shape[0], 1))], axis=1)
+    full -= full.max(axis=1, keepdims=True)
+    w = np.exp(full)
+    wsum = w.sum(axis=1)
+    den = (w[:, None, :] @ b)[:, 0, :]
+    diff = eta - mu
+    quad = np.einsum("mi,ij,mj->m", diff, sigma_inv, diff)
+    value = ((cts * np.log(den)).sum(axis=1) - totals * np.log(wsum)
+             - 0.5 * quad)
+    return value, w, wsum, den, diff
+
+
+def _ref_batch_state(eta, mu, sigma_inv, b, cts, totals):
+    value, w, wsum, den, diff = _ref_batch_value(eta, mu, sigma_inv, b, cts, totals)
+    theta = w / wsum[:, None]
+    q = (b @ (cts / den)[:, :, None])[:, :, 0] * w
+    grad = (q - totals[:, None] * theta)[:, :-1] - diff @ sigma_inv
+    return value, grad, w, den, q, theta
+
+
+def _ref_batch_neg_hessian(q, theta, w, den, b, cts, sigma_inv, totals):
+    s = b * (np.sqrt(cts) / den)[:, None, :]
+    a = s @ s.transpose(0, 2, 1)
+    a *= w[:, :, None] * w[:, None, :]
+    a -= totals[:, None, None] * theta[:, :, None] * theta[:, None, :]
+    k = a.shape[1]
+    diag = np.arange(k)
+    a[:, diag, diag] -= q - totals[:, None] * theta
+    return sigma_inv[None, :, :] + a[:, :-1, :-1]
+
+
+def _ref_damped_cholesky(mats, events):
+    try:
+        factors = np.linalg.cholesky(mats)
+        if np.isfinite(factors).all():
+            return factors, mats
+    except np.linalg.LinAlgError:
+        pass
+    factors = np.empty_like(mats)
+    fixed = mats.copy()
+    eye = np.eye(mats.shape[-1])
+    for i, mat in enumerate(mats):
+        if not np.isfinite(mat).all():
+            raise ValueError(f"curvature block {i} is not finite")
+        lam = 1e-10 * max(float(np.abs(np.diag(mat)).max()), 1.0)
+        for _ in range(41):
+            try:
+                factors[i] = np.linalg.cholesky(fixed[i])
+                break
+            except np.linalg.LinAlgError:
+                fixed[i] = mat + lam * eye
+                lam *= 10.0
+                events["damped"] += 1
+        else:
+            raise ValueError(f"curvature block {i} could not be regularized")
+    return factors, fixed
+
+
+def estep_chunk_reference(chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
+                          events, *, max_iter=200, grad_tol=1e-8):
+    """The earlier batched Newton E-step for one chunk: updates eta_all and
+    nu_all rows in place and returns (K x V expected counts, bound)."""
+    rows = chunk.rows
+    b = np.ascontiguousarray(beta[:, chunk.idx].transpose(1, 0, 2))
+    cts = chunk.cts
+    totals = chunk.totals
+    eta = eta_all[rows].copy()
+    mu = mu_all[rows]
+    tol = grad_tol * np.maximum(1.0, totals)
+
+    active = np.arange(len(rows))
+    value, grad, w, den, q, theta = _ref_batch_state(eta, mu, sigma_inv, b, cts, totals)
+    for _ in range(max_iter):
+        live = np.abs(grad).max(axis=1) >= tol[active]
+        if not live.any():
+            break
+        if not live.all():
+            active = active[live]
+            value, grad = value[live], grad[live]
+            w, den, q, theta = w[live], den[live], q[live], theta[live]
+        eta_a = eta[active]
+        b_a, cts_a, tot_a, mu_a = b[active], cts[active], totals[active], mu[active]
+
+        neg_h = _ref_batch_neg_hessian(q, theta, w, den, b_a, cts_a, sigma_inv, tot_a)
+        _, neg_h = _ref_damped_cholesky(neg_h, events)
+        step = np.linalg.solve(neg_h, grad[:, :, None])[:, :, 0]
+        slope = (grad * step).sum(axis=1)
+        t = np.ones(len(active))
+        accepted = np.zeros(len(active), dtype=bool)
+        cand = eta_a.copy()
+        for _ in range(31):
+            trial = eta_a + t[:, None] * step
+            trial_value = _ref_batch_value(trial, mu_a, sigma_inv, b_a, cts_a, tot_a)[0]
+            ok = trial_value >= value + 1e-4 * t * slope
+            newly = ok & ~accepted
+            cand[newly] = trial[newly]
+            accepted |= ok
+            if accepted.all():
+                break
+            t[~accepted] *= 0.5
+            events["halved"] += int((~accepted).sum())
+        if not accepted.any():
+            events["all_frozen"] += 1
+            break
+        events["frozen"] += int((~accepted).sum())
+        eta[active[accepted]] = cand[accepted]
+        active = active[accepted]
+        value, grad, w, den, q, theta = _ref_batch_state(
+            eta[active], mu[active], sigma_inv, b[active], cts[active],
+            totals[active])
+
+    value, grad, w, den, q, theta = _ref_batch_state(eta, mu, sigma_inv, b, cts, totals)
+    neg_h = _ref_batch_neg_hessian(q, theta, w, den, b, cts, sigma_inv, totals)
+    chols, neg_h = _ref_damped_cholesky(neg_h, events)
+    k_free = neg_h.shape[1]
+    eye = np.broadcast_to(np.eye(k_free), neg_h.shape)
+    nu = np.linalg.solve(neg_h, eye)
+    nu = 0.5 * (nu + nu.transpose(0, 2, 1))
+    logdet_nu = -2.0 * np.log(np.einsum("mii->mi", chols)).sum(axis=1)
+    bound = float((value + 0.5 * logdet_nu).sum())
+
+    eta_all[rows] = eta
+    nu_all[rows] = nu
+    phi_c = b * (w[:, :, None] / den[:, None, :]) * cts[:, None, :]
+    terms = chunk.idx.ravel()
+    counts = np.stack([np.bincount(terms, weights=phi_c[:, j].ravel(),
+                                   minlength=beta.shape[1])
+                       for j in range(phi_c.shape[1])])
+    return counts, bound

@@ -213,6 +213,47 @@ class TestEffectsStage:
         assert len(calls) == 1
 
 
+class TestTopicsAgainstModel:
+    """A configured topic the fitted model does not have is a ConfigError
+    once the stage has loaded the model, before it writes anything."""
+
+    @staticmethod
+    def copy_run(sample_all, tmp_path):
+        config, out = sample_all
+        shutil.copytree(config.parent, tmp_path / "sample")
+        shutil.copytree(out, tmp_path / "out")
+        config = tmp_path / "sample" / "config.json"
+        set_setting(config, "paths.out_dir", str(tmp_path / "out"))
+        return config, tmp_path / "out"
+
+    @pytest.mark.parametrize("stage, name, value, key", [
+        ("effects", "effects.targets[0].topics", [0, 9], "effects.targets[0].topics"),
+        ("report", "report.wordcloud_topics", [0, 9], "report.wordcloud_topics"),
+        ("report", "report.perspectives", [[0, 9]], "report.perspectives[0]")])
+    def test_topic_beyond_k_exit_is_structured(self, sample_all, tmp_path, capsys,
+                                               stage, name, value, key):
+        config, out = self.copy_run(sample_all, tmp_path)
+        k = read_json(out / "search.json")["selected_k"]
+        assert k < 9
+        set_setting(config, name, value)
+        shutil.rmtree(out / stage)
+        capsys.readouterr()
+        assert run_cli(stage, "--config", config) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["violations"] == [f"{key} names topic 9, but the model has k={k}"]
+        assert not (out / stage).exists()
+
+    def test_covariate_absent_from_formula_exit_is_structured(self, sample_run, capsys):
+        config, _ = sample_run
+        set_setting(config, "effects.targets[0].covariate", "gdp_pc")
+        assert run_cli("effects", "--config", config) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["violations"] == [
+            "effects.targets[0].covariate 'gdp_pc' does not appear in the formula"]
+
+
 class TestConfig:
     def test_all_violations_reported_at_once(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -245,7 +286,11 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("max_em_iters", 0), ("max_em_iters", 2.5), ("rel_tol", 0),
         ("rel_tol", "1e-5"), ("ridge_gamma", -1.0), ("sigma_floor", 0.0),
-        ("candidate_rel_tol", -1e-4)])
+        ("candidate_rel_tol", -1e-4), ("rel_tol", float("inf")),
+        ("rel_tol", float("nan")), ("ridge_gamma", float("inf")),
+        ("ridge_gamma", float("nan")), ("sigma_floor", float("inf")),
+        ("sigma_floor", float("nan")), ("candidate_rel_tol", float("inf")),
+        ("candidate_rel_tol", float("nan"))])
     def test_out_of_range_fit_value_rejected(self, sample_run, key, value):
         config, _ = sample_run
         obj = json.loads(config.read_text())
@@ -262,7 +307,8 @@ class TestConfig:
         ("preprocess.min_doc_freq", "5"), ("threads", "2"),
         ("preprocess.min_term_len", "3"), ("metrics.top_words", 0),
         ("report.wordcloud_n", "50"), ("report.wordcloud_topics", [0, "1"]),
-        ("report.perspectives", [[0]]), ("deterministic", "yes"), ("seed", -1)])
+        ("report.perspectives", [[0]]), ("deterministic", "yes"), ("seed", -1),
+        ("report.perspectives", [[1, 1]])])
     def test_bad_value_collected(self, sample_run, name, value):
         config, _ = sample_run
         set_setting(config, name, value)

@@ -141,6 +141,14 @@ class TestSearch:
         with pytest.raises(ValueError):
             search(corpus, design, [2, 3], FitConfig(k=2, seed=0))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_bad_candidate_rel_tol_rejected(self, tol):
+        corpus = two_block_corpus(seed=14, n_docs=10)
+        design = PrevalenceDesign.intercept_only(corpus.n_docs)
+        with pytest.raises(ValueError, match="candidate_rel_tol"):
+            search(corpus, design, [2, 3, 4], FitConfig(k=2, seed=0),
+                   candidate_rel_tol=tol)
+
     def test_candidate_failure_names_k(self):
         corpus = two_block_corpus(seed=15, n_docs=10, n_terms=12)
         design = PrevalenceDesign.intercept_only(corpus.n_docs)

@@ -1,5 +1,6 @@
 """Model fitting: initialization, E-step, M-step, EM invariants."""
 
+import collections
 import logging
 from pathlib import Path
 
@@ -16,10 +17,10 @@ from agendascope.errors import (DimensionMismatch, HessianNotPD,
 from agendascope.jsonio import dumps_canonical, read_json, write_json
 from agendascope.stm import (FitConfig, FittedModel, PrevalenceDesign,
                              _batch_neg_hessian, _batch_state, _batch_value,
-                             _Chunk, _damped_cholesky, _scatter_counts,
-                             e_step_doc, fit, init_params, m_step,
+                             _Chunk, _damped_cholesky, _estep_chunk,
+                             _scatter_counts, e_step_doc, fit, init_params, m_step,
                              softmax_with_zero)
-from oracles import grid_search_eta, ridge_closed_form
+from oracles import estep_chunk_reference, grid_search_eta, ridge_closed_form
 from synth import (counts_dense, greedy_align, model_draw, tiny_corpus,
                    two_block_corpus)
 
@@ -51,6 +52,16 @@ class TestInitParams:
     def test_no_em_iterations_rejected(self):
         with pytest.raises(ValueError, match="max_em_iters"):
             FitConfig(k=2, max_em_iters=0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("rel_tol", 0.0), ("rel_tol", float("nan")), ("rel_tol", float("inf")),
+        ("ridge_gamma", -1.0), ("ridge_gamma", float("nan")),
+        ("ridge_gamma", float("inf")), ("sigma_floor", 0.0),
+        ("sigma_floor", -1e-6), ("sigma_floor", float("nan")),
+        ("sigma_floor", float("inf"))])
+    def test_non_finite_or_out_of_range_setting_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            FitConfig(k=2, **{key: value})
 
     def test_k_exceeds_vocabulary(self):
         with pytest.raises(KExceedsVocabulary):
@@ -174,11 +185,80 @@ class TestKernel:
         idx[:, 40:] = 0  # padding columns, as in _Chunk
         # magnitudes over 16 decades, so another summation order would
         # round differently; padding entries are zero, as in the E-step
-        phi_c = rng.random((m, k, width)) * 10.0 ** rng.integers(-8, 8, (m, k, width))
-        phi_c[:, :, 40:] = 0.0
+        b = rng.random((m, k, width)) * 10.0 ** rng.integers(-8, 8, (m, k, width))
+        w = rng.random((m, k)) + 0.1
+        den = rng.random((m, width)) + 0.1
+        cts = rng.integers(1, 5, (m, width)).astype(float)
+        cts[:, 40:] = 0.0
+        phi_c = b * (w[:, :, None] / den[:, None, :]) * cts[:, None, :]
         reference = np.zeros((k, n_terms))
         np.add.at(reference, (slice(None), idx), phi_c.transpose(1, 0, 2))
-        assert np.array_equal(_scatter_counts(phi_c, idx, n_terms), reference)
+        assert np.array_equal(_scatter_counts(b, w, den, cts, idx, n_terms),
+                              reference)
+
+
+class TestKernelMatchesReference:
+    """The E-step kernel against the earlier one, copied into ``oracles``:
+    the same floating-point operations in the same order, so every output
+    is bit-equal on chunks that take each branch of the Newton loop."""
+
+    # (prior precision, start spread around mu, count scale, grad_tol) and
+    # the first seed at K = 3, 8, 30 whose chunk takes the case's branch
+    CASES = {
+        "accept": ((5.0, 0.0, 1.0, 1e-8), {3: 0, 8: 0, 30: 0}),
+        "halve": ((2.0, 3.0, 1.0, 1e-8), {3: 1, 8: 0, 30: 0}),
+        "frozen": ((1.0, 0.0, 1e4, 0.0), {3: 7, 8: 28, 30: 1}),
+    }
+
+    @classmethod
+    def case(cls, name, k, m=8, v=40):
+        if name == "damped":
+            # words shared by topics 0 and 1 only, from a start where the
+            # other topics dominate: the log-likelihood is convex along
+            # eta_0 - eta_1 and the weak prior cannot make up for it
+            rng = np.random.default_rng(k)
+            beta = np.full((k, v), 1e-3)
+            beta[:2, :v // 2] = beta[2:, v // 2:] = 1.0
+            beta /= beta.sum(axis=1, keepdims=True)
+            docs = [(np.arange(6 + d), np.full(6 + d, 3.0)) for d in range(m)]
+            mu = rng.normal(scale=0.3, size=(m, k - 1))
+            eta = -8.0 + rng.normal(scale=0.5, size=(m, k - 1))
+            return _Chunk(range(m), docs), eta, mu, 1e-3 * np.eye(k - 1), beta, 1e-8
+        (prior, spread, scale, grad_tol), seeds = cls.CASES[name]
+        rng = np.random.default_rng(seeds[k])
+        beta = rng.dirichlet(np.full(v, 0.5), size=k)
+        docs = []
+        for _ in range(m):
+            n = rng.integers(1, 10)
+            docs.append((np.sort(rng.choice(v, n, replace=False)),
+                         rng.integers(1, 6, n) * scale))
+        mu = rng.normal(scale=0.3, size=(m, k - 1))
+        eta = mu + rng.normal(scale=spread, size=(m, k - 1)) if spread else mu.copy()
+        return _Chunk(range(m), docs), eta, mu, prior * np.eye(k - 1), beta, grad_tol
+
+    @pytest.mark.parametrize("k", [3, 8, 30])
+    @pytest.mark.parametrize("name", ["accept", "halve", "frozen", "damped"])
+    def test_bit_equal_to_reference(self, name, k):
+        chunk, eta0, mu, sigma_inv, beta, grad_tol = self.case(name, k)
+        m = len(chunk.rows)
+        events = collections.Counter()
+        ref_eta, ref_nu = eta0.copy(), np.zeros((m, k - 1, k - 1))
+        ref_counts, ref_bound = estep_chunk_reference(
+            chunk, ref_eta, ref_nu, mu, sigma_inv, beta, events, grad_tol=grad_tol)
+        eta, nu = eta0.copy(), np.zeros((m, k - 1, k - 1))
+        counts, bound = _estep_chunk(chunk, eta, nu, mu, sigma_inv, beta,
+                                     grad_tol=grad_tol)
+
+        taken = {"accept": not (events["halved"] or events["damped"]
+                                or events["frozen"] or events["all_frozen"]),
+                 "halve": 0 < events["halved"] and not events["damped"],
+                 "frozen": events["frozen"] > 0,
+                 "damped": events["damped"] > 0}
+        assert taken[name], dict(events)
+        assert np.array_equal(eta, ref_eta)
+        assert np.array_equal(nu, ref_nu)
+        assert np.array_equal(counts, ref_counts)
+        assert bound == ref_bound
 
 
 class TestMStep:
