@@ -7,7 +7,7 @@ import csv
 import logging
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import porter
-from .errors import (AllDocumentsEmpty, DuplicateDocId, EmptyDirectory,
-                     MetadataParseError)
-from .jsonio import read_json, write_json
+from .errors import (AllDocumentsEmpty, CorruptArtifact, DuplicateDocId,
+                     EmptyDirectory, MetadataParseError)
+from .jsonio import malformed_as_corrupt, read_json, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -103,15 +103,28 @@ class BuildReport:
 class Corpus:
     """Immutable preprocessed corpus.
 
-    ``docs[d]`` is a pair of aligned arrays (term indices ascending, counts);
-    ``covariates[d]`` corresponds to ``doc_ids[d]``.
+    The term counts are one CSR triple: document ``d``'s term indices,
+    ascending, are ``indices[indptr[d]:indptr[d + 1]]`` and ``counts`` holds
+    their counts (all int64); ``covariates[d]`` corresponds to ``doc_ids[d]``.
     """
 
     vocabulary: list[str]
     doc_ids: list[str]
-    docs: list[tuple[np.ndarray, np.ndarray]]
+    indptr: np.ndarray
+    indices: np.ndarray
+    counts: np.ndarray
     covariates: list[CovariateRecord]
     years: list[int]
+
+    @classmethod
+    def from_docs(cls, vocabulary: list[str], doc_ids: list[str], docs: list,
+                  covariates: list[CovariateRecord], years: list[int]) -> "Corpus":
+        """Corpus from per-document (term indices ascending, counts) pairs."""
+        return cls(vocabulary=vocabulary, doc_ids=doc_ids,
+                   indptr=np.cumsum([0] + [len(idx) for idx, _ in docs], dtype=np.int64),
+                   indices=np.concatenate([idx for idx, _ in docs] or [[]]).astype(np.int64),
+                   counts=np.concatenate([cts for _, cts in docs] or [[]]).astype(np.int64),
+                   covariates=covariates, years=years)
 
     @property
     def n_docs(self) -> int:
@@ -123,26 +136,26 @@ class Corpus:
 
     def term_totals(self) -> np.ndarray:
         """Corpus-wide count of each term."""
-        totals = np.zeros(self.n_terms, dtype=np.int64)
-        for idx, cts in self.docs:
-            totals[idx] += cts
-        return totals
+        return np.bincount(self.indices, self.counts, self.n_terms).astype(np.int64)
 
     def presence_matrix(self) -> np.ndarray:
         """Dense boolean D x V term-presence matrix."""
         out = np.zeros((self.n_docs, self.n_terms), dtype=bool)
-        for d, (idx, _) in enumerate(self.docs):
-            out[d, idx] = True
+        out[np.repeat(np.arange(self.n_docs), np.diff(self.indptr)), self.indices] = True
         return out
 
     def subset(self, indices: np.ndarray | list[int]) -> "Corpus":
         """Row subset sharing the vocabulary (used for per-analysis drops)."""
-        idx = list(int(i) for i in indices)
+        rows = np.asarray(indices, dtype=np.int64)
+        starts, lengths = self.indptr[rows], np.diff(self.indptr)[rows]
+        indptr = np.cumsum(np.concatenate([[0], lengths]), dtype=np.int64)
+        take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
         return Corpus(vocabulary=self.vocabulary,
-                      doc_ids=[self.doc_ids[i] for i in idx],
-                      docs=[self.docs[i] for i in idx],
-                      covariates=[self.covariates[i] for i in idx],
-                      years=[self.years[i] for i in idx])
+                      doc_ids=[self.doc_ids[i] for i in rows],
+                      indptr=indptr, indices=self.indices[take],
+                      counts=self.counts[take],
+                      covariates=[self.covariates[i] for i in rows],
+                      years=[self.years[i] for i in rows])
 
     def covariate_table(self) -> dict[str, list]:
         """Column view of covariates plus doc year, for design building."""
@@ -158,39 +171,46 @@ class Corpus:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json_obj(self) -> dict:
-        return {
-            "vocabulary": list(self.vocabulary),
-            "docs": [{"id": did,
-                      "year": year,
-                      "terms": [[int(i), int(c)] for i, c in zip(idx, cts)]}
-                     for did, year, (idx, cts) in
-                     zip(self.doc_ids, self.years, self.docs)],
-            "covariates": [asdict(rec) for rec in self.covariates],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Corpus":
-        docs = []
-        doc_ids = []
-        years = []
-        for entry in obj["docs"]:
-            doc_ids.append(entry["id"])
-            years.append(int(entry["year"]))
-            pairs = entry["terms"]
-            idx = np.array([p[0] for p in pairs], dtype=np.int64)
-            cts = np.array([p[1] for p in pairs], dtype=np.int64)
-            docs.append((idx, cts))
-        return cls(vocabulary=list(obj["vocabulary"]), doc_ids=doc_ids, docs=docs,
-                   covariates=[CovariateRecord(**c) for c in obj["covariates"]],
-                   years=years)
-
     def save(self, path: str | Path) -> Path:
-        return write_json(path, self.to_json_obj())
+        """Write the corpus as JSON, the CSR triple as flat int lists."""
+        return write_json(path, {
+            "vocabulary": self.vocabulary,
+            "docs": [{"id": i, "year": y} for i, y in zip(self.doc_ids, self.years)],
+            "indptr": self.indptr, "indices": self.indices, "counts": self.counts,
+            "covariates": self.covariates})
 
     @classmethod
     def load(cls, path: str | Path) -> "Corpus":
-        return cls.from_json_obj(read_json(path))
+        obj = read_json(path)
+        with malformed_as_corrupt(path):
+            corpus = cls(vocabulary=list(obj["vocabulary"]),
+                         doc_ids=[entry["id"] for entry in obj["docs"]],
+                         indptr=np.array(obj["indptr"], dtype=np.int64),
+                         indices=np.array(obj["indices"], dtype=np.int64),
+                         counts=np.array(obj["counts"], dtype=np.int64),
+                         covariates=[CovariateRecord(**c) for c in obj["covariates"]],
+                         years=[int(entry["year"]) for entry in obj["docs"]])
+        problem = corpus._csr_problem()
+        if problem is not None:
+            raise CorruptArtifact(str(path), problem)
+        return corpus
+
+    def _csr_problem(self) -> str | None:
+        """Why the counts and covariates do not fit the documents, or None."""
+        indptr, indices, n = self.indptr, self.indices, self.n_docs
+        if indptr.shape != (n + 1,):
+            return f"indptr has shape {indptr.shape} for {n} docs; expected ({n + 1},)"
+        if indices.ndim != 1 or self.counts.shape != indices.shape:
+            return "indices and counts must be flat lists of one length"
+        if indptr[0] != 0 or indptr[-1] != indices.size or (np.diff(indptr) < 0).any():
+            return "indptr must start at 0, never decrease and end at len(indices)"
+        if indices.size and not 0 <= indices.min() <= indices.max() < self.n_terms:
+            return f"a term index lies outside [0, {self.n_terms})"
+        if (self.counts <= 0).any():
+            return "a count is not positive"
+        if len(self.covariates) != n:
+            return f"{len(self.covariates)} covariate records for {n} docs"
+        return None
 
 
 def tokenize(text: str, config: PreprocessConfig) -> list[str]:
@@ -264,8 +284,8 @@ def build_corpus(docs: list[RawDocument], covs: list[CovariateRecord],
     report.unmatched_covariates = sorted(set(cov_by_id) - matched_cov_ids)
     if not kept_ids:
         raise AllDocumentsEmpty("no document survived preprocessing")
-    return (Corpus(vocabulary=vocabulary, doc_ids=kept_ids, docs=kept_docs,
-                   covariates=kept_covs, years=kept_years), report)
+    return (Corpus.from_docs(vocabulary, kept_ids, kept_docs, kept_covs,
+                             kept_years), report)
 
 
 def _parse_optional(raw: str, kind, what: str, row: int):

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -54,4 +55,17 @@ def read_json(path: str | Path) -> Any:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CorruptArtifact(str(path), str(exc)) from None
+
+
+@contextmanager
+def malformed_as_corrupt(path: str | Path) -> Iterator[None]:
+    """Raise :class:`CorruptArtifact` for ``path`` in place of the
+    ``KeyError``, ``TypeError`` or ``ValueError`` that building an object
+    from its JSON value raises, e.g. for a missing key."""
+    try:
+        yield
+    except KeyError as exc:
+        raise CorruptArtifact(str(path), f"missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise CorruptArtifact(str(path), str(exc)) from None

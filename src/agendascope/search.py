@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import CandidateFailed, DegenerateX
-from .jsonio import read_json, write_json
+from .jsonio import malformed_as_corrupt, read_json, write_json
 from .metrics import DEFAULT_FREX_WEIGHT, DEFAULT_TOP_WORDS, model_quality
 from .stm import FitConfig, FittedModel, PrevalenceDesign, fit
 
@@ -76,10 +76,11 @@ class ModelSearchResult:
     @classmethod
     def load(cls, path: str | Path) -> "ModelSearchResult":
         obj = read_json(path)
-        return cls(candidates=[CandidatePoint(**c) for c in obj["candidates"]],
-                   slope=obj["slope"], intercept=obj["intercept"],
-                   residuals=np.array(obj["residuals"], dtype=float),
-                   selected_k=obj["selected_k"])
+        with malformed_as_corrupt(path):
+            return cls(candidates=[CandidatePoint(**c) for c in obj["candidates"]],
+                       slope=obj["slope"], intercept=obj["intercept"],
+                       residuals=np.array(obj["residuals"], dtype=float),
+                       selected_k=obj["selected_k"])
 
 
 def rank_candidates(candidates: list[CandidatePoint]) -> ModelSearchResult:

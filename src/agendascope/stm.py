@@ -22,7 +22,7 @@ from .corpus import Corpus
 from .errors import (CorruptArtifact, DimensionMismatch, HessianNotPD,
                      KExceedsVocabulary, MissingArtifact, NonFiniteObjective,
                      SingularDesign)
-from .jsonio import read_json, write_json
+from .jsonio import malformed_as_corrupt, read_json, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -152,21 +152,22 @@ class FittedModel:
             raise MissingArtifact("fit", str(nu_path)) from None
         except (ValueError, EOFError) as exc:
             raise CorruptArtifact(str(nu_path), str(exc)) from None
-        k_free = len(obj["beta"]) - 1
-        expected = (len(obj["doc_ids"]), k_free, k_free)
-        if nu.dtype != np.float64 or nu.shape != expected:
-            raise DimensionMismatch(f"{nu_path} holds a {nu.dtype} array of shape "
-                                    f"{nu.shape}; expected float64 {expected}")
-        return cls(beta=np.array(obj["beta"], dtype=float),
-                   gamma=np.array(obj["gamma"], dtype=float),
-                   sigma=np.array(obj["sigma"], dtype=float),
-                   eta=np.array(obj["eta"], dtype=float),
-                   nu=nu,
-                   bound_trace=list(obj["bound_trace"]),
-                   config=FitConfig(**obj["config"]),
-                   vocabulary=list(obj["vocabulary"]),
-                   design_column_names=list(obj["design_column_names"]),
-                   doc_ids=list(obj["doc_ids"]))
+        with malformed_as_corrupt(path):
+            k_free = len(obj["beta"]) - 1
+            expected = (len(obj["doc_ids"]), k_free, k_free)
+            if nu.dtype != np.float64 or nu.shape != expected:
+                raise DimensionMismatch(f"{nu_path} holds a {nu.dtype} array of shape "
+                                        f"{nu.shape}; expected float64 {expected}")
+            return cls(beta=np.array(obj["beta"], dtype=float),
+                       gamma=np.array(obj["gamma"], dtype=float),
+                       sigma=np.array(obj["sigma"], dtype=float),
+                       eta=np.array(obj["eta"], dtype=float),
+                       nu=nu,
+                       bound_trace=list(obj["bound_trace"]),
+                       config=FitConfig(**obj["config"]),
+                       vocabulary=list(obj["vocabulary"]),
+                       design_column_names=list(obj["design_column_names"]),
+                       doc_ids=list(obj["doc_ids"]))
 
 
 def _bound_settled(prev: float, bound: float, rel_tol: float) -> bool:
@@ -243,18 +244,17 @@ def init_params(corpus: Corpus, config: FitConfig) -> tuple[np.ndarray, np.ndarr
 
 
 class _Chunk:
-    """Zero-padded counts for one fixed block of documents."""
+    """Zero-padded counts for the documents ``rows`` of a CSR triple."""
 
-    def __init__(self, doc_range: range, docs):
-        self.rows = np.arange(doc_range.start, doc_range.stop)
-        width = max(docs[d][0].size for d in doc_range)
-        m = len(self.rows)
-        self.idx = np.zeros((m, width), dtype=np.int64)
-        self.cts = np.zeros((m, width))
-        for i, d in enumerate(doc_range):
-            idx, cts = docs[d]
-            self.idx[i, :idx.size] = idx
-            self.cts[i, :idx.size] = cts
+    def __init__(self, rows: range, indptr, indices, counts):
+        self.rows = np.arange(rows.start, rows.stop)
+        lengths = np.diff(indptr[rows.start:rows.stop + 1])
+        filled = np.arange(lengths.max()) < lengths[:, None]  # row-major = CSR order
+        flat = slice(indptr[rows.start], indptr[rows.stop])
+        self.idx = np.zeros(filled.shape, dtype=np.int64)
+        self.cts = np.zeros(filled.shape)
+        self.idx[filled] = indices[flat]
+        self.cts[filled] = counts[flat]
         self.totals = self.cts.sum(axis=1)
 
 
@@ -453,7 +453,7 @@ def e_step_doc(counts_d: np.ndarray, mu_d: np.ndarray, sigma_inv: np.ndarray,
     mu = np.asarray(mu_d, dtype=float).reshape(1, k_free)
     eta = mu.copy()
     nu = np.zeros((1, k_free, k_free))
-    chunk = _Chunk(range(1), [(idx, counts_d[idx])])
+    chunk = _Chunk(range(1), [0, idx.size], idx, counts_d[idx])
     beta_ss, _ = _estep_chunk(chunk, eta, nu, mu, sigma_inv, beta)
     return DocPosterior(eta=eta[0], nu=nu[0], phi_sums=beta_ss.sum(axis=1))
 
@@ -477,13 +477,13 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
     k = config.k
     beta, eta = init_params(corpus, config)
     n_docs, n_terms = corpus.n_docs, corpus.n_terms
-    docs = [(idx, cts.astype(float)) for idx, cts in corpus.docs]
     gamma = np.zeros((x.shape[1], k - 1))
     sigma = np.eye(k - 1)
     nu = np.zeros((n_docs, k - 1, k - 1))
     bound_trace: list[float] = []
 
-    chunks = [_Chunk(range(start, min(start + _CHUNK, n_docs)), docs)
+    chunks = [_Chunk(range(start, min(start + _CHUNK, n_docs)), corpus.indptr,
+                     corpus.indices, corpus.counts)
               for start in range(0, n_docs, _CHUNK)]
     pool = (concurrent.futures.ThreadPoolExecutor(max_workers=threads)
             if threads > 1 else None)

@@ -12,6 +12,19 @@ import math
 import numpy as np
 
 
+def padded_chunk_reference(docs: list[tuple[np.ndarray, np.ndarray]]):
+    """(idx, cts, totals) of an E-step chunk, padded one document at a
+    time: row i holds document i's term indices and float counts, then
+    zeros (term 0, count 0) up to the longest document."""
+    width = max(idx.size for idx, _ in docs)
+    idx_out = np.zeros((len(docs), width), dtype=np.int64)
+    cts_out = np.zeros((len(docs), width))
+    for i, (idx, cts) in enumerate(docs):
+        idx_out[i, :idx.size] = idx
+        cts_out[i, :idx.size] = cts
+    return idx_out, cts_out, cts_out.sum(axis=1)
+
+
 def coherence_brute_force(beta_row: np.ndarray, doc_term_lists: list[set[int]],
                           m: int) -> float:
     """Double-loop coherence over the top-m terms of one topic.

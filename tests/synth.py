@@ -38,8 +38,7 @@ def model_draw(seed: int, *, n_docs: int = 400, n_terms: int = 500,
         covs.append(CovariateRecord(f"D{d:04d}", 1000.0, 1e6, 0.0, 0,
                                     bool(x_bin[d]), "EAS"))
         years.append(1990)
-    corpus = Corpus(vocabulary=vocab, doc_ids=ids, docs=docs,
-                    covariates=covs, years=years)
+    corpus = Corpus.from_docs(vocab, ids, docs, covs, years)
     xs = (x_bin - x_bin.mean()) / x_bin.std()
     design = PrevalenceDesign(x=np.column_stack([np.ones(n_docs), xs]),
                               column_names=["(intercept)", "x"],
@@ -62,8 +61,7 @@ def two_block_corpus(seed: int = 0, n_docs: int = 60, n_terms: int = 40,
         ids.append(f"B{d:03d}")
         covs.append(CovariateRecord(f"B{d:03d}", 1.0, 1.0, 0.0, 0, False, "EAS"))
         years.append(1990)
-    return Corpus(vocabulary=vocab, doc_ids=ids, docs=docs,
-                  covariates=covs, years=years)
+    return Corpus.from_docs(vocab, ids, docs, covs, years)
 
 
 def greedy_align(beta_true: np.ndarray, beta_fit: np.ndarray,
@@ -88,11 +86,19 @@ def greedy_align(beta_true: np.ndarray, beta_fit: np.ndarray,
     return mapping
 
 
+def csr(docs: list[tuple[np.ndarray, np.ndarray]]):
+    """CSR triple (indptr, indices, counts) of per-document (term indices,
+    counts) pairs; the counts keep their dtype."""
+    return (np.cumsum([0] + [len(idx) for idx, _ in docs]),
+            np.concatenate([idx for idx, _ in docs]),
+            np.concatenate([cts for _, cts in docs]))
+
+
 def counts_dense(corpus: Corpus) -> np.ndarray:
     """Dense D x V integer count matrix of a corpus."""
     out = np.zeros((corpus.n_docs, corpus.n_terms), dtype=np.int64)
-    for d, (idx, cts) in enumerate(corpus.docs):
-        out[d, idx] = cts
+    out[np.repeat(np.arange(corpus.n_docs), np.diff(corpus.indptr)),
+        corpus.indices] = corpus.counts
     return out
 
 
@@ -112,5 +118,4 @@ def tiny_corpus(doc_terms: list[list[str]], doc_ids: list[str] | None = None) ->
         ids.append(doc_id)
         covs.append(CovariateRecord(doc_id, 1.0, 1.0, 0.0, 0, False, "EAS"))
         years.append(1990)
-    return Corpus(vocabulary=vocab, doc_ids=ids, docs=docs,
-                  covariates=covs, years=years)
+    return Corpus.from_docs(vocab, ids, docs, covs, years)

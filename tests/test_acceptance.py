@@ -55,7 +55,8 @@ def test_criterion_1_coherence_oracle():
         beta /= beta.sum(axis=1, keepdims=True)
         m = int(rng.integers(2, min(6, corpus.n_terms) + 1))
         ours = semantic_coherence(beta, corpus, m=m)
-        doc_sets = [set(idx.tolist()) for idx, _ in corpus.docs]
+        doc_sets = [set(idx.tolist())
+                    for idx in np.split(corpus.indices, corpus.indptr[1:-1])]
         for k in range(3):
             oracle = coherence_brute_force(beta[k], doc_sets, m)
             exact = exact and (ours[k] == oracle)

@@ -1,5 +1,6 @@
 """Pipeline CLI: stage wiring, manifests, determinism, config validation."""
 
+import importlib
 import json
 import os
 import re
@@ -252,6 +253,72 @@ class TestTopicsAgainstModel:
         assert err["error"] == "ConfigError"
         assert err["violations"] == [
             "effects.targets[0].covariate 'gdp_pc' does not appear in the formula"]
+
+
+class TestTopNAgainstVocabulary:
+    """A top-n count larger than the vocabulary is a ConfigError once the
+    stage knows the vocabulary: before search fits anything, and before
+    metrics or report writes a file."""
+
+    @pytest.mark.parametrize("stage, name, outputs", [
+        ("search", "metrics.coherence_m", ["search.json", "search_points.csv"]),
+        ("metrics", "metrics.coherence_m",
+         ["topic_summaries.json", "model_quality.json", "top_words.txt"]),
+        ("report", "report.wordcloud_n", ["report"])])
+    def test_exit_is_structured(self, sample_all, tmp_path, capsys, monkeypatch,
+                                stage, name, outputs):
+        config, out = TestTopicsAgainstModel.copy_run(sample_all, tmp_path)
+        n_terms = len(read_json(out / "corpus.json")["vocabulary"])
+        set_setting(config, name, 100000)
+        for output in outputs:
+            path = out / output
+            shutil.rmtree(path) if path.is_dir() else path.unlink()
+        # a candidate fit would fail as CandidateFailed, not as ConfigError
+        monkeypatch.setattr(importlib.import_module("agendascope.search"), "fit", None)
+        capsys.readouterr()
+        assert run_cli(stage, "--config", config) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["violations"] == [
+            f"{name} is 100000, but the vocabulary has {n_terms} terms"]
+        assert not any((out / output).exists() for output in outputs)
+
+
+class TestMalformedArtifacts:
+    """An artifact with a missing key or counts that do not fit the corpus
+    fails as CorruptArtifact naming the file, not as a KeyError."""
+
+    @staticmethod
+    def old_layout(obj):
+        """corpus.json with per-document [[term, count], ...] pairs."""
+        indptr = obj.pop("indptr")
+        indices, counts = obj.pop("indices"), obj.pop("counts")
+        for d, entry in enumerate(obj["docs"]):
+            span = range(indptr[d], indptr[d + 1])
+            entry["terms"] = [[indices[i], counts[i]] for i in span]
+
+    @pytest.mark.parametrize("name, stage, edit, reason", [
+        ("corpus.json", "metrics", old_layout, "missing key 'indptr'"),
+        ("corpus.json", "metrics", lambda o: o.pop("docs"), "missing key 'docs'"),
+        ("corpus.json", "metrics",
+         lambda o: o["indices"].__setitem__(0, len(o["vocabulary"])),
+         "a term index lies outside [0, "),
+        ("model.json", "report", lambda o: o.pop("beta"), "missing key 'beta'"),
+        ("search.json", "fit", lambda o: o.pop("selected_k"), "missing key 'selected_k'"),
+    ])
+    def test_exit_is_structured(self, sample_all, tmp_path, capsys, name, stage,
+                                edit, reason):
+        config, out = sample_all
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        obj = read_json(copy / name)
+        edit(obj)
+        (copy / name).write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run_cli(stage, "--config", config, "--out", copy) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CorruptArtifact"
+        assert err["message"].startswith(f"corrupt artifact {copy / name}: {reason}")
 
 
 class TestConfig:

@@ -1,14 +1,16 @@
 """Corpus ingestion: tokenization, thresholding, covariate joins, layout."""
 
+import json
+
 import numpy as np
 import pytest
 
 from agendascope.corpus import (Corpus, CovariateRecord, PreprocessConfig,
                                 RawDocument, build_corpus, load_ungdc_layout,
                                 read_metadata, tokenize)
-from agendascope.errors import (AllDocumentsEmpty, DuplicateDocId,
-                                EmptyDirectory, MetadataParseError)
-from agendascope.jsonio import dumps_canonical
+from agendascope.errors import (AllDocumentsEmpty, CorruptArtifact,
+                                DuplicateDocId, EmptyDirectory,
+                                MetadataParseError)
 
 
 def cov(doc_id, **kw):
@@ -102,10 +104,10 @@ class TestBuildCorpus:
         covs = [cov(f"d{i}") for i in range(3)]
         cfg = PreprocessConfig(min_doc_freq=1)
         corpus, _ = build_corpus(docs, covs, cfg)
-        for d, raw in zip(corpus.docs, texts):
+        for cts, raw in zip(np.split(corpus.counts, corpus.indptr[1:-1]), texts):
             surviving = tokenize(raw, cfg)
             in_vocab = [t for t in surviving if t in corpus.vocabulary]
-            assert int(d[1].sum()) == len(in_vocab)
+            assert int(cts.sum()) == len(in_vocab)
 
     def test_vocabulary_sorted_unique_threshold(self):
         docs = [doc(f"d{i}", "alpha beta gamma delta") for i in range(3)]
@@ -116,20 +118,108 @@ class TestBuildCorpus:
         presence = corpus.presence_matrix()
         assert presence.sum(axis=0).min() >= 3
 
-    def test_serialization_deterministic_and_round_trips(self):
+    def test_serialization_deterministic_and_round_trips(self, tmp_path):
         docs = [doc("a", "peace talks economy"), doc("b", "economy peace")]
         covs = [cov("a", oda=-5.2), cov("b", polity=None)]
         corpus1, _ = build_corpus(docs, covs, PreprocessConfig(min_doc_freq=1))
         corpus2, _ = build_corpus(docs, covs, PreprocessConfig(min_doc_freq=1))
-        blob1 = dumps_canonical(corpus1.to_json_obj())
-        blob2 = dumps_canonical(corpus2.to_json_obj())
+        blob1 = corpus1.save(tmp_path / "1.json").read_bytes()
+        blob2 = corpus2.save(tmp_path / "2.json").read_bytes()
         assert blob1 == blob2
-        back = Corpus.from_json_obj(corpus1.to_json_obj())
+        back = Corpus.load(tmp_path / "1.json")
         assert back.vocabulary == corpus1.vocabulary
         assert back.doc_ids == corpus1.doc_ids
         assert back.covariates == corpus1.covariates
-        for (i1, c1), (i2, c2) in zip(back.docs, corpus1.docs):
-            assert np.array_equal(i1, i2) and np.array_equal(c1, c2)
+        for a1, a2 in ((back.indptr, corpus1.indptr), (back.indices, corpus1.indices),
+                       (back.counts, corpus1.counts)):
+            assert np.array_equal(a1, a2)
+
+
+class TestCsrLayout:
+    """The term counts are one CSR triple, in memory and in corpus.json."""
+
+    DOCS = [(np.array([0, 2, 5]), np.array([1, 4, 2])),
+            (np.array([1]), np.array([3])),
+            (np.array([0, 1, 3, 4]), np.array([2, 1, 1, 7])),
+            (np.array([5]), np.array([1]))]
+
+    def corpus(self):
+        ids = [f"d{i}" for i in range(len(self.DOCS))]
+        return Corpus.from_docs([f"t{v}" for v in range(6)], ids, self.DOCS,
+                                [cov(i) for i in ids], [1970, 1980, 1990, 2000])
+
+    def test_from_docs_is_csr(self):
+        corpus = self.corpus()
+        assert corpus.indptr.tolist() == [0, 3, 4, 8, 9]
+        assert corpus.indices.tolist() == [0, 2, 5, 1, 0, 1, 3, 4, 5]
+        assert corpus.counts.tolist() == [1, 4, 2, 3, 2, 1, 1, 7, 1]
+        assert {a.dtype for a in (corpus.indptr, corpus.indices, corpus.counts)} == {
+            np.dtype(np.int64)}
+        assert corpus.term_totals().tolist() == [3, 4, 4, 1, 7, 3]
+        presence = corpus.presence_matrix()
+        for d, (idx, _) in enumerate(self.DOCS):
+            assert np.flatnonzero(presence[d]).tolist() == idx.tolist()
+
+    def test_save_load_round_trip(self, tmp_path):
+        corpus = self.corpus()
+        path = corpus.save(tmp_path / "corpus.json")
+        obj = json.loads(path.read_text())
+        assert set(obj) == {"vocabulary", "docs", "indptr", "indices", "counts",
+                            "covariates"}
+        assert [d["id"] for d in obj["docs"]] == corpus.doc_ids
+        assert [d["year"] for d in obj["docs"]] == corpus.years
+        for key in ("indptr", "indices", "counts"):
+            assert all(type(v) is int for v in obj[key])
+            assert obj[key] == getattr(corpus, key).tolist()
+        back = Corpus.load(path)
+        for key in ("indptr", "indices", "counts"):
+            assert getattr(back, key).dtype == np.int64
+            assert np.array_equal(getattr(back, key), getattr(corpus, key))
+        assert (back.vocabulary, back.doc_ids, back.years, back.covariates) == (
+            corpus.vocabulary, corpus.doc_ids, corpus.years, corpus.covariates)
+
+    def test_subset(self):
+        sub = self.corpus().subset(np.array([2, 0]))
+        expected = Corpus.from_docs(sub.vocabulary, ["d2", "d0"],
+                                    [self.DOCS[2], self.DOCS[0]],
+                                    [cov("d2"), cov("d0")], [1990, 1970])
+        assert sub.doc_ids == ["d2", "d0"] and sub.years == [1990, 1970]
+        assert sub.covariates == expected.covariates
+        for key in ("indptr", "indices", "counts"):
+            assert np.array_equal(getattr(sub, key), getattr(expected, key))
+
+    def test_empty_subset(self):
+        sub = self.corpus().subset([])
+        assert sub.n_docs == 0 and sub.n_terms == 6
+        assert sub.indptr.tolist() == [0]
+        assert sub.indices.dtype == sub.counts.dtype == np.int64
+        assert sub.indices.size == sub.counts.size == 0
+        assert sub.term_totals().tolist() == [0] * 6
+        assert sub.presence_matrix().shape == (0, 6)
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda o: o.pop("indptr"), "missing key 'indptr'"),
+        (lambda o: o["docs"][0].pop("id"), "missing key 'id'"),
+        (lambda o: o.update(indptr=[0, 3, 4, 8]), "indptr has shape (4,) for 4 docs"),
+        (lambda o: o.update(indptr=[1, 3, 4, 8, 9]), "indptr must start at 0"),
+        (lambda o: o.update(indptr=[0, 4, 3, 8, 9]), "indptr must start at 0"),
+        (lambda o: o.update(indptr=[0, 3, 4, 8, 8]), "indptr must start at 0"),
+        (lambda o: o["counts"].pop(), "indices and counts must be flat lists"),
+        (lambda o: o["indices"].__setitem__(2, 6), "a term index lies outside [0, 6)"),
+        (lambda o: o["indices"].__setitem__(2, -1), "a term index lies outside [0, 6)"),
+        (lambda o: o["counts"].__setitem__(2, 0), "a count is not positive"),
+        (lambda o: o["covariates"].pop(), "3 covariate records for 4 docs"),
+        (lambda o: o["covariates"][0].pop("region"), "region"),
+    ])
+    def test_malformed_file_is_corrupt(self, tmp_path, edit, reason):
+        path = self.corpus().save(tmp_path / "corpus.json")
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CorruptArtifact) as err:
+            Corpus.load(path)
+        assert err.value.path == str(path)
+        assert reason in err.value.reason
 
 
 class TestCovariateRecord:

@@ -57,14 +57,17 @@ class TestSemanticCoherence:
             beta = random_beta(rng, 3, corpus.n_terms)
             m = int(rng.integers(2, min(6, corpus.n_terms) + 1))
             got = semantic_coherence(beta, corpus, m=m)
-            doc_sets = [set(idx.tolist()) for idx, _ in corpus.docs]
+            doc_sets = [set(idx.tolist())
+                        for idx in np.split(corpus.indices, corpus.indptr[1:-1])]
             for k in range(3):
                 expected = coherence_brute_force(beta[k], doc_sets, m)
                 assert got[k] == expected  # bit-exact, same expression order
 
     def test_term_absent_error(self):
         corpus = tiny_corpus([["aaa", "bbb"]])
-        corpus.docs[0] = (np.array([0]), np.array([2]))  # strip term bbb
+        # strip term bbb
+        corpus.indptr, corpus.indices, corpus.counts = (np.array([0, 1]), np.array([0]),
+                                                        np.array([2]))
         beta = np.array([[0.3, 0.7]])
         with pytest.raises(TermAbsentFromCorpus):
             semantic_coherence(beta, corpus, m=2)

@@ -20,8 +20,9 @@ from agendascope.stm import (FitConfig, FittedModel, PrevalenceDesign,
                              _Chunk, _damped_cholesky, _estep_chunk,
                              _scatter_counts, e_step_doc, fit, init_params, m_step,
                              softmax_with_zero)
-from oracles import estep_chunk_reference, grid_search_eta, ridge_closed_form
-from synth import (counts_dense, greedy_align, model_draw, tiny_corpus,
+from oracles import (estep_chunk_reference, grid_search_eta, padded_chunk_reference,
+                     ridge_closed_form)
+from synth import (counts_dense, csr, greedy_align, model_draw, tiny_corpus,
                    two_block_corpus)
 
 
@@ -150,7 +151,24 @@ class TestKernel:
         docs = [(np.array([0, 3, 5]), np.array([2.0, 1.0, 4.0])),
                 (np.array([0, 1]), np.array([1.0, 3.0])),
                 (np.array([0, 2, 4, 6, 7]), np.array([1.0, 2.0, 1.0, 5.0, 2.0]))]
-        return _Chunk(range(3), docs)
+        return _Chunk(range(3), *csr(docs))
+
+    def test_chunk_from_csr_equals_padded_reference(self):
+        # a chunk from the middle of a CSR triple, its documents of
+        # lengths 1..12 in random order, the counts int64 as in a Corpus
+        rng = np.random.default_rng(5)
+        docs = []
+        for n in rng.permutation(np.arange(1, 13)):
+            docs.append((np.sort(rng.choice(40, n, replace=False)),
+                         rng.integers(1, 9, n)))
+        indptr, indices, counts = csr(docs)
+        chunk = _Chunk(range(3, 10), indptr, indices, counts)
+        idx, cts, totals = padded_chunk_reference(docs[3:10])
+        assert chunk.rows.tolist() == list(range(3, 10))
+        assert chunk.idx.dtype == idx.dtype and chunk.cts.dtype == cts.dtype
+        assert np.array_equal(chunk.idx, idx)
+        assert np.array_equal(chunk.cts, cts)
+        assert np.array_equal(chunk.totals, totals)
 
     @pytest.mark.parametrize("k", [2, 5, 30])
     def test_neg_hessian_matches_finite_differences(self, k):
@@ -223,7 +241,7 @@ class TestKernelMatchesReference:
             docs = [(np.arange(6 + d), np.full(6 + d, 3.0)) for d in range(m)]
             mu = rng.normal(scale=0.3, size=(m, k - 1))
             eta = -8.0 + rng.normal(scale=0.5, size=(m, k - 1))
-            return _Chunk(range(m), docs), eta, mu, 1e-3 * np.eye(k - 1), beta, 1e-8
+            return _Chunk(range(m), *csr(docs)), eta, mu, 1e-3 * np.eye(k - 1), beta, 1e-8
         (prior, spread, scale, grad_tol), seeds = cls.CASES[name]
         rng = np.random.default_rng(seeds[k])
         beta = rng.dirichlet(np.full(v, 0.5), size=k)
@@ -234,7 +252,7 @@ class TestKernelMatchesReference:
                          rng.integers(1, 6, n) * scale))
         mu = rng.normal(scale=0.3, size=(m, k - 1))
         eta = mu + rng.normal(scale=spread, size=(m, k - 1)) if spread else mu.copy()
-        return _Chunk(range(m), docs), eta, mu, prior * np.eye(k - 1), beta, grad_tol
+        return _Chunk(range(m), *csr(docs)), eta, mu, prior * np.eye(k - 1), beta, grad_tol
 
     @pytest.mark.parametrize("k", [3, 8, 30])
     @pytest.mark.parametrize("name", ["accept", "halve", "frozen", "damped"])
