@@ -57,13 +57,13 @@ def _load_model(out_dir: Path) -> tuple[FittedModel, dict[str, Path]]:
     return model, {"model": model_path, "model_nu": FittedModel.nu_path(model_path)}
 
 
-def _check_settings(n_terms: int, sizes: dict[str, int], k: int = 0,
+def _check_settings(n_terms: int, k: int, *, sizes: dict[str, int] | None = None,
                     topics: dict[str, list[int]] | None = None) -> None:
     """Raise one ConfigError naming, by its config setting, every top-n count
     in ``sizes`` larger than the ``n_terms`` vocabulary and every topic in
-    ``topics`` the model's ``k`` does not have."""
+    ``topics`` that ``k`` topics do not have."""
     violations = [f"{key} is {n}, but the vocabulary has {n_terms} terms"
-                  for key, n in sizes.items() if n > n_terms]
+                  for key, n in (sizes or {}).items() if n > n_terms]
     violations += [f"{key} names topic {t}, but the model has k={k}"
                    for key, ts in (topics or {}).items() for t in ts if t >= k]
     if violations:
@@ -124,7 +124,8 @@ def run_search(cfg: RunConfig) -> Stage:
         raise ConfigError(["search stage requires fit.k_grid"])
     corpus_path = _require(out_dir, CORPUS_FILE, "ingest")
     corpus = Corpus.load(corpus_path)
-    _check_settings(corpus.n_terms, {"metrics.coherence_m": cfg.coherence_m})
+    _check_settings(corpus.n_terms, max(cfg.k_grid),
+                    sizes={"metrics.coherence_m": cfg.coherence_m})
     built, sub = _design_and_subset(cfg, corpus)
     result = search(sub, built.design, cfg.k_grid,
                     _fit_config(cfg, cfg.k_grid[0]),
@@ -159,7 +160,8 @@ def run_metrics(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     corpus_path = _require(out_dir, CORPUS_FILE, "ingest")
     model, model_inputs = _load_model(out_dir)
-    _check_settings(len(model.vocabulary), {"metrics.coherence_m": cfg.coherence_m})
+    _check_settings(len(model.vocabulary), model.k,
+                    sizes={"metrics.coherence_m": cfg.coherence_m})
     corpus = Corpus.load(corpus_path)
     summaries = summarize_topics(model.beta, model.vocabulary, corpus,
                                  n_words=cfg.top_words, frex_w=cfg.frex_w)
@@ -189,9 +191,9 @@ def run_effects(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     corpus_path = _require(out_dir, CORPUS_FILE, "ingest")
     model, model_inputs = _load_model(out_dir)
-    _check_settings(len(model.vocabulary), {}, model.k,
-                    {f"effects.targets[{i}].topics": t.topics
-                     for i, t in enumerate(cfg.targets)})
+    _check_settings(len(model.vocabulary), model.k,
+                    topics={f"effects.targets[{i}].topics": t.topics
+                            for i, t in enumerate(cfg.targets)})
     corpus = Corpus.load(corpus_path)
     table = _aligned_table(corpus, model)
     effects_dir = out_dir / "effects"
@@ -226,11 +228,11 @@ def run_effects(cfg: RunConfig) -> Stage:
 def run_report(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     model, model_inputs = _load_model(out_dir)
-    _check_settings(len(model.vocabulary), {"report.wordcloud_n": cfg.wordcloud_n},
-                    model.k,
-                    {"report.wordcloud_topics": cfg.wordcloud_topics,
-                     **{f"report.perspectives[{i}]": pair
-                        for i, pair in enumerate(cfg.perspectives)}})
+    _check_settings(len(model.vocabulary), model.k,
+                    sizes={"report.wordcloud_n": cfg.wordcloud_n},
+                    topics={"report.wordcloud_topics": cfg.wordcloud_topics,
+                            **{f"report.perspectives[{i}]": pair
+                               for i, pair in enumerate(cfg.perspectives)}})
     report_dir = out_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []

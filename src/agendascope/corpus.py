@@ -183,11 +183,13 @@ class Corpus:
     def load(cls, path: str | Path) -> "Corpus":
         obj = read_json(path)
         with malformed_as_corrupt(path):
+            csr = {key: np.asarray(obj[key]) for key in ("indptr", "indices", "counts")}
+            not_int = [key for key, a in csr.items() if a.size and a.dtype.kind != "i"]
+            if not_int:
+                raise CorruptArtifact(str(path), f"{', '.join(not_int)} must be integers")
             corpus = cls(vocabulary=list(obj["vocabulary"]),
                          doc_ids=[entry["id"] for entry in obj["docs"]],
-                         indptr=np.array(obj["indptr"], dtype=np.int64),
-                         indices=np.array(obj["indices"], dtype=np.int64),
-                         counts=np.array(obj["counts"], dtype=np.int64),
+                         **{key: a.astype(np.int64, copy=False) for key, a in csr.items()},
                          covariates=[CovariateRecord(**c) for c in obj["covariates"]],
                          years=[int(entry["year"]) for entry in obj["docs"]])
         problem = corpus._csr_problem()
@@ -206,6 +208,10 @@ class Corpus:
             return "indptr must start at 0, never decrease and end at len(indices)"
         if indices.size and not 0 <= indices.min() <= indices.max() < self.n_terms:
             return f"a term index lies outside [0, {self.n_terms})"
+        row_start = np.zeros(indices.size + 1, dtype=bool)
+        row_start[indptr] = True
+        if ((indices[1:] <= indices[:-1]) & ~row_start[1:-1]).any():
+            return "a document's term indices are not strictly ascending"
         if (self.counts <= 0).any():
             return "a count is not positive"
         if len(self.covariates) != n:

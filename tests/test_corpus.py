@@ -208,6 +208,11 @@ class TestCsrLayout:
         (lambda o: o["indices"].__setitem__(2, 6), "a term index lies outside [0, 6)"),
         (lambda o: o["indices"].__setitem__(2, -1), "a term index lies outside [0, 6)"),
         (lambda o: o["counts"].__setitem__(2, 0), "a count is not positive"),
+        (lambda o: o["counts"].__setitem__(0, 2.7), "counts must be integers"),
+        (lambda o: o["indices"].__setitem__(1, 1.9), "indices must be integers"),
+        (lambda o: o.update(indptr=[0, 3, 4, 8, 9.0]), "indptr must be integers"),
+        (lambda o: o["indices"].__setitem__(1, 5), "not strictly ascending"),
+        (lambda o: o["indices"].__setitem__(5, 0), "not strictly ascending"),
         (lambda o: o["covariates"].pop(), "3 covariate records for 4 docs"),
         (lambda o: o["covariates"][0].pop("region"), "region"),
     ])

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Time the corpus layer on a corpus the size of the UN General Debate corpus.
 
-    PYTHONPATH=src python3 tools/scale.py [--docs 7500] [--terms 8000]
+    PYTHONPATH=src python3 tools/scale.py
 
 Draws a corpus from the model with ``tests/synth.py``'s ``model_draw(0,
-docs, terms, k=50, doc_len=1200)`` (7,500 documents by default, as in
+n_docs=7500, n_terms=8000, k=50, doc_len=1200)`` (7,500 documents, as in
 UNGDC 1970-2016), then times one call each of ``Corpus.save``,
 ``Corpus.load``, ``subset`` (every document but each tenth) and
 ``presence_matrix``. Prints one JSON object with those seconds, the size of
@@ -16,7 +16,6 @@ iterations at this scale are not timed.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import resource
@@ -42,13 +41,7 @@ def timed(call):
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--docs", type=int, default=7500)
-    parser.add_argument("--terms", type=int, default=8000)
-    args = parser.parse_args()
-
-    corpus = model_draw(0, n_docs=args.docs, n_terms=args.terms, k=50,
-                        doc_len=1200)[0]
+    corpus = model_draw(0, n_docs=7500, n_terms=8000, k=50, doc_len=1200)[0]
     seconds = {}
     with tempfile.TemporaryDirectory() as tmp:
         path, seconds["save"] = timed(lambda: corpus.save(Path(tmp) / "corpus.json"))
