@@ -7,7 +7,7 @@ import csv
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -99,6 +99,16 @@ class BuildReport:
     unmatched_covariates: list[str] = field(default_factory=list)
 
 
+def csr_take(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, take) for the rows ``rows`` of a CSR layout: each row's
+    entry count, and the positions of those rows' entries in ``indices``
+    and ``counts``, row after row in the order of ``rows``."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    offsets = np.cumsum(lengths) - lengths
+    return lengths, np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
 @dataclass
 class Corpus:
     """Immutable preprocessed corpus.
@@ -145,11 +155,13 @@ class Corpus:
         return out
 
     def subset(self, indices: np.ndarray | list[int]) -> "Corpus":
-        """Row subset sharing the vocabulary (used for per-analysis drops)."""
+        """Row subset sharing the vocabulary (used for per-analysis drops).
+        Every row in order gives a corpus that shares the CSR arrays."""
         rows = np.asarray(indices, dtype=np.int64)
-        starts, lengths = self.indptr[rows], np.diff(self.indptr)[rows]
+        if np.array_equal(rows, np.arange(self.n_docs)):
+            return replace(self)
+        lengths, take = csr_take(self.indptr, rows)
         indptr = np.cumsum(np.concatenate([[0], lengths]), dtype=np.int64)
-        take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
         return Corpus(vocabulary=self.vocabulary,
                       doc_ids=[self.doc_ids[i] for i in rows],
                       indptr=indptr, indices=self.indices[take],

@@ -4,8 +4,11 @@ Documents draw a (K-1)-dimensional logistic-normal prevalence vector whose
 mean is a linear function of document covariates; token topics follow the
 softmax-with-pinned-zero proportions. Fitting alternates a Laplace E-step
 (Newton ascent to each document's posterior mode, inverse curvature as the
-posterior covariance), batched over fixed 64-document chunks, with
-closed-form M-step updates.
+posterior covariance) with closed-form M-step updates. The E-step is batched
+over 64-document chunks of the documents sorted by decreasing distinct-term
+count (a stable sort), so a chunk pads its documents little; the partition,
+and so the order in which chunk results are summed, depends on the corpus
+alone and never on the thread count.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, csr_take
 from .errors import (CorruptArtifact, DimensionMismatch, HessianNotPD,
                      KExceedsVocabulary, MissingArtifact, NonFiniteObjective,
                      SingularDesign)
@@ -27,7 +30,7 @@ from .jsonio import malformed_as_corrupt, read_json, write_json
 logger = logging.getLogger(__name__)
 
 BETA_FLOOR = 1e-12
-_CHUNK = 64  # fixed E-step partition size; reduction order never depends on thread count
+_CHUNK = 64  # E-step chunk size; reduction order never depends on thread count
 
 
 @dataclass(frozen=True)
@@ -244,17 +247,17 @@ def init_params(corpus: Corpus, config: FitConfig) -> tuple[np.ndarray, np.ndarr
 
 
 class _Chunk:
-    """Zero-padded counts for the documents ``rows`` of a CSR triple."""
+    """Zero-padded counts for the documents ``rows`` of a CSR triple, in
+    the order given; row i of ``idx``/``cts`` is document ``rows[i]``."""
 
-    def __init__(self, rows: range, indptr, indices, counts):
-        self.rows = np.arange(rows.start, rows.stop)
-        lengths = np.diff(indptr[rows.start:rows.stop + 1])
+    def __init__(self, rows, indptr, indices, counts):
+        self.rows = np.asarray(rows, dtype=np.int64)
+        lengths, take = csr_take(indptr, self.rows)
         filled = np.arange(lengths.max()) < lengths[:, None]  # row-major = CSR order
-        flat = slice(indptr[rows.start], indptr[rows.stop])
         self.idx = np.zeros(filled.shape, dtype=np.int64)
         self.cts = np.zeros(filled.shape)
-        self.idx[filled] = indices[flat]
-        self.cts[filled] = counts[flat]
+        self.idx[filled] = indices[take]
+        self.cts[filled] = counts[take]
         self.totals = self.cts.sum(axis=1)
 
 
@@ -332,19 +335,19 @@ def _damped_cholesky(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return factors, fixed
 
 
-def _scatter_counts(b, w, den, cts, idx, n_terms):
-    """K x V expected token counts of a chunk, summed by term id.
+def _expected_counts(beta, w, den, cts, idx):
+    """K x V expected token counts of a chunk: ``b * (w / den) * cts``
+    summed by term, where ``b[d, j, pos] = beta[j, idx[d, pos]]``.
 
-    Topic j's m x width block ``b[:, j] * (w[:, j] / den) * cts`` goes
-    straight into one bincount, which adds each term's entries in the same
-    (document, position) order as ``np.add.at``, so the sums are
-    bit-identical to it.
+    So the sum is ``beta * (w.T @ r)``, one GEMM, with ``r`` the m x V
+    matrix holding ``cts / den`` at each document's terms and zeros
+    elsewhere. A document's terms are distinct; its filled positions are
+    those with ``cts > 0``, so padding (term 0, count 0) leaves ``r`` alone.
     """
-    terms = idx.ravel()
-    return np.stack([
-        np.bincount(terms, weights=(b[:, j] * (w[:, j, None] / den) * cts).ravel(),
-                    minlength=n_terms)
-        for j in range(b.shape[1])])
+    doc, pos = np.nonzero(cts > 0)
+    r = np.zeros((cts.shape[0], beta.shape[1]))
+    r[doc, idx[doc, pos]] = cts[doc, pos] / den[doc, pos]
+    return beta * (w.T @ r)
 
 
 def _estep_chunk(chunk: _Chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
@@ -428,7 +431,7 @@ def _estep_chunk(chunk: _Chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
 
     eta_all[rows] = eta
     nu_all[rows] = nu
-    return _scatter_counts(b, w, den, cts, chunk.idx, beta.shape[1]), bound
+    return _expected_counts(beta, w, den, cts, chunk.idx), bound
 
 
 def e_step_doc(counts_d: np.ndarray, mu_d: np.ndarray, sigma_inv: np.ndarray,
@@ -439,6 +442,11 @@ def e_step_doc(counts_d: np.ndarray, mu_d: np.ndarray, sigma_inv: np.ndarray,
     ascent starting from the prior mean ``mu_d``.
     """
     counts_d = np.asarray(counts_d, dtype=float)
+    if counts_d.shape != (beta.shape[1],):
+        raise DimensionMismatch(f"counts_d has shape {counts_d.shape}; expected "
+                                f"({beta.shape[1]},), one count per term of beta")
+    if not (np.isfinite(counts_d).all() and (counts_d >= 0).all()):
+        raise DimensionMismatch("counts_d must be finite and non-negative")
     idx = np.nonzero(counts_d)[0]
     if idx.size == 0:
         raise DimensionMismatch("document has no tokens")
@@ -453,7 +461,7 @@ def e_step_doc(counts_d: np.ndarray, mu_d: np.ndarray, sigma_inv: np.ndarray,
     mu = np.asarray(mu_d, dtype=float).reshape(1, k_free)
     eta = mu.copy()
     nu = np.zeros((1, k_free, k_free))
-    chunk = _Chunk(range(1), [0, idx.size], idx, counts_d[idx])
+    chunk = _Chunk([0], np.array([0, idx.size]), idx, counts_d[idx])
     beta_ss, _ = _estep_chunk(chunk, eta, nu, mu, sigma_inv, beta)
     return DocPosterior(eta=eta[0], nu=nu[0], phi_sums=beta_ss.sum(axis=1))
 
@@ -466,8 +474,8 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
     """Variational EM until the relative change of the approximate bound
     falls below ``config.rel_tol`` or ``config.max_em_iters`` is reached.
 
-    Deterministic given the seed: document order, chunk partitioning, and
-    reduction order are fixed regardless of ``threads``.
+    Deterministic given the seed: document order, the length-sorted chunk
+    partition, and reduction order are fixed regardless of ``threads``.
     """
     design.validate()
     x = np.asarray(design.x, dtype=float)
@@ -482,8 +490,11 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
     nu = np.zeros((n_docs, k - 1, k - 1))
     bound_trace: list[float] = []
 
-    chunks = [_Chunk(range(start, min(start + _CHUNK, n_docs)), corpus.indptr,
-                     corpus.indices, corpus.counts)
+    # longest documents first, so chunks pad little and a pool does not end
+    # on its heaviest chunk; the partition depends on the corpus alone
+    order = np.argsort(-np.diff(corpus.indptr), kind="stable")
+    chunks = [_Chunk(order[start:start + _CHUNK], corpus.indptr, corpus.indices,
+                     corpus.counts)
               for start in range(0, n_docs, _CHUNK)]
     pool = (concurrent.futures.ThreadPoolExecutor(max_workers=threads)
             if threads > 1 else None)

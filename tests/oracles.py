@@ -123,7 +123,8 @@ def ols_closed_form(x_vals: np.ndarray, y_vals: np.ndarray):
 # accepted step and once more for the whole chunk, and the m x K x width
 # count block. It adds only ``events``, a counter of the branches taken, so
 # a test can show that its chunk exercises the branch it names. The current
-# kernel must match it bit for bit.
+# kernel must match it bit for bit in eta, nu and the bound, and in the
+# expected counts to rtol 1e-14, since it sums them with one GEMM.
 
 
 def _ref_batch_value(eta, mu, sigma_inv, b, cts, totals):

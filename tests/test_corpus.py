@@ -188,6 +188,23 @@ class TestCsrLayout:
         for key in ("indptr", "indices", "counts"):
             assert np.array_equal(getattr(sub, key), getattr(expected, key))
 
+    def test_subset_of_every_row_shares_the_arrays(self):
+        corpus = self.corpus()
+        sub = corpus.subset(np.arange(corpus.n_docs))
+        for key in ("indptr", "indices", "counts"):
+            assert np.shares_memory(getattr(sub, key), getattr(corpus, key))
+            assert np.array_equal(getattr(sub, key), getattr(corpus, key))
+        assert (sub.vocabulary, sub.doc_ids, sub.years, sub.covariates) == (
+            corpus.vocabulary, corpus.doc_ids, corpus.years, corpus.covariates)
+
+    @pytest.mark.parametrize("rows", [[0, 1, 2], [1, 0, 2, 3]])
+    def test_proper_or_reordered_subset_copies(self, rows):
+        corpus = self.corpus()
+        sub = corpus.subset(rows)
+        assert sub.doc_ids == [corpus.doc_ids[i] for i in rows]
+        for key in ("indices", "counts"):
+            assert not np.shares_memory(getattr(sub, key), getattr(corpus, key))
+
     def test_empty_subset(self):
         sub = self.corpus().subset([])
         assert sub.n_docs == 0 and sub.n_terms == 6

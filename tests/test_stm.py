@@ -18,7 +18,7 @@ from agendascope.jsonio import dumps_canonical, read_json, write_json
 from agendascope.stm import (FitConfig, FittedModel, PrevalenceDesign,
                              _batch_neg_hessian, _batch_state, _batch_value,
                              _Chunk, _damped_cholesky, _estep_chunk,
-                             _scatter_counts, e_step_doc, fit, init_params, m_step,
+                             _expected_counts, e_step_doc, fit, init_params, m_step,
                              softmax_with_zero)
 from oracles import (estep_chunk_reference, grid_search_eta, padded_chunk_reference,
                      ridge_closed_form)
@@ -128,6 +128,17 @@ class TestEStepDoc:
         with pytest.raises(DimensionMismatch):
             e_step_doc(np.zeros(3), np.zeros(1), np.eye(1), beta)
 
+    @pytest.mark.parametrize("counts_d", [
+        [1.0, 2.0, 0.0, 1.0, 3.0, 1.0],   # longer than the vocabulary
+        [1.0, 2.0, 0.0, 1.0],             # shorter than the vocabulary
+        [1.0, -2.0, 0.0, 1.0, 3.0],       # a negative count
+        [1.0, np.nan, 0.0, 1.0, 3.0],     # a NaN count
+    ], ids=["long", "short", "negative", "nan"])
+    def test_bad_counts_rejected(self, counts_d):
+        beta = np.full((3, 5), 0.2)
+        with pytest.raises(DimensionMismatch):
+            e_step_doc(np.array(counts_d), np.zeros(2), np.eye(2), beta)
+
     @pytest.mark.parametrize("sigma_inv, error", [
         (np.eye(3), DimensionMismatch),                           # wrong shape
         (np.array([[1.0, 0.5], [0.0, 1.0]]), DimensionMismatch),  # asymmetric
@@ -154,21 +165,23 @@ class TestKernel:
         return _Chunk(range(3), *csr(docs))
 
     def test_chunk_from_csr_equals_padded_reference(self):
-        # a chunk from the middle of a CSR triple, its documents of
-        # lengths 1..12 in random order, the counts int64 as in a Corpus
+        # chunks from the middle of a CSR triple and from rows anywhere in
+        # it, in any order; the documents are of lengths 1..12 in random
+        # order, the counts int64 as in a Corpus
         rng = np.random.default_rng(5)
         docs = []
         for n in rng.permutation(np.arange(1, 13)):
             docs.append((np.sort(rng.choice(40, n, replace=False)),
                          rng.integers(1, 9, n)))
         indptr, indices, counts = csr(docs)
-        chunk = _Chunk(range(3, 10), indptr, indices, counts)
-        idx, cts, totals = padded_chunk_reference(docs[3:10])
-        assert chunk.rows.tolist() == list(range(3, 10))
-        assert chunk.idx.dtype == idx.dtype and chunk.cts.dtype == cts.dtype
-        assert np.array_equal(chunk.idx, idx)
-        assert np.array_equal(chunk.cts, cts)
-        assert np.array_equal(chunk.totals, totals)
+        for rows in (range(3, 10), [9, 2, 11, 5, 0]):
+            chunk = _Chunk(rows, indptr, indices, counts)
+            idx, cts, totals = padded_chunk_reference([docs[d] for d in rows])
+            assert chunk.rows.tolist() == list(rows)
+            assert chunk.idx.dtype == idx.dtype and chunk.cts.dtype == cts.dtype
+            assert np.array_equal(chunk.idx, idx)
+            assert np.array_equal(chunk.cts, cts)
+            assert np.array_equal(chunk.totals, totals)
 
     @pytest.mark.parametrize("k", [2, 5, 30])
     def test_neg_hessian_matches_finite_differences(self, k):
@@ -196,29 +209,37 @@ class TestKernel:
                 fd[:, i, j] = fd[:, j, i] = -(f[0] - f[1] - f[2] + f[3]) / (4 * h * h)
         assert np.abs(neg_h - fd).max() <= 1e-5 * np.abs(fd).max()
 
-    def test_scatter_equals_add_at(self):
+    def test_counts_gemm_equals_add_at(self):
+        # documents of lengths 1..20 in random order, so most rows are
+        # padded with (term 0, count 0) and some also hold a real term 0
         rng = np.random.default_rng(3)
-        m, k, width, n_terms = 20, 4, 50, 12
-        idx = rng.integers(0, n_terms, size=(m, width))
-        idx[:, 40:] = 0  # padding columns, as in _Chunk
-        # magnitudes over 16 decades, so another summation order would
-        # round differently; padding entries are zero, as in the E-step
-        b = rng.random((m, k, width)) * 10.0 ** rng.integers(-8, 8, (m, k, width))
-        w = rng.random((m, k)) + 0.1
-        den = rng.random((m, width)) + 0.1
-        cts = rng.integers(1, 5, (m, width)).astype(float)
-        cts[:, 40:] = 0.0
-        phi_c = b * (w[:, :, None] / den[:, None, :]) * cts[:, None, :]
+        k, n_terms = 4, 30
+        docs = []
+        for n in rng.permutation(np.arange(1, 21)):
+            terms = np.sort(rng.choice(n_terms, n, replace=False))
+            docs.append((terms, rng.integers(1, 5, n)))
+        chunk = _Chunk(range(len(docs)), *csr(docs))
+        assert (chunk.idx[chunk.cts > 0] == 0).any() and (chunk.cts == 0).any()
+        # magnitudes over 16 decades, with w and den as the E-step forms them
+        beta = rng.random((k, n_terms)) * 10.0 ** rng.integers(-8, 8, (k, n_terms))
+        w = rng.random((len(docs), k)) + 0.1
+        b = beta[:, chunk.idx].transpose(1, 0, 2)
+        den = (w[:, None, :] @ b)[:, 0, :]
+        phi_c = b * (w[:, :, None] / den[:, None, :]) * chunk.cts[:, None, :]
         reference = np.zeros((k, n_terms))
-        np.add.at(reference, (slice(None), idx), phi_c.transpose(1, 0, 2))
-        assert np.array_equal(_scatter_counts(b, w, den, cts, idx, n_terms),
-                              reference)
+        np.add.at(reference, (slice(None), chunk.idx), phi_c.transpose(1, 0, 2))
+
+        counts = _expected_counts(beta, w, den, chunk.cts, chunk.idx)
+        np.testing.assert_allclose(counts, reference, rtol=1e-14, atol=0)
+        assert np.array_equal(counts == 0, reference == 0)
+        assert counts.sum() == pytest.approx(chunk.cts.sum(), rel=1e-13)
 
 
 class TestKernelMatchesReference:
     """The E-step kernel against the earlier one, copied into ``oracles``:
-    the same floating-point operations in the same order, so every output
-    is bit-equal on chunks that take each branch of the Newton loop."""
+    the Newton loop does the same floating-point operations in the same
+    order, so eta, nu and the bound are bit-equal on chunks that take each
+    branch of it; the expected counts agree to a few ulps."""
 
     # (prior precision, start spread around mu, count scale, grad_tol) and
     # the first seed at K = 3, 8, 30 whose chunk takes the case's branch
@@ -275,8 +296,11 @@ class TestKernelMatchesReference:
         assert taken[name], dict(events)
         assert np.array_equal(eta, ref_eta)
         assert np.array_equal(nu, ref_nu)
-        assert np.array_equal(counts, ref_counts)
         assert bound == ref_bound
+        # the counts are one GEMM, not the reference's per-term sums, so
+        # they round differently
+        np.testing.assert_allclose(counts, ref_counts, rtol=1e-14, atol=0)
+        assert np.array_equal(counts == 0, ref_counts == 0)
 
 
 class TestMStep:
@@ -429,6 +453,34 @@ class TestFit:
         serial = fit(corpus, design, cfg, threads=1)
         threaded = fit(corpus, design, cfg, threads=4)
         assert dumps_canonical(serial) == dumps_canonical(threaded)
+
+    def test_chunks_sorted_by_length(self, monkeypatch):
+        # 150 documents of 40 tokens, so 20-31 distinct terms with ties:
+        # three chunks, the last one partial
+        corpus, design, _, _ = model_draw(12, n_docs=150, n_terms=300, doc_len=40)
+        lengths = np.diff(corpus.indptr)
+
+        def partition(threads):
+            made = []
+
+            class Recording(_Chunk):
+                def __init__(self, rows, *args):
+                    super().__init__(rows, *args)
+                    made.append(self.rows.tolist())
+
+            monkeypatch.setattr(stm_mod, "_Chunk", Recording)
+            fit(corpus, design, FitConfig(k=3, seed=0, max_em_iters=1),
+                threads=threads)
+            return made
+
+        chunks = partition(1)
+        assert chunks == partition(2)
+        order = [d for rows in chunks for d in rows]
+        assert sorted(order) == list(range(corpus.n_docs))
+        assert [len(rows) for rows in chunks] == [64, 64, 22]
+        assert np.all(np.diff(lengths[order]) <= 0)
+        # ties keep document order
+        assert order == sorted(range(corpus.n_docs), key=lambda d: (-lengths[d], d))
 
     def test_constant_design_column_rejected(self):
         corpus = two_block_corpus(seed=7, n_docs=10)
