@@ -20,7 +20,7 @@ from pathlib import Path
 from .config import RunConfig, load_config
 from .corpus import Corpus, PreprocessConfig, build_corpus, load_ungdc_layout
 from .design import build_design
-from .effects import _Composer, estimate_contrast, estimate_effect
+from .effects import EffectDraws, estimate_contrast, estimate_effect
 from .errors import AgendascopeError, ConfigError, MissingArtifact
 from .formula import parse_formula
 from .jsonio import write_json
@@ -199,24 +199,21 @@ def run_effects(cfg: RunConfig) -> Stage:
     effects_dir = out_dir / "effects"
     effects_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
-    seed = cfg.seed + _EFFECT_SEED_OFFSET
-    composer = (_Composer(model, cfg.formula, table, cfg.n_draws, seed)
-                if cfg.targets else None)
+    draws = (EffectDraws(model, cfg.formula, table, cfg.n_draws,
+                         cfg.seed + _EFFECT_SEED_OFFSET)
+             if cfg.targets else None)
     for target in cfg.targets:
         for topic in target.topics:
             if target.contrast is not None:
-                est = estimate_contrast(model, cfg.formula, table, topic,
-                                        target.covariate, target.contrast[0],
-                                        target.contrast[1], n_draws=cfg.n_draws,
-                                        seed=seed, composer=composer)
+                est = estimate_contrast(draws, topic, target.covariate,
+                                        *target.contrast)
                 outputs.append(write_json(
                     effects_dir / f"contrast_{target.covariate}_topic{topic}.json",
                     est))
             else:
-                est = estimate_effect(model, cfg.formula, table, topic,
-                                      target.covariate, n_draws=cfg.n_draws,
-                                      seed=seed, grid_points=target.grid_points,
-                                      hold=target.hold, composer=composer)
+                est = estimate_effect(draws, topic, target.covariate,
+                                      grid_points=target.grid_points,
+                                      hold=target.hold)
                 stem = f"effect_{target.covariate}_topic{topic}"
                 outputs.append(write_json(effects_dir / f"{stem}.json", est))
                 outputs.append(_write_csv(effects_dir / f"{stem}.csv",

@@ -3,13 +3,13 @@
 Turns a parsed formula plus a covariate table into a numeric matrix:
 intercept, cubic B-spline bases (boundary knots at the data range, interior
 knots at quantiles), one-hot dummies with the first level dropped, and
-standardized continuous columns. The builder records every learned
-parameter so covariate grids can be pushed through the identical encoding.
+standardized continuous columns. Each term's spec records its learned
+parameters so covariate grids can be pushed through the identical encoding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,15 +130,20 @@ def _spline_knots(values: np.ndarray, df: int, name: str) -> np.ndarray:
                            [hi] * (SPLINE_DEGREE + 1)])
 
 
-class DesignBuilder:
-    """Learned encoding for one formula over one table."""
+@dataclass
+class BuiltDesign:
+    """Learned encoding for one formula over one table, and the design of
+    the table's complete-case rows."""
 
-    def __init__(self, formula: Formula, specs: list, column_names: list[str],
-                 standardization: dict[str, tuple[float, float]]):
-        self.formula = formula
-        self.specs = specs
-        self.column_names = column_names
-        self.standardization = standardization
+    formula: Formula
+    specs: list
+    kept_rows: np.ndarray
+    dropped_rows: np.ndarray
+    design: PrevalenceDesign = field(init=False)
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.design.x
 
     def transform(self, table: dict[str, list]) -> np.ndarray:
         """Encode complete rows with the recorded parameters."""
@@ -161,18 +166,6 @@ class DesignBuilder:
                     raise ValueError(f"missing value in column {spec.name!r}")
                 blocks.append(spec.encode(col)[:, None])
         return np.hstack(blocks)
-
-
-@dataclass
-class BuiltDesign:
-    design: PrevalenceDesign
-    builder: DesignBuilder
-    kept_rows: np.ndarray
-    dropped_rows: np.ndarray
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.design.x
 
 
 def build_design(formula: Formula | str, table: dict[str, list]) -> BuiltDesign:
@@ -201,7 +194,6 @@ def build_design(formula: Formula | str, table: dict[str, list]) -> BuiltDesign:
 
     specs: list = []
     column_names = ["(intercept)"]
-    standardization: dict[str, tuple[float, float]] = {}
     for term in formula.terms:
         if term.kind == SPLINE:
             col = numeric_cache[term.name][kept_rows]
@@ -223,7 +215,6 @@ def build_design(formula: Formula | str, table: dict[str, list]) -> BuiltDesign:
             if scale == 0.0:
                 scale = 1.0
             spec = LinearSpec(name=term.name, mean=mean, scale=scale)
-            standardization[term.name] = (mean, scale)
             column_names.append(term.name)
         specs.append(spec)
 
@@ -231,14 +222,11 @@ def build_design(formula: Formula | str, table: dict[str, list]) -> BuiltDesign:
         raise InsufficientData(
             f"{kept_rows.size} complete rows for {len(column_names)} design columns")
 
-    builder = DesignBuilder(formula=formula, specs=specs,
-                            column_names=column_names,
-                            standardization=standardization)
+    built = BuiltDesign(formula=formula, specs=specs, kept_rows=kept_rows,
+                        dropped_rows=dropped_rows)
     sub_table = {name: [table[name][i] for i in kept_rows]
                  for name in formula.term_names()}
-    x = builder.transform(sub_table)
-    design = PrevalenceDesign(x=x, column_names=column_names,
-                              standardization=standardization)
-    design.validate()
-    return BuiltDesign(design=design, builder=builder,
-                       kept_rows=kept_rows, dropped_rows=dropped_rows)
+    built.design = PrevalenceDesign(x=built.transform(sub_table),
+                                    column_names=column_names)
+    built.design.validate()
+    return built

@@ -17,7 +17,7 @@ import numpy as np
 
 from .design import BuiltDesign, CategoricalSpec, SplineSpec, build_design
 from .errors import DimensionMismatch, SingularDesign
-from .formula import Formula, parse_formula
+from .formula import Formula
 from .stm import FittedModel, softmax_with_zero
 
 DEFAULT_DRAWS = 500
@@ -83,7 +83,7 @@ def _factor_stack(mats: np.ndarray) -> np.ndarray:
         return vecs * np.sqrt(np.maximum(vals, 0.0))[..., None, :]
 
 
-class _Composer:
+class EffectDraws:
     """Coefficient draws for every topic of one model and design: the one
     seeded draw loop that effects and contrasts project.
 
@@ -97,15 +97,14 @@ class _Composer:
     """
 
     def __init__(self, model: FittedModel, formula: Formula | str,
-                 covs: dict[str, list], n_draws: int, seed: int):
+                 covs: dict[str, list], n_draws: int = DEFAULT_DRAWS,
+                 seed: int = 0):
         if n_draws < MIN_DRAWS:
             raise ValueError(f"n_draws must be at least {MIN_DRAWS}")
         n_rows = len(next(iter(covs.values())))
         if n_rows != model.n_docs:
             raise DimensionMismatch(
                 f"covariate table has {n_rows} rows for {model.n_docs} documents")
-        if isinstance(formula, str):
-            formula = parse_formula(formula)
         self.built: BuiltDesign = build_design(formula, covs)
         self.covs = covs
         kept = self.built.kept_rows
@@ -121,8 +120,7 @@ class _Composer:
         vals, vecs = np.linalg.eigh(0.5 * (xtx + xtx.T))
         keep = vals > vals.max() * 1e-10
         rank = int(keep.sum())
-        n_spline_blocks = sum(isinstance(s, SplineSpec)
-                              for s in self.built.builder.specs)
+        n_spline_blocks = sum(isinstance(s, SplineSpec) for s in self.built.specs)
         if rank < self.p - n_spline_blocks:
             raise SingularDesign(
                 "effects design X'X is singular beyond the structural "
@@ -132,19 +130,18 @@ class _Composer:
         self.solver = (vecs * inv_vals) @ (vecs.T @ self.x.T)
         self.coef_factor = vecs * np.sqrt(inv_vals)
         self.dof = self.n - rank
-        self.model = model
         self.n_draws = n_draws
-        self.seed = seed
         self.coef = self._coefficient_draws(model.eta[kept],
-                                            _factor_stack(model.nu[kept]))
+                                            _factor_stack(model.nu[kept]),
+                                            seed)
 
-    def _coefficient_draws(self, eta: np.ndarray,
-                           nu_factors: np.ndarray) -> np.ndarray:
+    def _coefficient_draws(self, eta: np.ndarray, nu_factors: np.ndarray,
+                           seed: int) -> np.ndarray:
         """n_draws x K x p coefficient draws, from one generator per draw
         spawned from the seed."""
         k = eta.shape[1] + 1
         out = np.empty((self.n_draws, k, self.p))
-        children = np.random.SeedSequence(self.seed).spawn(self.n_draws)
+        children = np.random.SeedSequence(seed).spawn(self.n_draws)
         for i, child in enumerate(children):
             rng = np.random.default_rng(child)
             z = rng.standard_normal(eta.shape)
@@ -157,7 +154,7 @@ class _Composer:
             out[i] = bhat.T + np.sqrt(s2)[:, None] * (zb @ self.coef_factor.T)
         return out
 
-    def draws(self, topic: int, rows: np.ndarray) -> np.ndarray:
+    def project(self, topic: int, rows: np.ndarray) -> np.ndarray:
         """``rows @ b`` for each coefficient draw b of ``topic``, as an
         n_draws x len(rows) array."""
         return self.coef[:, topic, :] @ rows.T
@@ -167,7 +164,7 @@ class _Composer:
         (ties break to the alphabetically first level), over kept rows."""
         kept = self.built.kept_rows
         row: dict[str, object] = {}
-        for spec in self.built.builder.specs:
+        for spec in self.built.specs:
             if spec.name == exclude:
                 continue
             values = [self.covs[spec.name][i] for i in kept]
@@ -180,13 +177,19 @@ class _Composer:
         return row
 
 
-def _grid_for(composer: _Composer, target: str, grid_points: int):
-    spec = next(s for s in composer.built.builder.specs if s.name == target)
-    kept = composer.built.kept_rows
-    values = [composer.covs[target][i] for i in kept]
+def _check_request(draws: EffectDraws, topic: int, target: str) -> None:
+    k = draws.coef.shape[1]
+    if not 0 <= topic < k:
+        raise ValueError(f"topic {topic} out of range for k={k}")
+    if target not in draws.built.formula.term_names():
+        raise ValueError(f"target {target!r} does not appear in the formula")
+
+
+def _grid_for(draws: EffectDraws, target: str, grid_points: int) -> list:
+    spec = next(s for s in draws.built.specs if s.name == target)
     if isinstance(spec, CategoricalSpec):
         return list(spec.levels)
-    nums = np.array([float(v) for v in values])
+    nums = np.array([float(draws.covs[target][i]) for i in draws.built.kept_rows])
     uniq = np.unique(nums)
     if uniq.size <= grid_points:
         return [float(u) for u in uniq]
@@ -196,86 +199,56 @@ def _grid_for(composer: _Composer, target: str, grid_points: int):
     return [float(g) for g in np.linspace(lo, hi, grid_points)]
 
 
-def _prediction_matrix(composer: _Composer, target: str, grid: list,
+def _prediction_matrix(draws: EffectDraws, target: str, grid: list,
                        hold: str) -> np.ndarray:
-    builder = composer.built.builder
-    names = builder.formula.term_names()
+    built = draws.built
+    names = built.formula.term_names()
     if hold == "observed":
-        kept = composer.built.kept_rows
+        kept = built.kept_rows
         rows = []
-        base = {name: [composer.covs[name][i] for i in kept] for name in names}
+        base = {name: [draws.covs[name][i] for i in kept] for name in names}
         for g in grid:
             table = dict(base)
             table[target] = [g] * len(kept)
-            rows.append(builder.transform(table).mean(axis=0))
+            rows.append(built.transform(table).mean(axis=0))
         return np.stack(rows)
-    typical = composer.typical_row(exclude=target)
+    typical = draws.typical_row(exclude=target)
     table = {name: [] for name in names}
     for g in grid:
         for name in names:
             table[name].append(g if name == target else typical[name])
-    return builder.transform(table)
+    return built.transform(table)
 
 
-def _composer_for(model: FittedModel, formula: Formula | str,
-                  covs: dict[str, list], topic: int, target: str,
-                  n_draws: int, seed: int,
-                  composer: _Composer | None) -> _Composer:
-    if not 0 <= topic < model.k:
-        raise ValueError(f"topic {topic} out of range for k={model.k}")
-    if composer is None:
-        composer = _Composer(model, formula, covs, n_draws, seed)
-    elif (composer.model is not model or composer.n_draws != n_draws
-          or composer.seed != seed):
-        raise ValueError("composer was built for another model, n_draws or seed")
-    if target not in composer.built.builder.formula.term_names():
-        raise ValueError(f"target {target!r} does not appear in the formula")
-    return composer
-
-
-def estimate_effect(model: FittedModel, formula: Formula | str,
-                    covs: dict[str, list], topic: int, target: str, *,
-                    grid: list | None = None, n_draws: int = DEFAULT_DRAWS,
-                    seed: int = 0, grid_points: int = DEFAULT_GRID_POINTS,
-                    hold: str = "typical",
-                    composer: _Composer | None = None) -> EffectEstimate:
+def estimate_effect(draws: EffectDraws, topic: int, target: str, *,
+                    grid_points: int = DEFAULT_GRID_POINTS,
+                    hold: str = "typical") -> EffectEstimate:
     """Expected proportion of ``topic`` over a grid of ``target`` values,
     other covariates held at means/modes (or averaged over observed rows
     with ``hold='observed'``). Per-draw predictions are clipped to [0, 1].
-
-    ``composer`` shares one model's coefficient draws between estimates;
-    it must come from the same model, formula, covariates, ``n_draws`` and
-    ``seed``. Without it the draws are made for this call.
     """
-    composer = _composer_for(model, formula, covs, topic, target,
-                             n_draws, seed, composer)
-    if grid is None:
-        grid = _grid_for(composer, target, grid_points)
-    x_grid = _prediction_matrix(composer, target, grid, hold)
-    draws = np.clip(composer.draws(topic, x_grid), 0.0, 1.0)
-    lo, hi = quantile_pair(draws)
-    return EffectEstimate(topic_index=topic, covariate=target, grid=list(grid),
-                          mean=draws.mean(axis=0), ci_lower=lo, ci_upper=hi,
-                          n_draws=n_draws)
+    _check_request(draws, topic, target)
+    grid = _grid_for(draws, target, grid_points)
+    x_grid = _prediction_matrix(draws, target, grid, hold)
+    preds = np.clip(draws.project(topic, x_grid), 0.0, 1.0)
+    lo, hi = quantile_pair(preds)
+    return EffectEstimate(topic_index=topic, covariate=target, grid=grid,
+                          mean=preds.mean(axis=0), ci_lower=lo, ci_upper=hi,
+                          n_draws=draws.n_draws)
 
 
-def estimate_contrast(model: FittedModel, formula: Formula | str,
-                      covs: dict[str, list], topic: int, target: str,
-                      level_a, level_b, *, n_draws: int = DEFAULT_DRAWS,
-                      seed: int = 0,
-                      composer: _Composer | None = None) -> ContrastEstimate:
+def estimate_contrast(draws: EffectDraws, topic: int, target: str,
+                      level_a, level_b) -> ContrastEstimate:
     """Difference in expected topic proportion between two target levels.
 
     The draws depend only on the seed, so swapping the levels under the
-    same seed negates the point estimate and mirrors the interval exactly.
-    ``composer`` shares draws as in :func:`estimate_effect`.
+    same draws negates the point estimate and mirrors the interval exactly.
     """
-    composer = _composer_for(model, formula, covs, topic, target,
-                             n_draws, seed, composer)
-    x_pair = _prediction_matrix(composer, target, [level_a, level_b],
+    _check_request(draws, topic, target)
+    x_pair = _prediction_matrix(draws, target, [level_a, level_b],
                                 hold="typical")
     direction = x_pair[0] - x_pair[1]
-    deltas = composer.draws(topic, direction[None, :])[:, 0]
+    deltas = draws.project(topic, direction[None, :])[:, 0]
     lo, hi = quantile_pair(deltas)
     return ContrastEstimate(topic_index=topic, covariate=target,
                             level_a=level_a, level_b=level_b,

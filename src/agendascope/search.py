@@ -18,7 +18,7 @@ from .corpus import Corpus
 from .errors import CandidateFailed, DegenerateX
 from .jsonio import malformed_as_corrupt, read_json, write_json
 from .metrics import DEFAULT_FREX_WEIGHT, DEFAULT_TOP_WORDS, model_quality
-from .stm import FitConfig, FittedModel, PrevalenceDesign, fit
+from .stm import FitConfig, PrevalenceDesign, fit
 
 logger = logging.getLogger(__name__)
 
@@ -130,10 +130,3 @@ def search(corpus: Corpus, design: PrevalenceDesign, k_grid: list[int],
             fit_ref=f"seed:{cand_config.seed}"))
     return rank_candidates(candidates)
 
-
-def refit_selected(corpus: Corpus, design: PrevalenceDesign,
-                   result: ModelSearchResult, config: FitConfig,
-                   threads: int = 1) -> FittedModel:
-    """Refit the selected K at full tolerance with the master seed."""
-    final_config = replace(config, k=result.selected_k)
-    return fit(corpus, design, final_config, threads=threads)

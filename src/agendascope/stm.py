@@ -16,7 +16,7 @@ from __future__ import annotations
 import concurrent.futures
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -57,12 +57,10 @@ class FitConfig:
 
 @dataclass
 class PrevalenceDesign:
-    """Design matrix for the prevalence regression: intercept first,
-    continuous columns standardized with the (mean, scale) pairs recorded."""
+    """Design matrix for the prevalence regression, intercept first."""
 
     x: np.ndarray
     column_names: list[str]
-    standardization: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def validate(self) -> None:
         x = self.x
@@ -458,7 +456,13 @@ def e_step_doc(counts_d: np.ndarray, mu_d: np.ndarray, sigma_inv: np.ndarray,
         raise DimensionMismatch("sigma_inv must be finite and symmetric")
     if np.linalg.eigvalsh(sigma_inv).min() <= 0:
         raise HessianNotPD("sigma_inv is not positive definite")
-    mu = np.asarray(mu_d, dtype=float).reshape(1, k_free)
+    mu = np.asarray(mu_d, dtype=float)
+    if mu.shape != (k_free,):
+        raise DimensionMismatch(f"mu_d has shape {mu.shape}; expected ({k_free},), "
+                                "one prior mean per free topic of beta")
+    if not np.isfinite(mu).all():
+        raise DimensionMismatch("mu_d must be finite")
+    mu = mu.reshape(1, k_free)
     eta = mu.copy()
     nu = np.zeros((1, k_free, k_free))
     chunk = _Chunk([0], np.array([0, idx.size]), idx, counts_d[idx])

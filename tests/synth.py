@@ -41,9 +41,7 @@ def model_draw(seed: int, *, n_docs: int = 400, n_terms: int = 500,
     corpus = Corpus.from_docs(vocab, ids, docs, covs, years)
     xs = (x_bin - x_bin.mean()) / x_bin.std()
     design = PrevalenceDesign(x=np.column_stack([np.ones(n_docs), xs]),
-                              column_names=["(intercept)", "x"],
-                              standardization={"x": (float(x_bin.mean()),
-                                                     float(x_bin.std()))})
+                              column_names=["(intercept)", "x"])
     return corpus, design, beta, x_bin
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from agendascope.cli import main as cli_main
 from agendascope.design import build_design
-from agendascope.effects import estimate_contrast, estimate_effect
+from agendascope.effects import EffectDraws, estimate_contrast, estimate_effect
 from agendascope.manifest import file_sha256
 from agendascope.metrics import exclusivity_frex, rank_terms, score, semantic_coherence
 from agendascope.search import CandidatePoint, rank_candidates
@@ -229,23 +229,23 @@ def test_criterion_6_effects_engine():
     of 20 replications at n_draws=500; B-spline partition of unity within
     1e-9 on every design row."""
     model, covs = _degenerate_model()
-    est = estimate_effect(model, "x", covs, 0, "x", n_draws=500, seed=7)
+    est = estimate_effect(EffectDraws(model, "x", covs, n_draws=500, seed=7),
+                          0, "x")
     collapse_ok = (np.array_equal(est.ci_lower, est.mean)
                    and np.array_equal(est.ci_upper, est.mean))
 
     model, covs = _planted_model(61)
-    fwd = estimate_contrast(model, "x", covs, 0, "x", 1.0, 0.0,
-                            n_draws=500, seed=17)
-    rev = estimate_contrast(model, "x", covs, 0, "x", 0.0, 1.0,
-                            n_draws=500, seed=17)
+    draws = EffectDraws(model, "x", covs, n_draws=500, seed=17)
+    fwd = estimate_contrast(draws, 0, "x", 1.0, 0.0)
+    rev = estimate_contrast(draws, 0, "x", 0.0, 1.0)
     antisym_ok = (rev.point == -fwd.point
                   and rev.ci == (-fwd.ci[1], -fwd.ci[0]))
 
     detected = 0
     for rep in range(20):
         model, covs = _planted_model(600 + rep)
-        est = estimate_contrast(model, "x", covs, 0, "x", 1.0, 0.0,
-                                n_draws=500, seed=6000 + rep)
+        draws = EffectDraws(model, "x", covs, n_draws=500, seed=6000 + rep)
+        est = estimate_contrast(draws, 0, "x", 1.0, 0.0)
         detected += int(est.ci[0] > 0.0)
     detect_ok = detected >= 18
 

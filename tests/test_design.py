@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from agendascope.design import SPLINE_DEGREE, build_design
+from agendascope.design import SPLINE_DEGREE, LinearSpec, build_design
 from agendascope.errors import InsufficientData
 from oracles import bspline_basis_matrix
 
@@ -48,7 +48,7 @@ class TestBuildDesign:
         rng = np.random.default_rng(2)
         table = numeric_table(rng, 50)
         built = build_design("s(year,df=7)", table)
-        spec = built.builder.specs[0]
+        spec = built.specs[0]
         values = np.array([table["year"][i] for i in built.kept_rows])
         # include the knots themselves plus interior points
         probe = np.unique(np.concatenate([spec.knots, values[:10]]))
@@ -61,7 +61,7 @@ class TestBuildDesign:
         rng = np.random.default_rng(10 + df)
         table = numeric_table(rng, 80)
         built = build_design(f"s(gdp_pc,df={df})", table)
-        spec = built.builder.specs[0]
+        spec = built.specs[0]
         values = np.array([table["gdp_pc"][i] for i in built.kept_rows])
         span = spec.hi - spec.lo
         outside = np.array([spec.lo - span, spec.lo - 1e-9, spec.hi + 1e-9,
@@ -78,11 +78,12 @@ class TestBuildDesign:
         rng = np.random.default_rng(3)
         table = numeric_table(rng, 30)
         built = build_design("polity + conflict", table)
-        assert set(built.design.standardization) == {"polity", "conflict"}
+        linear = {s.name: s for s in built.specs if isinstance(s, LinearSpec)}
+        assert set(linear) == {"polity", "conflict"}
         col = built.x[:, built.design.column_names.index("polity")]
         assert abs(col.mean()) < 1e-12
         assert col.std() == pytest.approx(1.0)
-        mean, scale = built.design.standardization["polity"]
+        mean, scale = linear["polity"].mean, linear["polity"].scale
         raw = np.array(table["polity"])
         assert col == pytest.approx((raw - mean) / scale)
 
@@ -108,7 +109,7 @@ class TestBuildDesign:
         rng = np.random.default_rng(7)
         table = numeric_table(rng, 40)
         built = build_design("s(year,df=5) + region + polity", table)
-        again = built.builder.transform(
+        again = built.transform(
             {k: [table[k][i] for i in built.kept_rows]
              for k in ("year", "region", "polity")})
         assert np.array_equal(again, built.x)
@@ -117,16 +118,16 @@ class TestBuildDesign:
         rng = np.random.default_rng(8)
         table = numeric_table(rng, 40)
         built = build_design("s(year,df=5)", table)
-        spec = built.builder.specs[0]
-        wide = built.builder.transform({"year": [1900.0, 2100.0]})
-        clipped = built.builder.transform({"year": [spec.lo, spec.hi]})
+        spec = built.specs[0]
+        wide = built.transform({"year": [1900.0, 2100.0]})
+        clipped = built.transform({"year": [spec.lo, spec.hi]})
         assert np.array_equal(wide, clipped)
 
     def test_unseen_categorical_level_rejected(self):
         rng = np.random.default_rng(9)
         built = build_design("region", numeric_table(rng, 30))
         with pytest.raises(ValueError):
-            built.builder.transform({"region": ["ATL"]})
+            built.transform({"region": ["ATL"]})
 
     def test_constant_spline_column_rejected(self):
         table = {"year": [2000.0] * 30}

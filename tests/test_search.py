@@ -1,18 +1,23 @@
 """Model search: OLS line, residual selection, full grid runs."""
 
-import importlib
+import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import agendascope.search as search_mod
 from agendascope.errors import CandidateFailed, DegenerateX, NonFiniteObjective
 from agendascope.search import (CandidatePoint, ModelSearchResult, ols_line,
-                                rank_candidates, refit_selected, search)
-from agendascope.stm import FitConfig, PrevalenceDesign
+                                rank_candidates, search)
+from agendascope.stm import FitConfig, PrevalenceDesign, fit
 from oracles import ols_closed_form
 from synth import two_block_corpus
 
-search_mod = importlib.import_module("agendascope.search")  # the package re-exports search()
+
+def test_import_binds_the_module():
+    # the package re-exports no name that shadows its submodule
+    assert isinstance(search_mod, types.ModuleType)
 
 
 class TestOlsLine:
@@ -122,7 +127,7 @@ class TestSearch:
         assert abs(result.residuals.sum()) < 1e-9
         # per-candidate seeds derive from the master seed
         assert result.candidates[0].fit_ref == f"seed:{17 ^ 2}"
-        model = refit_selected(corpus, design, result, config)
+        model = fit(corpus, design, replace(config, k=result.selected_k))
         assert model.k == result.selected_k
         assert model.config.seed == 17
 

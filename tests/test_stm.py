@@ -139,6 +139,16 @@ class TestEStepDoc:
         with pytest.raises(DimensionMismatch):
             e_step_doc(np.array(counts_d), np.zeros(2), np.eye(2), beta)
 
+    @pytest.mark.parametrize("mu_d", [
+        [0.0, 0.0, 0.0],                  # one entry per topic, not per free topic
+        [np.nan, 0.0],                    # a NaN prior mean
+    ], ids=["long", "nan"])
+    def test_bad_mu_rejected(self, mu_d):
+        beta = np.full((3, 5), 0.2)
+        with pytest.raises(DimensionMismatch):
+            e_step_doc(np.array([1.0, 2.0, 0.0, 1.0, 3.0]), np.array(mu_d),
+                       np.eye(2), beta)
+
     @pytest.mark.parametrize("sigma_inv, error", [
         (np.eye(3), DimensionMismatch),                           # wrong shape
         (np.array([[1.0, 0.5], [0.0, 1.0]]), DimensionMismatch),  # asymmetric

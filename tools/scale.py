@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the corpus layer and EM iterations on a corpus the size of the UN
-General Debate corpus.
+"""Time the corpus layer, EM iterations and the effects draws on a corpus
+the size of the UN General Debate corpus.
 
     PYTHONPATH=src python3 tools/scale.py
 
@@ -12,11 +12,13 @@ document) and ``presence_matrix``. It then fits the loaded corpus, with the
 draw's two-column design, at K = 10, 30 and 50 for 2 EM iterations each
 (``max_em_iters=2``, ``threads=2``, BLAS limited to one thread) and reports
 half of each fit's wall time as the seconds per EM iteration, with the size
-of the fitted ``nu``. Prints one JSON object with those figures, the size of
-the saved ``corpus.json`` and the peak RSS of the process, which includes
-the draw. The JSON names the CPUs the process could use, because nothing
-here measures more cores than that. It runs in under a minute on a 2-vCPU
-x86-64 VM.
+of the fitted ``nu``. Keeping the K=50 model, it times the effects draws for
+the formula ``conflict`` (``EffectDraws`` with ``n_draws=100``, ``seed=0``)
+and reports seconds per draw. Prints one JSON object with those figures,
+the size of the saved ``corpus.json`` and the peak RSS of the process, which
+includes the corpus draw, before the effects draws and at the end. The JSON
+names the CPUs the process could use, because nothing here measures more
+cores than that. It runs in under two minutes on a 2-vCPU x86-64 VM.
 """
 
 from __future__ import annotations
@@ -41,11 +43,17 @@ sys.path.insert(0, str(ROOT / "tests"))
 from synth import model_draw  # noqa: E402
 
 from agendascope.corpus import Corpus  # noqa: E402
+from agendascope.effects import EffectDraws  # noqa: E402
 from agendascope.stm import FitConfig, fit  # noqa: E402
 
 EM_KS = (10, 30, 50)
 EM_ITERS = 2
 EM_THREADS = 2
+EFFECT_DRAWS = 100
+
+
+def peak_rss_mb() -> float:
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def timed(call):
@@ -66,19 +74,26 @@ def main() -> None:
     _, seconds["subset_all"] = timed(lambda: loaded.subset(np.arange(loaded.n_docs)))
     _, seconds["presence_matrix"] = timed(loaded.presence_matrix)
     logging.getLogger("agendascope.stm").setLevel(logging.ERROR)  # capped on purpose
-    em = {}
+    em, model = {}, None
     for k in EM_KS:
+        model = None  # free the previous K's model before this fit
         config = FitConfig(k=k, max_em_iters=EM_ITERS)
         model, wall = timed(lambda: fit(loaded, design, config, threads=EM_THREADS))
         em[k] = {"s_per_em_iter": round(wall / EM_ITERS, 3),
                  "nu_mb": round(model.nu.nbytes / 1e6, 1)}
-        del model
+    rss_before_effects = peak_rss_mb()  # the K=50 model is still held
+    table = loaded.covariate_table()
+    _, wall = timed(lambda: EffectDraws(model, "conflict", table,
+                                        n_draws=EFFECT_DRAWS, seed=0))
+    effects = {"k": EM_KS[-1], "formula": "conflict", "n_draws": EFFECT_DRAWS,
+               "s_per_draw": round(wall / EFFECT_DRAWS, 4),
+               "peak_rss_mb_before": rss_before_effects}
     cpus = len(os.sched_getaffinity(0))
     print(json.dumps({
         "n_docs": loaded.n_docs, "n_terms": loaded.n_terms,
         "seconds": seconds, "file_mb": round(file_mb, 1),
         "em": {"iterations": EM_ITERS, "threads": EM_THREADS, "by_k": em},
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "effects": effects, "peak_rss_mb": peak_rss_mb(),
         "cpus": cpus,
         "note": f"measured on the {cpus} CPUs this process could use, no more"}))
 
