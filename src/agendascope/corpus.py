@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import logging
 import re
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache
 from importlib import resources
@@ -24,7 +23,6 @@ logger = logging.getLogger(__name__)
 REGIONS = ("EAS", "ECS", "LCN", "MEA", "NAC", "SAS", "SSA")
 YEAR_RANGE = (1970, 2016)
 
-_WORD_RE = re.compile(r"[a-z]+")
 _FILENAME_RE = re.compile(r"^([A-Z]{3})_(\d+)_(\d{4})$")
 
 _METADATA_COLUMNS = ("doc_id", "gdp_pc", "population", "oda", "polity",
@@ -231,22 +229,79 @@ class Corpus:
         return None
 
 
+# The word rule is the regex [a-z]+ over the lowercased text. Encoding that
+# text as ASCII turns every other character into one "?", and this table
+# turns every byte but a-z into a space, so str.split() gives the same words.
+_NON_LETTER_TO_SPACE = bytes(c if 0x61 <= c <= 0x7A else 0x20 for c in range(256))
+
+
+def _words(text: str) -> list[str]:
+    """The runs of a-z in the lowercased text, in order."""
+    return (text.lower().encode("ascii", "replace")
+            .translate(_NON_LETTER_TO_SPACE).decode("ascii").split())
+
+
+class _TermMemo(dict):
+    """token -> term: its Porter stem, or None for a stopword or a stem
+    shorter than ``min_term_len``. Filled on a miss, so each distinct token
+    is stemmed once per process and settings."""
+
+    def __init__(self, stopwords: frozenset[str], min_term_len: int):
+        super().__init__()
+        self.stopwords = stopwords
+        self.min_term_len = min_term_len
+
+    def __missing__(self, token: str) -> str | None:
+        term = None
+        if token not in self.stopwords:
+            term = porter.stem(token)
+            if len(term) < self.min_term_len:
+                term = None
+        self[token] = term
+        return term
+
+
+@cache
+def _term_memo(stopwords: frozenset[str], min_term_len: int) -> _TermMemo:
+    return _TermMemo(stopwords, min_term_len)
+
+
+class _FirstSeenIds(dict):
+    """key -> its index in the order keys were first looked up."""
+
+    def __missing__(self, key) -> int:
+        self[key] = index = len(self)
+        return index
+
+
 def tokenize(text: str, config: PreprocessConfig) -> list[str]:
     """Lowercase, strip punctuation/digits, drop stopwords, Porter-stem.
 
     Stems shorter than ``min_term_len`` are removed; order is preserved.
     """
-    stopwords = config.stopword_set()
-    out = []
-    for match in _WORD_RE.finditer(text.lower()):
-        token = match.group()
-        if token in stopwords:
-            continue
-        stemmed = porter.stem(token)
-        if len(stemmed) < config.min_term_len:
-            continue
-        out.append(stemmed)
-    return out
+    memo = _term_memo(config.stopword_set(), config.min_term_len)
+    # a stem is never empty, so filter(None) drops exactly the None terms
+    return list(filter(None, map(memo.__getitem__, _words(text))))
+
+
+def _count_terms(docs: list[RawDocument], config: PreprocessConfig,
+                 ) -> tuple[_FirstSeenIds, list[int], np.ndarray, np.ndarray]:
+    """(term -> first-seen id, each document's distinct term count, term
+    ids, counts): one (document, term) pair per entry, document after
+    document, never one entry per token. Ids and counts are int32 to halve
+    the pairs' memory."""
+    term_ids = _FirstSeenIds()
+    doc_terms: list[np.ndarray] = []
+    doc_counts: list[np.ndarray] = []
+    for doc in docs:
+        terms = tokenize(doc.text, config)
+        ids = np.fromiter(map(term_ids.__getitem__, terms), np.int32, len(terms))
+        uniq, cts = np.unique(ids, return_counts=True)
+        doc_terms.append(uniq)
+        doc_counts.append(cts.astype(np.int32))
+    empty = [np.empty(0, np.int32)]
+    return (term_ids, [t.size for t in doc_terms], np.concatenate(doc_terms or empty),
+            np.concatenate(doc_counts or empty))
 
 
 def build_corpus(docs: list[RawDocument], covs: list[CovariateRecord],
@@ -268,42 +323,48 @@ def build_corpus(docs: list[RawDocument], covs: list[CovariateRecord],
             raise DuplicateDocId(rec.doc_id)
         cov_by_id[rec.doc_id] = rec
 
-    token_lists = [tokenize(doc.text, config) for doc in docs]
-
-    doc_freq: Counter[str] = Counter()
-    for terms in token_lists:
-        doc_freq.update(set(terms))
-    vocabulary = sorted(t for t, df in doc_freq.items() if df >= config.min_doc_freq)
-    term_index = {t: i for i, t in enumerate(vocabulary)}
+    term_ids, n_distinct, pair_term, pair_count = _count_terms(docs, config)
+    doc_freq = np.bincount(pair_term, minlength=len(term_ids)).tolist()
+    vocabulary = sorted(t for t, df in zip(term_ids, doc_freq) if df >= config.min_doc_freq)
+    vocab_id = np.full(len(term_ids), -1, dtype=np.int32)
+    vocab_id[[term_ids[t] for t in vocabulary]] = np.arange(len(vocabulary))
+    pair_term = vocab_id[pair_term]
+    pair_doc = np.repeat(np.arange(len(docs), dtype=np.int32), n_distinct)
+    in_vocab = pair_term >= 0
+    row_size = np.bincount(pair_doc[in_vocab], minlength=len(docs))
 
     report = BuildReport()
-    kept_ids: list[str] = []
-    kept_docs: list[tuple[np.ndarray, np.ndarray]] = []
+    kept_rows: list[int] = []
     kept_covs: list[CovariateRecord] = []
-    kept_years: list[int] = []
-    matched_cov_ids: set[str] = set()
-    for doc, terms in zip(docs, token_lists):
-        counts = Counter(term_index[t] for t in terms if t in term_index)
-        if not counts:
+    for row, (doc, n) in enumerate(zip(docs, row_size.tolist())):
+        if n == 0:
             report.emptied_docs.append(doc.doc_id)
             continue
         rec = cov_by_id.get(doc.doc_id)
         if rec is None:
             report.docs_without_covariates.append(doc.doc_id)
             continue
-        matched_cov_ids.add(doc.doc_id)
-        idx = np.array(sorted(counts), dtype=np.int64)
-        cts = np.array([counts[i] for i in idx], dtype=np.int64)
-        kept_ids.append(doc.doc_id)
-        kept_docs.append((idx, cts))
+        kept_rows.append(row)
         kept_covs.append(rec)
-        kept_years.append(doc.year)
 
-    report.unmatched_covariates = sorted(set(cov_by_id) - matched_cov_ids)
-    if not kept_ids:
+    report.unmatched_covariates = sorted(set(cov_by_id) - {rec.doc_id for rec in kept_covs})
+    if not kept_rows:
         raise AllDocumentsEmpty("no document survived preprocessing")
-    return (Corpus.from_docs(vocabulary, kept_ids, kept_docs, kept_covs,
-                             kept_years), report)
+    kept_doc = np.zeros(len(docs), dtype=bool)
+    kept_doc[kept_rows] = True
+    keep = in_vocab & kept_doc[pair_doc]
+    pair_doc, pair_term, pair_count = pair_doc[keep], pair_term[keep], pair_count[keep]
+    # each (document, term) pair is unique, so its key sorts without ties;
+    # at UNGDC size (7.7 M pairs, 2-vCPU x86-64 VM) this took 0.25 s where
+    # np.lexsort of (term, document) took 2 s
+    order = np.argsort(pair_doc.astype(np.int64) * len(vocabulary) + pair_term)
+    corpus = Corpus(vocabulary=vocabulary,
+                    doc_ids=[docs[row].doc_id for row in kept_rows],
+                    indptr=np.concatenate([[0], np.cumsum(row_size[kept_rows])]).astype(np.int64),
+                    indices=pair_term[order].astype(np.int64),
+                    counts=pair_count[order].astype(np.int64),
+                    covariates=kept_covs, years=[docs[row].year for row in kept_rows])
+    return corpus, report
 
 
 def _parse_optional(raw: str, kind, what: str, row: int):

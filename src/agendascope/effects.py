@@ -131,9 +131,10 @@ class EffectDraws:
         self.coef_factor = vecs * np.sqrt(inv_vals)
         self.dof = self.n - rank
         self.n_draws = n_draws
-        self.coef = self._coefficient_draws(model.eta[kept],
-                                            _factor_stack(model.nu[kept]),
-                                            seed)
+        eta, nu = model.eta, model.nu
+        if self.built.dropped_rows.size:  # nu[kept] would copy all of nu
+            eta, nu = eta[kept], nu[kept]
+        self.coef = self._coefficient_draws(eta, _factor_stack(nu), seed)
 
     def _coefficient_draws(self, eta: np.ndarray, nu_factors: np.ndarray,
                            seed: int) -> np.ndarray:

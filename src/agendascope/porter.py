@@ -7,8 +7,6 @@ the BLI/LOGI rules). Input must be a lowercase alphabetic token.
 
 from __future__ import annotations
 
-from functools import cache
-
 _VOWELS = frozenset("aeiou")
 
 
@@ -77,6 +75,11 @@ _STEP3_RULES = (
     ("ical", "ic"), ("ful", ""), ("ness", ""),
 )
 
+_STEP2_SUFFIXES = tuple(s for s, _ in _STEP2_RULES)
+_STEP2_REPLACEMENT = dict(_STEP2_RULES)
+_STEP3_SUFFIXES = tuple(s for s, _ in _STEP3_RULES)
+_STEP3_REPLACEMENT = dict(_STEP3_RULES)
+
 _STEP4_SUFFIXES = (
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
@@ -84,6 +87,8 @@ _STEP4_SUFFIXES = (
 
 
 def _longest_match(word: str, suffixes: tuple[str, ...]) -> str | None:
+    if not word.endswith(suffixes):
+        return None
     best = None
     for sfx in suffixes:
         if word.endswith(sfx) and (best is None or len(sfx) > len(best)):
@@ -131,23 +136,22 @@ def _step1c(word: str) -> str:
 
 
 def _step2(word: str) -> str:
-    match = _longest_match(word, tuple(s for s, _ in _STEP2_RULES))
+    match = _longest_match(word, _STEP2_SUFFIXES)
     if match is None:
         return word
     stem = word[: -len(match)]
     if _measure(stem) > 0:
-        repl = dict(_STEP2_RULES)[match]
-        return stem + repl
+        return stem + _STEP2_REPLACEMENT[match]
     return word
 
 
 def _step3(word: str) -> str:
-    match = _longest_match(word, tuple(s for s, _ in _STEP3_RULES))
+    match = _longest_match(word, _STEP3_SUFFIXES)
     if match is None:
         return word
     stem = word[: -len(match)]
     if _measure(stem) > 0:
-        return stem + dict(_STEP3_RULES)[match]
+        return stem + _STEP3_REPLACEMENT[match]
     return word
 
 
@@ -178,9 +182,9 @@ def _step5b(word: str) -> str:
     return word
 
 
-@cache
 def stem(word: str) -> str:
-    """Stem a lowercase alphabetic token (memoized: a corpus repeats words)."""
+    """Stem a lowercase alphabetic token. Not memoized: ``corpus.tokenize``
+    keeps one memo of token -> term, so it stems each distinct token once."""
     if len(word) <= 2:
         return word
     for step in (_step1a, _step1b, _step1c, _step2, _step3, _step4,

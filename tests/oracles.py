@@ -8,6 +8,8 @@ touching the code paths under test.
 from __future__ import annotations
 
 import math
+import re
+from collections import Counter
 
 import numpy as np
 
@@ -257,3 +259,236 @@ def estep_chunk_reference(chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
                                    minlength=beta.shape[1])
                        for j in range(phi_c.shape[1])])
     return counts, bound
+
+
+# -- Porter stemmer and ingest ------------------------------------------------
+#
+# The stemmer as the package wrote it before its rule tables were built once
+# per module, kept rule for rule; then tokenizing and corpus building by
+# regex and one Counter per document.
+
+_PORTER_VOWELS = frozenset("aeiou")
+
+
+def _porter_cons_flags(word: str) -> list[bool]:
+    """True where the letter acts as a consonant.
+
+    'y' is a consonant at the word start or after a vowel, a vowel after a
+    consonant.
+    """
+    flags: list[bool] = []
+    for i, c in enumerate(word):
+        if c in _PORTER_VOWELS:
+            flags.append(False)
+        elif c == "y":
+            flags.append(True if i == 0 else not flags[i - 1])
+        else:
+            flags.append(True)
+    return flags
+
+
+def _porter_measure(stem: str) -> int:
+    """Number of vowel-consonant sequences: the m of [C](VC)^m[V]."""
+    flags = _porter_cons_flags(stem)
+    m = 0
+    prev_vowel = False
+    for is_cons in flags:
+        if is_cons:
+            if prev_vowel:
+                m += 1
+            prev_vowel = False
+        else:
+            prev_vowel = True
+    return m
+
+
+def _porter_has_vowel(stem: str) -> bool:
+    return not all(_porter_cons_flags(stem))
+
+
+def _porter_ends_double_consonant(stem: str) -> bool:
+    if len(stem) < 2 or stem[-1] != stem[-2]:
+        return False
+    return _porter_cons_flags(stem)[-1] and _porter_cons_flags(stem)[-2]
+
+
+def _porter_ends_cvc(stem: str) -> bool:
+    """*o condition: ends consonant-vowel-consonant, final not w, x or y."""
+    if len(stem) < 3:
+        return False
+    flags = _porter_cons_flags(stem)
+    return flags[-3] and not flags[-2] and flags[-1] and stem[-1] not in "wxy"
+
+
+# (suffix, replacement) pairs; condition m > threshold applies to the stem
+# left after removing the suffix.
+_PORTER_STEP2_RULES = (
+    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
+    ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
+    ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
+    ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
+    ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
+)
+
+_PORTER_STEP3_RULES = (
+    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
+    ("ical", "ic"), ("ful", ""), ("ness", ""),
+)
+
+_PORTER_STEP4_SUFFIXES = (
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+    "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+)
+
+
+def _porter_longest_match(word: str, suffixes: tuple[str, ...]) -> str | None:
+    best = None
+    for sfx in suffixes:
+        if word.endswith(sfx) and (best is None or len(sfx) > len(best)):
+            best = sfx
+    return best
+
+
+def _porter_step1a(word: str) -> str:
+    if word.endswith("sses"):
+        return word[:-2]
+    if word.endswith("ies"):
+        return word[:-2]
+    if word.endswith("ss"):
+        return word
+    if word.endswith("s"):
+        return word[:-1]
+    return word
+
+
+def _porter_step1b(word: str) -> str:
+    if word.endswith("eed"):
+        if _porter_measure(word[:-3]) > 0:
+            return word[:-1]
+        return word
+    stripped = None
+    if word.endswith("ed") and _porter_has_vowel(word[:-2]):
+        stripped = word[:-2]
+    elif word.endswith("ing") and _porter_has_vowel(word[:-3]):
+        stripped = word[:-3]
+    if stripped is None:
+        return word
+    if stripped.endswith(("at", "bl", "iz")):
+        return stripped + "e"
+    if _porter_ends_double_consonant(stripped) and not stripped.endswith(("l", "s", "z")):
+        return stripped[:-1]
+    if _porter_measure(stripped) == 1 and _porter_ends_cvc(stripped):
+        return stripped + "e"
+    return stripped
+
+
+def _porter_step1c(word: str) -> str:
+    if word.endswith("y") and _porter_has_vowel(word[:-1]):
+        return word[:-1] + "i"
+    return word
+
+
+def _porter_step2(word: str) -> str:
+    match = _porter_longest_match(word, tuple(s for s, _ in _PORTER_STEP2_RULES))
+    if match is None:
+        return word
+    stem = word[: -len(match)]
+    if _porter_measure(stem) > 0:
+        repl = dict(_PORTER_STEP2_RULES)[match]
+        return stem + repl
+    return word
+
+
+def _porter_step3(word: str) -> str:
+    match = _porter_longest_match(word, tuple(s for s, _ in _PORTER_STEP3_RULES))
+    if match is None:
+        return word
+    stem = word[: -len(match)]
+    if _porter_measure(stem) > 0:
+        return stem + dict(_PORTER_STEP3_RULES)[match]
+    return word
+
+
+def _porter_step4(word: str) -> str:
+    match = _porter_longest_match(word, _PORTER_STEP4_SUFFIXES)
+    if match is None:
+        return word
+    stem = word[: -len(match)]
+    if _porter_measure(stem) > 1:
+        if match == "ion" and not stem.endswith(("s", "t")):
+            return word
+        return stem
+    return word
+
+
+def _porter_step5a(word: str) -> str:
+    if word.endswith("e"):
+        stem = word[:-1]
+        m = _porter_measure(stem)
+        if m > 1 or (m == 1 and not _porter_ends_cvc(stem)):
+            return stem
+    return word
+
+
+def _porter_step5b(word: str) -> str:
+    if (_porter_measure(word) > 1 and _porter_ends_double_consonant(word)
+            and word.endswith("l")):
+        return word[:-1]
+    return word
+
+
+def porter_stem_reference(word: str) -> str:
+    """The Porter stem as the package computed it before its rule tables
+    were built once: every step rebuilds its tables and scans all rules."""
+    if len(word) <= 2:
+        return word
+    for step in (_porter_step1a, _porter_step1b, _porter_step1c, _porter_step2,
+                 _porter_step3, _porter_step4, _porter_step5a, _porter_step5b):
+        word = step(word)
+    return word
+
+
+def tokenize_reference(text: str, stopwords: frozenset[str],
+                       min_term_len: int) -> list[str]:
+    """Regex words of the lowercased text, stopwords dropped, reference
+    stems shorter than min_term_len dropped, order kept."""
+    out = []
+    for token in re.findall("[a-z]+", text.lower()):
+        if token in stopwords:
+            continue
+        term = porter_stem_reference(token)
+        if len(term) >= min_term_len:
+            out.append(term)
+    return out
+
+
+def build_corpus_reference(docs, covs, stopwords: frozenset[str],
+                           min_term_len: int, min_doc_freq: int) -> dict:
+    """Vocabulary, CSR triple, kept rows and drop report of a corpus built
+    with one Counter of term indices per document."""
+    token_lists = [tokenize_reference(d.text, stopwords, min_term_len) for d in docs]
+    doc_freq: Counter[str] = Counter()
+    for terms in token_lists:
+        doc_freq.update(set(terms))
+    vocabulary = sorted(t for t, df in doc_freq.items() if df >= min_doc_freq)
+    term_index = {t: i for i, t in enumerate(vocabulary)}
+    cov_by_id = {rec.doc_id: rec for rec in covs}
+    out = {"vocabulary": vocabulary, "doc_ids": [], "indptr": [0], "indices": [],
+           "counts": [], "covariates": [], "years": [], "emptied_docs": [],
+           "docs_without_covariates": []}
+    for doc, terms in zip(docs, token_lists):
+        counts = Counter(term_index[t] for t in terms if t in term_index)
+        if not counts:
+            out["emptied_docs"].append(doc.doc_id)
+            continue
+        if doc.doc_id not in cov_by_id:
+            out["docs_without_covariates"].append(doc.doc_id)
+            continue
+        out["doc_ids"].append(doc.doc_id)
+        out["indices"].extend(sorted(counts))
+        out["counts"].extend(counts[i] for i in sorted(counts))
+        out["indptr"].append(len(out["indices"]))
+        out["covariates"].append(cov_by_id[doc.doc_id])
+        out["years"].append(doc.year)
+    out["unmatched_covariates"] = sorted(set(cov_by_id) - set(out["doc_ids"]))
+    return out

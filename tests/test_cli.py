@@ -512,7 +512,10 @@ def test_tracer_sees_every_layer(sample_run, tmp_path):
          "all", "--config", str(config)],
         env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    names = {span["name"] for span in json.loads(spans_path.read_text())["spans"]}
-    assert {"jsonio.corpus_save", "jsonio.corpus_load", "jsonio.model_save",
+    payload = json.loads(spans_path.read_text())
+    names = {span["name"] for span in payload["spans"]}
+    assert {"corpus.load_ungdc_layout", "corpus.build_corpus", "corpus.tokenize",
+            "jsonio.corpus_save", "jsonio.corpus_load", "jsonio.model_save",
             "jsonio.model_load", "manifest.write_manifest", "stm.fit",
             "search.search"} <= names
+    assert payload["counters"].get("porter.stem.calls", 0) > 0

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agendascope.corpus import (Corpus, CovariateRecord, PreprocessConfig,
                                 RawDocument, build_corpus, load_ungdc_layout,
@@ -11,6 +13,7 @@ from agendascope.corpus import (Corpus, CovariateRecord, PreprocessConfig,
 from agendascope.errors import (AllDocumentsEmpty, CorruptArtifact,
                                 DuplicateDocId, EmptyDirectory,
                                 MetadataParseError)
+from oracles import build_corpus_reference, tokenize_reference
 
 
 def cov(doc_id, **kw):
@@ -53,6 +56,83 @@ class TestTokenize:
     def test_stopword_override_replaces_builtin(self):
         cfg = PreprocessConfig(min_doc_freq=1, stopwords=frozenset({"peace"}))
         assert tokenize("the peace treaty", cfg) == ["the", "treati"]
+
+
+# Letters that collide often, every class of separator, and characters
+# whose lowercase or ASCII encoding is not one-for-one.
+_TEXT_ALPHABET = "aeinorstyl" + "AEINS" + " \t\n.,;'-!09" + "éßİKﬁſ😀ŁǅΣ"
+_TOKENS = st.text(alphabet="aeinorstyl", min_size=1, max_size=5)
+# words whose stems collide, stopwords, short stems and a number
+_WORDS = ("peace", "peaceful", "develop", "development", "trade", "traded",
+          "war", "the", "and", "of", "at", "ties", "x", "2016", "nations")
+
+
+@st.composite
+def _corpora(draw):
+    """Documents and covariates with emptied documents, documents without
+    a covariate row and covariate rows without a document."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    texts = [" ".join(draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12)))
+             for _ in range(n)]
+    has_cov = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    n_unmatched = draw(st.integers(min_value=0, max_value=2))
+    order = draw(st.permutations(range(n)))
+    docs = [doc(f"d{i}", t, year=1970 + i) for i, t in enumerate(texts)]
+    covs = [cov(f"d{i}", polity=i % 11) for i in order if has_cov[i]]
+    covs += [cov(f"zz{j}") for j in range(n_unmatched)]
+    return docs, covs
+
+
+class TestTokenizeMatchesReference:
+    """``tokenize`` equals the regex and reference-stemmer tokenizer in
+    tests/oracles.py, on any text and settings."""
+
+    @given(st.text(alphabet=st.one_of(st.sampled_from(_TEXT_ALPHABET),
+                                      st.characters()), max_size=80),
+           st.one_of(st.none(), st.frozensets(_TOKENS, max_size=8)),
+           st.integers(min_value=0, max_value=6))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_text_and_settings(self, text, stopwords, min_term_len):
+        cfg = PreprocessConfig(min_term_len=min_term_len, stopwords=stopwords)
+        assert tokenize(text, cfg) == tokenize_reference(
+            text, cfg.stopword_set(), min_term_len)
+
+    @pytest.mark.parametrize("text", ["İstanbul", "\u212aelvin", "ﬁnance ſtate",
+                                      "naïve café", "Straße", "a😀b", "ǅemal",
+                                      "ΣΙΣ peace", "don't", ""])
+    def test_non_ascii_splits_words_as_the_regex_does(self, text):
+        cfg = PreprocessConfig(min_term_len=0, stopwords=frozenset())
+        assert tokenize(text, cfg) == tokenize_reference(text, frozenset(), 0)
+
+
+class TestBuildCorpusMatchesReference:
+    """``build_corpus`` equals the per-document Counter reference in
+    tests/oracles.py: vocabulary, CSR triple, covariates and report."""
+
+    @given(_corpora(), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=5))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_corpora(self, corpus_inputs, min_doc_freq, min_term_len):
+        docs, covs = corpus_inputs
+        cfg = PreprocessConfig(min_doc_freq=min_doc_freq, min_term_len=min_term_len)
+        ref = build_corpus_reference(docs, covs, cfg.stopword_set(),
+                                     min_term_len, min_doc_freq)
+        if not ref["doc_ids"]:
+            with pytest.raises(AllDocumentsEmpty):
+                build_corpus(docs, covs, cfg)
+            return
+        corpus, report = build_corpus(docs, covs, cfg)
+        assert corpus.vocabulary == ref["vocabulary"]
+        assert corpus.doc_ids == ref["doc_ids"]
+        for name in ("indptr", "indices", "counts"):
+            got = getattr(corpus, name)
+            assert got.dtype == np.int64
+            assert got.tolist() == ref[name]
+        assert corpus.covariates == ref["covariates"]
+        assert corpus.years == ref["years"]
+        assert corpus._csr_problem() is None
+        assert vars(report) == {key: ref[key] for key in (
+            "emptied_docs", "docs_without_covariates", "unmatched_covariates")}
 
 
 class TestBuildCorpus:

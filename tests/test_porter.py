@@ -1,9 +1,15 @@
 """Stemmer checks against the algorithm's published transformations."""
 
+import re
+from importlib import resources
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agendascope.porter import (_step1a, _step1b, _step1c, _step2, _step3,
                                 _step4, _step5a, _step5b, stem)
+from oracles import porter_stem_reference
 
 # Per-step examples straight from the published rule tables.
 STEP_CASES = [
@@ -106,3 +112,45 @@ def test_outputs_are_lowercase_alpha():
     for word in FULL_CASES:
         assert stem(word).isalpha()
         assert stem(word) == stem(word).lower()
+
+
+class TestMatchesReference:
+    """``stem`` gives the reference stemmer's output in tests/oracles.py."""
+
+    ROOTS = ("nation", "develop", "econom", "sustain", "relat", "condit",
+             "hope", "form", "electr", "agre", "troubl", "size", "hop",
+             "fall", "file", "happ", "generat", "operat", "sens", "adjust",
+             "depend", "adopt", "commun", "activ", "effect", "control",
+             "cooper", "secur", "peac", "govern", "sky", "y", "ee", "bl")
+    SUFFIXES = ("", "s", "es", "ies", "sses", "ss", "ed", "eed", "ing", "y",
+                "ational", "tional", "enci", "anci", "izer", "abli", "alli",
+                "entli", "eli", "ousli", "ization", "ation", "ator", "alism",
+                "iveness", "fulness", "ousness", "aliti", "iviti", "biliti",
+                "icate", "ative", "alize", "iciti", "ical", "ful", "ness", "al",
+                "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+                "ment", "ent", "ion", "sion", "tion", "ou", "ism", "ate",
+                "iti", "ous", "ive", "ize", "e", "ll", "izations", "fulness")
+
+    def test_every_word_of_the_sample_speeches(self):
+        speeches = resources.files("agendascope").joinpath("data/sample/speeches")
+        words = set()
+        for path in speeches.iterdir():
+            words.update(re.findall("[a-z]+", path.read_text("utf-8").lower()))
+        assert len(words) > 150
+        assert [w for w in sorted(words) if stem(w) != porter_stem_reference(w)] == []
+
+    def test_roots_times_suffixes(self):
+        words = [r + s for r in self.ROOTS for s in self.SUFFIXES]
+        assert [w for w in words if stem(w) != porter_stem_reference(w)] == []
+
+    @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=16))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_lowercase_strings(self, word):
+        assert stem(word) == porter_stem_reference(word)
+
+    @given(st.lists(st.sampled_from(SUFFIXES), max_size=3),
+           st.sampled_from(ROOTS))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_suffix_stacks(self, suffixes, root):
+        word = root + "".join(suffixes)
+        assert stem(word) == porter_stem_reference(word)

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the corpus layer, EM iterations and the effects draws on a corpus
-the size of the UN General Debate corpus.
+"""Time ingest, the corpus layer, EM iterations and the effects draws on a
+corpus the size of the UN General Debate corpus.
 
     PYTHONPATH=src python3 tools/scale.py
 
@@ -14,11 +14,15 @@ draw's two-column design, at K = 10, 30 and 50 for 2 EM iterations each
 half of each fit's wall time as the seconds per EM iteration, with the size
 of the fitted ``nu``. Keeping the K=50 model, it times the effects draws for
 the formula ``conflict`` (``EffectDraws`` with ``n_draws=100``, ``seed=0``)
-and reports seconds per draw. Prints one JSON object with those figures,
-the size of the saved ``corpus.json`` and the peak RSS of the process, which
-includes the corpus draw, before the effects draws and at the end. The JSON
+and reports seconds per draw. Last, it renders each document as a speech,
+writing each term occurrence as a fixed word for its term id followed by a
+stopword, and times ``build_corpus`` on the speeches with the default
+preprocessing, in words per second. Prints one JSON object with those
+figures, the size of the saved ``corpus.json`` and the peak RSS of the
+process, which includes the corpus draw, before and after the effects draws
+and at the end. The JSON
 names the CPUs the process could use, because nothing here measures more
-cores than that. It runs in under two minutes on a 2-vCPU x86-64 VM.
+cores than that. It runs in about two minutes on a 2-vCPU x86-64 VM.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from synth import model_draw  # noqa: E402
 
-from agendascope.corpus import Corpus  # noqa: E402
+from agendascope.corpus import (Corpus, PreprocessConfig, RawDocument,  # noqa: E402
+                                build_corpus)
 from agendascope.effects import EffectDraws  # noqa: E402
 from agendascope.stm import FitConfig, fit  # noqa: E402
 
@@ -50,6 +55,10 @@ EM_KS = (10, 30, 50)
 EM_ITERS = 2
 EM_THREADS = 2
 EFFECT_DRAWS = 100
+# stopwords of the built-in list, written after every term word
+SPEECH_STOPWORDS = ("the", "of", "and", "to", "in", "that", "we", "our", "is", "for")
+_ONSETS, _VOWELS = "bdfgklmnprstvz", "aeiou"
+_SUFFIXES = ("", "s", "ing", "ation", "ment", "ness", "ed", "al")
 
 
 def peak_rss_mb() -> float:
@@ -60,6 +69,41 @@ def timed(call):
     start = time.perf_counter()
     result = call()
     return result, round(time.perf_counter() - start, 3)
+
+
+def term_word(v: int) -> str:
+    """The fixed word for term id v: three consonant-vowel syllables that
+    spell v in base 70, then one of eight suffixes, so the stemmer has work
+    and no two term ids share a word."""
+    letters = []
+    n = v
+    for _ in range(3):
+        n, r = divmod(n, len(_ONSETS) * len(_VOWELS))
+        letters += [_ONSETS[r // len(_VOWELS)], _VOWELS[r % len(_VOWELS)]]
+    return "".join(letters) + _SUFFIXES[v % len(_SUFFIXES)]
+
+
+def speech_text(terms: np.ndarray, counts: np.ndarray, words: list[str]) -> str:
+    """Each term occurrence as its word and a stopword, with a full stop
+    after every twelfth pair."""
+    occurrences = np.repeat(terms, counts).tolist()
+    return " ".join(
+        f"{words[t]} {SPEECH_STOPWORDS[i % len(SPEECH_STOPWORDS)]}{'.' if i % 12 == 11 else ''}"
+        for i, t in enumerate(occurrences))
+
+
+def time_ingest(corpus: Corpus) -> dict:
+    """Render ``corpus`` as speeches and time build_corpus on them."""
+    words = [term_word(v) for v in range(corpus.n_terms)]
+    docs = [RawDocument(doc_id, "AFG", year,
+                        speech_text(corpus.indices[lo:hi], corpus.counts[lo:hi], words))
+            for doc_id, year, lo, hi in zip(corpus.doc_ids, corpus.years,
+                                            corpus.indptr[:-1], corpus.indptr[1:])]
+    n_words = sum(len(doc.text.split()) for doc in docs)
+    (built, _), wall = timed(lambda: build_corpus(docs, corpus.covariates,
+                                                  PreprocessConfig()))
+    return {"n_docs": built.n_docs, "n_terms": built.n_terms, "words": n_words,
+            "s": wall, "words_per_s": round(n_words / wall)}
 
 
 def main() -> None:
@@ -87,11 +131,14 @@ def main() -> None:
                                         n_draws=EFFECT_DRAWS, seed=0))
     effects = {"k": EM_KS[-1], "formula": "conflict", "n_draws": EFFECT_DRAWS,
                "s_per_draw": round(wall / EFFECT_DRAWS, 4),
-               "peak_rss_mb_before": rss_before_effects}
+               "peak_rss_mb_before": rss_before_effects,
+               "peak_rss_mb_after": peak_rss_mb()}
+    model = None
+    ingest = time_ingest(loaded)  # last, so its text does not raise the peaks above
     cpus = len(os.sched_getaffinity(0))
     print(json.dumps({
         "n_docs": loaded.n_docs, "n_terms": loaded.n_terms,
-        "seconds": seconds, "file_mb": round(file_mb, 1),
+        "ingest": ingest, "seconds": seconds, "file_mb": round(file_mb, 1),
         "em": {"iterations": EM_ITERS, "threads": EM_THREADS, "by_k": em},
         "effects": effects, "peak_rss_mb": peak_rss_mb(),
         "cpus": cpus,
