@@ -1,9 +1,12 @@
 """Pipeline CLI.
 
 Subcommands ingest, search, fit, metrics, effects, report, all operate on a
-shared output directory of JSON artifacts (plus ``model.nu.npy``, the
-posterior covariances of ``model.json``); every stage writes a manifest
-with content hashes. All randomness flows from the single config seed:
+shared output directory of JSON artifacts, plus ``.npy`` sidecars for the
+large arrays: ``corpus.indptr.npy``, ``corpus.indices.npy`` and
+``corpus.counts.npy``, the term counts of ``corpus.json``, and
+``model.nu.npy``, the posterior covariances of ``model.json``. Every stage
+writes a manifest with content hashes of its inputs and outputs, sidecars
+included. All randomness flows from the single config seed:
 the final fit uses it directly, search candidate k uses ``seed ^ k``, and
 the effects stage draws once from ``seed + 7919``, for every topic, and
 serves each estimate from those draws.
@@ -47,6 +50,16 @@ def _require(out_dir: Path, name: str, stage: str) -> Path:
     if not path.exists():
         raise MissingArtifact(stage, str(path))
     return path
+
+
+def _load_corpus(out_dir: Path) -> tuple[Corpus, dict[str, Path]]:
+    """The corpus, and its files as manifest inputs: ``corpus.json`` and
+    the sidecars of its CSR triple, as ``corpus_indptr`` and so on."""
+    corpus_path = _require(out_dir, CORPUS_FILE, "ingest")
+    corpus = Corpus.load(corpus_path)
+    return corpus, {"corpus": corpus_path,
+                    **{f"corpus_{name}": sidecar for name, sidecar
+                       in Corpus.sidecar_paths(corpus_path).items()}}
 
 
 def _load_model(out_dir: Path) -> tuple[FittedModel, dict[str, Path]]:
@@ -115,15 +128,16 @@ def run_ingest(cfg: RunConfig) -> Stage:
     report_path = write_json(out_dir / INGEST_REPORT_FILE, {
         "skipped_files": skipped, **vars(report),
         "n_docs": corpus.n_docs, "n_terms": corpus.n_terms})
-    return {"metadata": cfg.metadata}, [corpus_path, report_path]
+    return {"metadata": cfg.metadata}, [corpus_path,
+                                        *Corpus.sidecar_paths(corpus_path).values(),
+                                        report_path]
 
 
 def run_search(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     if cfg.k_grid is None:
         raise ConfigError(["search stage requires fit.k_grid"])
-    corpus_path = _require(out_dir, CORPUS_FILE, "ingest")
-    corpus = Corpus.load(corpus_path)
+    corpus, inputs = _load_corpus(out_dir)
     _check_settings(corpus.n_terms, max(cfg.k_grid),
                     sizes={"metrics.coherence_m": cfg.coherence_m})
     built, sub = _design_and_subset(cfg, corpus)
@@ -136,14 +150,12 @@ def run_search(cfg: RunConfig) -> Stage:
     points_path = _write_csv(out_dir / SEARCH_POINTS_FILE,
                              ["k", "coherence", "exclusivity", "residual"],
                              result.plot_rows())
-    return {"corpus": corpus_path}, [search_path, points_path]
+    return inputs, [search_path, points_path]
 
 
 def run_fit(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
-    corpus_path = _require(out_dir, CORPUS_FILE, "ingest")
-    corpus = Corpus.load(corpus_path)
-    inputs = {"corpus": corpus_path}
+    corpus, inputs = _load_corpus(out_dir)
     if cfg.k is not None:
         k = cfg.k
     else:
@@ -158,11 +170,10 @@ def run_fit(cfg: RunConfig) -> Stage:
 
 def run_metrics(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
-    corpus_path = _require(out_dir, CORPUS_FILE, "ingest")
+    corpus, corpus_inputs = _load_corpus(out_dir)
     model, model_inputs = _load_model(out_dir)
     _check_settings(len(model.vocabulary), model.k,
                     sizes={"metrics.coherence_m": cfg.coherence_m})
-    corpus = Corpus.load(corpus_path)
     summaries = summarize_topics(model.beta, model.vocabulary, corpus,
                                  n_words=cfg.top_words, frex_w=cfg.frex_w)
     quality = model_quality(model.beta, corpus, m=cfg.coherence_m,
@@ -173,7 +184,7 @@ def run_metrics(cfg: RunConfig) -> Stage:
     print(table)
     table_path = out_dir / TOP_WORDS_FILE
     table_path.write_text(table, encoding="utf-8")
-    return ({"corpus": corpus_path, **model_inputs},
+    return ({**corpus_inputs, **model_inputs},
             [summaries_path, quality_path, table_path])
 
 
@@ -189,12 +200,11 @@ def _aligned_table(corpus: Corpus, model: FittedModel) -> dict[str, list]:
 
 def run_effects(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
-    corpus_path = _require(out_dir, CORPUS_FILE, "ingest")
+    corpus, corpus_inputs = _load_corpus(out_dir)
     model, model_inputs = _load_model(out_dir)
     _check_settings(len(model.vocabulary), model.k,
                     topics={f"effects.targets[{i}].topics": t.topics
                             for i, t in enumerate(cfg.targets)})
-    corpus = Corpus.load(corpus_path)
     table = _aligned_table(corpus, model)
     effects_dir = out_dir / "effects"
     effects_dir.mkdir(parents=True, exist_ok=True)
@@ -219,7 +229,7 @@ def run_effects(cfg: RunConfig) -> Stage:
                 outputs.append(_write_csv(effects_dir / f"{stem}.csv",
                                           ["grid", "mean", "lo", "hi"],
                                           est.table_rows()))
-    return {"corpus": corpus_path, **model_inputs}, outputs
+    return {**corpus_inputs, **model_inputs}, outputs
 
 
 def run_report(cfg: RunConfig) -> Stage:

@@ -16,7 +16,8 @@ import numpy as np
 from . import porter
 from .errors import (AllDocumentsEmpty, CorruptArtifact, DuplicateDocId,
                      EmptyDirectory, MetadataParseError)
-from .jsonio import malformed_as_corrupt, read_json, write_json
+from .jsonio import (load_sidecar, malformed_as_corrupt, read_json, save_sidecar,
+                     sidecar_path, write_json)
 
 logger = logging.getLogger(__name__)
 
@@ -181,51 +182,63 @@ class Corpus:
 
     # -- serialization -----------------------------------------------------
 
+    CSR_ARRAYS = ("indptr", "indices", "counts")
+
+    @classmethod
+    def sidecar_paths(cls, path: str | Path) -> dict[str, Path]:
+        """The ``.npy`` sidecars that hold the CSR triple of the corpus at
+        ``path``: ``corpus.json``'s ``indices`` are in ``corpus.indices.npy``."""
+        return {name: sidecar_path(path, name) for name in cls.CSR_ARRAYS}
+
     def save(self, path: str | Path) -> Path:
-        """Write the corpus as JSON, the CSR triple as flat int lists."""
-        return write_json(path, {
+        """Write the vocabulary, documents and covariates to ``path`` as
+        JSON and the CSR triple to its :meth:`sidecar_paths`; returns
+        ``path``."""
+        path = write_json(path, {
             "vocabulary": self.vocabulary,
             "docs": [{"id": i, "year": y} for i, y in zip(self.doc_ids, self.years)],
-            "indptr": self.indptr, "indices": self.indices, "counts": self.counts,
             "covariates": self.covariates})
+        for name in self.CSR_ARRAYS:
+            save_sidecar(path, name, getattr(self, name))
+        return path
 
     @classmethod
     def load(cls, path: str | Path) -> "Corpus":
         obj = read_json(path)
+        csr = {name: load_sidecar(path, name, "ingest", integers=True)
+               for name in cls.CSR_ARRAYS}
         with malformed_as_corrupt(path):
-            csr = {key: np.asarray(obj[key]) for key in ("indptr", "indices", "counts")}
-            not_int = [key for key, a in csr.items() if a.size and a.dtype.kind != "i"]
-            if not_int:
-                raise CorruptArtifact(str(path), f"{', '.join(not_int)} must be integers")
             corpus = cls(vocabulary=list(obj["vocabulary"]),
-                         doc_ids=[entry["id"] for entry in obj["docs"]],
-                         **{key: a.astype(np.int64, copy=False) for key, a in csr.items()},
+                         doc_ids=[entry["id"] for entry in obj["docs"]], **csr,
                          covariates=[CovariateRecord(**c) for c in obj["covariates"]],
                          years=[int(entry["year"]) for entry in obj["docs"]])
         problem = corpus._csr_problem()
         if problem is not None:
-            raise CorruptArtifact(str(path), problem)
+            name, reason = problem
+            raise CorruptArtifact(str(path if name is None else sidecar_path(path, name)),
+                                  reason)
         return corpus
 
-    def _csr_problem(self) -> str | None:
-        """Why the counts and covariates do not fit the documents, or None."""
+    def _csr_problem(self) -> tuple[str | None, str] | None:
+        """Why the counts and covariates do not fit the documents, with the
+        CSR array at fault (None for the covariates), or None."""
         indptr, indices, n = self.indptr, self.indices, self.n_docs
         if indptr.shape != (n + 1,):
-            return f"indptr has shape {indptr.shape} for {n} docs; expected ({n + 1},)"
+            return "indptr", f"indptr has shape {indptr.shape} for {n} docs; expected ({n + 1},)"
         if indices.ndim != 1 or self.counts.shape != indices.shape:
-            return "indices and counts must be flat lists of one length"
+            return "counts", "indices and counts must be flat lists of one length"
         if indptr[0] != 0 or indptr[-1] != indices.size or (np.diff(indptr) < 0).any():
-            return "indptr must start at 0, never decrease and end at len(indices)"
+            return "indptr", "indptr must start at 0, never decrease and end at len(indices)"
         if indices.size and not 0 <= indices.min() <= indices.max() < self.n_terms:
-            return f"a term index lies outside [0, {self.n_terms})"
+            return "indices", f"a term index lies outside [0, {self.n_terms})"
         row_start = np.zeros(indices.size + 1, dtype=bool)
         row_start[indptr] = True
         if ((indices[1:] <= indices[:-1]) & ~row_start[1:-1]).any():
-            return "a document's term indices are not strictly ascending"
+            return "indices", "a document's term indices are not strictly ascending"
         if (self.counts <= 0).any():
-            return "a count is not positive"
+            return "counts", "a count is not positive"
         if len(self.covariates) != n:
-            return f"{len(self.covariates)} covariate records for {n} docs"
+            return None, f"{len(self.covariates)} covariate records for {n} docs"
         return None
 
 

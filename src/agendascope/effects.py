@@ -190,8 +190,11 @@ def _grid_for(draws: EffectDraws, target: str, grid_points: int) -> list:
     spec = next(s for s in draws.built.specs if s.name == target)
     if isinstance(spec, CategoricalSpec):
         return list(spec.levels)
-    nums = np.array([float(draws.covs[target][i]) for i in draws.built.kept_rows])
-    uniq = np.unique(nums)
+    nums = np.sort([float(draws.covs[target][i]) for i in draws.built.kept_rows])
+    # not np.unique, which imports numpy.ma (np.ma.is_masked): about 10 ms
+    first = np.ones(nums.size, dtype=bool)
+    first[1:] = nums[1:] != nums[:-1]
+    uniq = nums[first]
     if uniq.size <= grid_points:
         return [float(u) for u in uniq]
     lo, hi = float(nums.min()), float(nums.max())

@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, csr_take
-from .errors import (CorruptArtifact, DimensionMismatch, HessianNotPD,
-                     KExceedsVocabulary, MissingArtifact, NonFiniteObjective,
-                     SingularDesign)
-from .jsonio import malformed_as_corrupt, read_json, write_json
+from .errors import (DimensionMismatch, HessianNotPD, KExceedsVocabulary,
+                     NonFiniteObjective, SingularDesign)
+from .jsonio import (load_sidecar, malformed_as_corrupt, read_json, save_sidecar,
+                     sidecar_path, write_json)
 
 logger = logging.getLogger(__name__)
 
@@ -132,43 +132,49 @@ class FittedModel:
     def nu_path(path: str | Path) -> Path:
         """The ``.npy`` sidecar that holds ``nu`` for the model at ``path``:
         ``model.json`` keeps it in ``model.nu.npy``."""
-        return Path(path).with_suffix(".nu.npy")
+        return sidecar_path(path, "nu")
 
     def save(self, path: str | Path) -> Path:
         """Write every field but ``nu`` to ``path`` as JSON and ``nu`` to the
-        :meth:`nu_path` sidecar; returns ``path``. ``np.save`` writes the same
-        bytes for the same array, so reruns stay byte-identical."""
+        :meth:`nu_path` sidecar; returns ``path``."""
         path = write_json(path, {f.name: getattr(self, f.name)
                                  for f in fields(self) if f.name != "nu"})
-        np.save(self.nu_path(path), self.nu, allow_pickle=False)
+        save_sidecar(path, "nu", self.nu)
         return path
 
     @classmethod
     def load(cls, path: str | Path) -> "FittedModel":
+        """The model at ``path``; an array whose shape does not fit K, the
+        vocabulary, the documents or the design columns raises
+        :class:`DimensionMismatch` naming its file."""
         obj = read_json(path)
-        nu_path = cls.nu_path(path)
-        try:
-            nu = np.load(nu_path, allow_pickle=False)
-        except FileNotFoundError:
-            raise MissingArtifact("fit", str(nu_path)) from None
-        except (ValueError, EOFError) as exc:
-            raise CorruptArtifact(str(nu_path), str(exc)) from None
+        nu = load_sidecar(path, "nu", "fit")
         with malformed_as_corrupt(path):
-            k_free = len(obj["beta"]) - 1
-            expected = (len(obj["doc_ids"]), k_free, k_free)
-            if nu.dtype != np.float64 or nu.shape != expected:
-                raise DimensionMismatch(f"{nu_path} holds a {nu.dtype} array of shape "
-                                        f"{nu.shape}; expected float64 {expected}")
-            return cls(beta=np.array(obj["beta"], dtype=float),
-                       gamma=np.array(obj["gamma"], dtype=float),
-                       sigma=np.array(obj["sigma"], dtype=float),
-                       eta=np.array(obj["eta"], dtype=float),
-                       nu=nu,
-                       bound_trace=list(obj["bound_trace"]),
-                       config=FitConfig(**obj["config"]),
-                       vocabulary=list(obj["vocabulary"]),
-                       design_column_names=list(obj["design_column_names"]),
-                       doc_ids=list(obj["doc_ids"]))
+            model = cls(beta=np.array(obj["beta"], dtype=float),
+                        gamma=np.array(obj["gamma"], dtype=float),
+                        sigma=np.array(obj["sigma"], dtype=float),
+                        eta=np.array(obj["eta"], dtype=float),
+                        nu=nu,
+                        bound_trace=list(obj["bound_trace"]),
+                        config=FitConfig(**obj["config"]),
+                        vocabulary=list(obj["vocabulary"]),
+                        design_column_names=list(obj["design_column_names"]),
+                        doc_ids=list(obj["doc_ids"]))
+            k = len(obj["beta"])
+        k_free, n_docs = k - 1, len(model.doc_ids)
+        for name, expected in (("beta", (k, len(model.vocabulary))),
+                               ("eta", (n_docs, k_free)),
+                               ("gamma", (len(model.design_column_names), k_free)),
+                               ("sigma", (k_free, k_free))):
+            shape = getattr(model, name).shape
+            if shape != expected:
+                raise DimensionMismatch(f"{path}: {name} has shape {shape}; "
+                                        f"expected {expected}")
+        expected = (n_docs, k_free, k_free)
+        if nu.dtype != np.float64 or nu.shape != expected:
+            raise DimensionMismatch(f"{cls.nu_path(path)} holds a {nu.dtype} array of "
+                                    f"shape {nu.shape}; expected float64 {expected}")
+        return model
 
 
 def _bound_settled(prev: float, bound: float, rel_tol: float) -> bool:

@@ -11,6 +11,7 @@ from dataclasses import MISSING, fields
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from agendascope import effects
@@ -101,7 +102,9 @@ class TestStages:
         config, out = sample_run
         assert run_cli("ingest", "--config", config) == 0
         manifest = read_json(out / "ingest.manifest.json")
-        assert set(manifest["outputs"]) == {"corpus.json", "ingest_report.json"}
+        assert set(manifest["outputs"]) == {
+            "corpus.json", "corpus.indptr.npy", "corpus.indices.npy",
+            "corpus.counts.npy", "ingest_report.json"}
         for rel, digest in manifest["outputs"].items():
             assert file_sha256(out / rel) == digest
         assert manifest["timings_s"]["total"] == 0.0  # deterministic mode
@@ -175,6 +178,7 @@ class TestModelSidecar:
         ("model.nu.npy", "report"),
         ("model.json", "report"),
         ("corpus.json", "metrics"),
+        ("corpus.indices.npy", "fit"),
     ])
     def test_truncated_artifact_exit_is_structured(self, sample_all, tmp_path,
                                                    capsys, name, stage):
@@ -189,6 +193,51 @@ class TestModelSidecar:
         assert run_cli(stage, "--config", config, "--out", copy) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "CorruptArtifact"
+        assert str(copy / name) in err["message"]
+
+
+class TestCorpusSidecars:
+    """The CSR triple of ``corpus.json`` lives in three ``.npy`` sidecars;
+    ingest lists them as outputs and every stage that loads the corpus
+    hashes them as inputs."""
+
+    SIDECARS = {"corpus_indptr": "corpus.indptr.npy",
+                "corpus_indices": "corpus.indices.npy",
+                "corpus_counts": "corpus.counts.npy"}
+    STAGES = ("search", "fit", "metrics", "effects")
+
+    def test_ingest_lists_sidecars_as_outputs(self, sample_all):
+        _, out = sample_all
+        outputs = read_json(out / "ingest.manifest.json")["outputs"]
+        for name in self.SIDECARS.values():
+            assert outputs[name] == file_sha256(out / name)
+
+    def test_downstream_stages_hash_sidecars(self, sample_all):
+        _, out = sample_all
+        for stage in self.STAGES:
+            inputs = read_json(out / f"{stage}.manifest.json")["inputs"]
+            assert Path(inputs["corpus"]["path"]) == out / "corpus.json"
+            for key, name in self.SIDECARS.items():
+                assert Path(inputs[key]["path"]) == out / name
+                assert inputs[key]["sha256"] == file_sha256(out / name)
+        assert not set(self.SIDECARS) & set(
+            read_json(out / "report.manifest.json")["inputs"])
+
+    @pytest.mark.parametrize("name, stage", [
+        ("corpus.indptr.npy", "search"),
+        ("corpus.indices.npy", "fit"),
+        ("corpus.counts.npy", "effects"),
+    ])
+    def test_missing_sidecar_exit_is_structured(self, sample_all, tmp_path, capsys,
+                                                name, stage):
+        config, out = sample_all
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        (copy / name).unlink()
+        capsys.readouterr()
+        assert run_cli(stage, "--config", config, "--out", copy) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MissingArtifact"
         assert str(copy / name) in err["message"]
 
 
@@ -284,41 +333,78 @@ class TestTopNAgainstVocabulary:
         assert not any((out / output).exists() for output in outputs)
 
 
+def _index_out_of_range(copy: Path, obj: dict) -> str:
+    """Write a term index equal to the vocabulary size into the indices
+    sidecar of ``obj``, the corpus.json value; returns the sidecar's name."""
+    sidecar = copy / "corpus.indices.npy"
+    indices = np.load(sidecar).astype(np.int64)
+    indices[0] = len(obj["vocabulary"])
+    np.save(sidecar, indices)
+    return sidecar.name
+
+
 class TestMalformedArtifacts:
     """An artifact with a missing key or counts that do not fit the corpus
-    fails as CorruptArtifact naming the file, not as a KeyError."""
-
-    @staticmethod
-    def old_layout(obj):
-        """corpus.json with per-document [[term, count], ...] pairs."""
-        indptr = obj.pop("indptr")
-        indices, counts = obj.pop("indices"), obj.pop("counts")
-        for d, entry in enumerate(obj["docs"]):
-            span = range(indptr[d], indptr[d + 1])
-            entry["terms"] = [[indices[i], counts[i]] for i in span]
+    fails as CorruptArtifact naming the file, not as a KeyError; a
+    corpus.json of an older layout, without sidecars, as MissingArtifact."""
 
     @pytest.mark.parametrize("name, stage, edit, reason", [
-        ("corpus.json", "metrics", old_layout, "missing key 'indptr'"),
-        ("corpus.json", "metrics", lambda o: o.pop("docs"), "missing key 'docs'"),
-        ("corpus.json", "metrics",
-         lambda o: o["indices"].__setitem__(0, len(o["vocabulary"])),
+        ("corpus.json", "metrics", lambda c, o: o.pop("docs"), "missing key 'docs'"),
+        ("corpus.json", "metrics", lambda c, o: _index_out_of_range(c, o),
          "a term index lies outside [0, "),
-        ("model.json", "report", lambda o: o.pop("beta"), "missing key 'beta'"),
-        ("search.json", "fit", lambda o: o.pop("selected_k"), "missing key 'selected_k'"),
+        ("model.json", "report", lambda c, o: o.pop("beta"), "missing key 'beta'"),
+        ("search.json", "fit", lambda c, o: o.pop("selected_k"), "missing key 'selected_k'"),
     ])
     def test_exit_is_structured(self, sample_all, tmp_path, capsys, name, stage,
                                 edit, reason):
+        """``edit`` changes the JSON value of ``name``, or rewrites a
+        sidecar and returns its name; the error names that file."""
         config, out = sample_all
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
         obj = read_json(copy / name)
-        edit(obj)
+        edited = edit(copy, obj)
         (copy / name).write_text(json.dumps(obj))
         capsys.readouterr()
         assert run_cli(stage, "--config", config, "--out", copy) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "CorruptArtifact"
-        assert err["message"].startswith(f"corrupt artifact {copy / name}: {reason}")
+        named = copy / (edited if isinstance(edited, str) else name)
+        assert err["message"].startswith(f"corrupt artifact {named}: {reason}")
+
+    @staticmethod
+    def csr_lists(obj: dict, indptr: list, indices: list, counts: list) -> None:
+        """The layout before the sidecars: the CSR triple as flat int lists."""
+        obj.update(indptr=indptr, indices=indices, counts=counts)
+
+    @staticmethod
+    def per_document_pairs(obj: dict, indptr: list, indices: list, counts: list) -> None:
+        """The layout before that: per-document [[term, count], ...] pairs."""
+        for d, entry in enumerate(obj["docs"]):
+            span = range(indptr[d], indptr[d + 1])
+            entry["terms"] = [[indices[i], counts[i]] for i in span]
+
+    @pytest.mark.parametrize("layout", [csr_lists, per_document_pairs],
+                             ids=["csr_lists", "pairs"])
+    def test_older_layout_is_missing_artifact(self, sample_all, tmp_path,
+                                              capsys, layout):
+        """A corpus.json that holds its counts in the JSON, with no
+        sidecars, fails as MissingArtifact naming the first sidecar."""
+        config, out = sample_all
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        obj = read_json(copy / "corpus.json")
+        sidecars = [copy / f"corpus.{key}.npy" for key in ("indptr", "indices", "counts")]
+        layout(obj, *(np.load(sidecar).tolist() for sidecar in sidecars))
+        (copy / "corpus.json").write_text(json.dumps(obj))
+        for sidecar in sidecars:
+            sidecar.unlink()
+        capsys.readouterr()
+        assert run_cli("metrics", "--config", config, "--out", copy) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MissingArtifact"
+        assert err["message"] == ("missing upstream artifact from stage 'ingest' "
+                                  f"(expected at {sidecars[0]})")
 
 
 class TestConfig:

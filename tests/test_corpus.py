@@ -1,5 +1,6 @@
 """Corpus ingestion: tokenization, thresholding, covariate joins, layout."""
 
+import copy
 import json
 
 import numpy as np
@@ -12,7 +13,7 @@ from agendascope.corpus import (Corpus, CovariateRecord, PreprocessConfig,
                                 read_metadata, tokenize)
 from agendascope.errors import (AllDocumentsEmpty, CorruptArtifact,
                                 DuplicateDocId, EmptyDirectory,
-                                MetadataParseError)
+                                MetadataParseError, MissingArtifact)
 from oracles import build_corpus_reference, tokenize_reference
 
 
@@ -21,6 +22,9 @@ def cov(doc_id, **kw):
                 conflict=False, region="EAS")
     base.update(kw)
     return CovariateRecord(doc_id=doc_id, **base)
+
+
+CSR = ("indptr", "indices", "counts")
 
 
 def doc(doc_id, text, year=1990):
@@ -216,7 +220,8 @@ class TestBuildCorpus:
 
 
 class TestCsrLayout:
-    """The term counts are one CSR triple, in memory and in corpus.json."""
+    """The term counts are one CSR triple, in memory and in the three
+    ``.npy`` sidecars of corpus.json."""
 
     DOCS = [(np.array([0, 2, 5]), np.array([1, 4, 2])),
             (np.array([1]), np.array([3])),
@@ -244,19 +249,75 @@ class TestCsrLayout:
         corpus = self.corpus()
         path = corpus.save(tmp_path / "corpus.json")
         obj = json.loads(path.read_text())
-        assert set(obj) == {"vocabulary", "docs", "indptr", "indices", "counts",
-                            "covariates"}
+        assert set(obj) == {"vocabulary", "docs", "covariates"}
         assert [d["id"] for d in obj["docs"]] == corpus.doc_ids
         assert [d["year"] for d in obj["docs"]] == corpus.years
-        for key in ("indptr", "indices", "counts"):
-            assert all(type(v) is int for v in obj[key])
-            assert obj[key] == getattr(corpus, key).tolist()
+        sidecars = Corpus.sidecar_paths(path)
+        assert sidecars == {key: tmp_path / f"corpus.{key}.npy" for key in CSR}
+        for key in CSR:
+            stored = np.load(sidecars[key], allow_pickle=False)
+            assert stored.dtype == np.uint8
+            assert stored.tolist() == getattr(corpus, key).tolist()
         back = Corpus.load(path)
-        for key in ("indptr", "indices", "counts"):
+        for key in CSR:
             assert getattr(back, key).dtype == np.int64
             assert np.array_equal(getattr(back, key), getattr(corpus, key))
         assert (back.vocabulary, back.doc_ids, back.years, back.covariates) == (
             corpus.vocabulary, corpus.doc_ids, corpus.years, corpus.covariates)
+
+    def test_two_saves_write_identical_bytes(self, tmp_path):
+        corpus = self.corpus()
+        path = corpus.save(tmp_path / "corpus.json")
+        files = [path, *Corpus.sidecar_paths(path).values()]
+        first = [f.read_bytes() for f in files]
+        corpus.save(path)
+        assert [f.read_bytes() for f in files] == first
+
+    @pytest.mark.parametrize("key, value, dtype", [
+        ("counts", 300, np.uint16),
+        ("indices", 70_000, np.uint32),
+    ])
+    def test_dtype_narrows_as_data_demands(self, tmp_path, key, value, dtype):
+        corpus = self.corpus()
+        getattr(corpus, key)[-1] = value
+        corpus.vocabulary = [f"t{v}" for v in range(70_001)]
+        path = corpus.save(tmp_path / "corpus.json")
+        stored = np.load(Corpus.sidecar_paths(path)[key], allow_pickle=False)
+        assert stored.dtype == dtype and stored[-1] == value
+        back = Corpus.load(path)
+        for name in CSR:
+            assert getattr(back, name).dtype == np.int64
+            assert np.array_equal(getattr(back, name), getattr(corpus, name))
+
+    @pytest.mark.parametrize("key", CSR)
+    def test_missing_sidecar_is_missing_artifact(self, tmp_path, key):
+        path = self.corpus().save(tmp_path / "corpus.json")
+        sidecar = Corpus.sidecar_paths(path)[key]
+        sidecar.unlink()
+        with pytest.raises(MissingArtifact) as err:
+            Corpus.load(path)
+        assert err.value.stage == "ingest"
+        assert err.value.path == str(sidecar)
+
+    @pytest.mark.parametrize("key", CSR)
+    @pytest.mark.parametrize("write, reason", [
+        (lambda f, a: f.write_bytes(f.read_bytes()[:-1]), "could only read"),
+        (lambda f, a: f.write_bytes(f.read_bytes()[:40]), "EOF"),
+        (lambda f, a: np.save(f, a.astype(np.float64)), "must be integers, not float64"),
+        (lambda f, a: np.save(f, a.reshape(1, -1)), "must be 1-D, not 2-D"),
+        (lambda f, a: np.save(f, np.array(a.tolist(), dtype=object), allow_pickle=True),
+         "Object arrays cannot be loaded"),
+        (lambda f, a: f.write_text(json.dumps(a.tolist())), "magic string"),
+    ], ids=["truncated_data", "truncated_header", "float", "2d", "pickled", "json"])
+    def test_bad_sidecar_is_corrupt(self, tmp_path, key, write, reason):
+        corpus = self.corpus()
+        path = corpus.save(tmp_path / "corpus.json")
+        sidecar = Corpus.sidecar_paths(path)[key]
+        write(sidecar, getattr(corpus, key))
+        with pytest.raises(CorruptArtifact) as err:
+            Corpus.load(path)
+        assert err.value.path == str(sidecar)
+        assert reason in err.value.reason
 
     def test_subset(self):
         sub = self.corpus().subset(np.array([2, 0]))
@@ -295,7 +356,7 @@ class TestCsrLayout:
         assert sub.presence_matrix().shape == (0, 6)
 
     @pytest.mark.parametrize("edit, reason", [
-        (lambda o: o.pop("indptr"), "missing key 'indptr'"),
+        (lambda o: o.pop("vocabulary"), "missing key 'vocabulary'"),
         (lambda o: o["docs"][0].pop("id"), "missing key 'id'"),
         (lambda o: o.update(indptr=[0, 3, 4, 8]), "indptr has shape (4,) for 4 docs"),
         (lambda o: o.update(indptr=[1, 3, 4, 8, 9]), "indptr must start at 0"),
@@ -314,13 +375,22 @@ class TestCsrLayout:
         (lambda o: o["covariates"][0].pop("region"), "region"),
     ])
     def test_malformed_file_is_corrupt(self, tmp_path, edit, reason):
+        """``edit`` changes the JSON value with the CSR arrays added as
+        lists; each array goes back to its sidecar through ``np.save``, and
+        the error names the one file the edit changed."""
         path = self.corpus().save(tmp_path / "corpus.json")
+        sidecars = Corpus.sidecar_paths(path)
         obj = json.loads(path.read_text())
+        saved = {key: np.load(sidecars[key]).tolist() for key in CSR}
+        obj.update(copy.deepcopy(saved))
         edit(obj)
+        [edited] = [sidecars[key] for key in CSR if repr(obj[key]) != repr(saved[key])] or [path]
+        for key in CSR:
+            np.save(sidecars[key], np.array(obj.pop(key)))
         path.write_text(json.dumps(obj))
         with pytest.raises(CorruptArtifact) as err:
             Corpus.load(path)
-        assert err.value.path == str(path)
+        assert err.value.path == str(edited)
         assert reason in err.value.reason
 
 

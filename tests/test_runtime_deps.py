@@ -1,4 +1,5 @@
-"""The runtime needs numpy only: every stage works with scipy unimportable."""
+"""The runtime needs numpy only: every stage works with scipy unimportable,
+and an effect estimate does not import numpy.ma."""
 
 import subprocess
 import sys
@@ -24,6 +25,7 @@ SCRIPT = textwrap.dedent("""
     import agendascope
     import agendascope.cli
     from agendascope.design import build_design
+    from agendascope.effects import EffectDraws, estimate_effect
     from agendascope.metrics import exclusivity_frex
     from agendascope.stm import FitConfig, fit, m_step
     from synth import model_draw
@@ -45,6 +47,12 @@ SCRIPT = textwrap.dedent("""
     corpus, design, _, _ = model_draw(1, n_docs=60, n_terms=80, k=3)
     model = fit(corpus, design, FitConfig(k=3, max_em_iters=2, seed=1))
     assert len(model.bound_trace) == 2
+
+    # a continuous target, as both bench workloads estimate for year
+    covs = {"year": [1970.0 + (7 * i) % 47 for i in range(corpus.n_docs)]}
+    draws = EffectDraws(model, "s(year,df=4)", covs, n_draws=100, seed=0)
+    assert len(estimate_effect(draws, 0, "year", grid_points=10).grid) == 10
+    assert "numpy.ma" not in sys.modules
 
     loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
     assert not loaded, loaded

@@ -592,6 +592,23 @@ class TestFit:
         with pytest.raises(DimensionMismatch, match="model.nu.npy"):
             FittedModel.load(path)
 
+    @pytest.mark.parametrize("edit, name", [
+        (lambda o: o["vocabulary"].pop(), "beta"),
+        (lambda o: o["eta"].pop(), "eta"),
+        (lambda o: o["design_column_names"].append("extra"), "gamma"),
+        (lambda o: o["sigma"].pop(), "sigma"),
+    ], ids=["vocabulary_short", "eta_short", "extra_design_column", "sigma_short"])
+    def test_inconsistent_model_json_is_dimension_mismatch(self, tmp_path, edit, name):
+        corpus = two_block_corpus(seed=10, n_docs=12)
+        design = PrevalenceDesign.intercept_only(corpus.n_docs)
+        model = fit(corpus, design, FitConfig(k=3, seed=6, max_em_iters=2))
+        path = model.save(tmp_path / "model.json")
+        obj = read_json(path)
+        edit(obj)
+        write_json(path, obj)
+        with pytest.raises(DimensionMismatch, match=f"model.json: {name} has shape"):
+            FittedModel.load(path)
+
     def test_converged_flags_capped_fit_and_warns(self, caplog):
         corpus = two_block_corpus(seed=5, n_docs=24)
         design = PrevalenceDesign.intercept_only(corpus.n_docs)

@@ -8,21 +8,22 @@ Draws a corpus from the model with ``tests/synth.py``'s ``model_draw(0,
 n_docs=7500, n_terms=8000, k=50, doc_len=1200)`` (7,500 documents, as in
 UNGDC 1970-2016), then times one call each of ``Corpus.save``,
 ``Corpus.load``, ``subset`` (every document but each tenth, and every
-document) and ``presence_matrix``. It then fits the loaded corpus, with the
-draw's two-column design, at K = 10, 30 and 50 for 2 EM iterations each
-(``max_em_iters=2``, ``threads=2``, BLAS limited to one thread) and reports
-half of each fit's wall time as the seconds per EM iteration, with the size
-of the fitted ``nu``. Keeping the K=50 model, it times the effects draws for
-the formula ``conflict`` (``EffectDraws`` with ``n_draws=100``, ``seed=0``)
-and reports seconds per draw. Last, it renders each document as a speech,
-writing each term occurrence as a fixed word for its term id followed by a
-stopword, and times ``build_corpus`` on the speeches with the default
-preprocessing, in words per second. Prints one JSON object with those
-figures, the size of the saved ``corpus.json`` and the peak RSS of the
-process, which includes the corpus draw, before and after the effects draws
-and at the end. The JSON
-names the CPUs the process could use, because nothing here measures more
-cores than that. It runs in about two minutes on a 2-vCPU x86-64 VM.
+document) and ``presence_matrix``, and reports the bytes of every file the
+save wrote (``corpus.json`` and its sidecars) and the peak RSS of a fresh
+Python process that only loads that corpus. It then fits the loaded corpus,
+with the draw's two-column design, at K = 10, 30 and 50 for 2 EM iterations
+each (``max_em_iters=2``, ``threads=2``, BLAS limited to one thread) and
+reports half of each fit's wall time as the seconds per EM iteration, with
+the size of the fitted ``nu``. Keeping the K=50 model, it times the effects
+draws for the formula ``conflict`` (``EffectDraws`` with ``n_draws=100``,
+``seed=0``) and reports seconds per draw. Last, it renders each document as
+a speech, writing each term occurrence as a fixed word for its term id
+followed by a stopword, and times ``build_corpus`` on the speeches with the
+default preprocessing, in words per second. Prints one JSON object with
+those figures and the peak RSS of this process, which includes the corpus
+draw, before and after the effects draws and at the end. The JSON names the
+CPUs the process could use, because nothing here measures more cores than
+that. It runs in about two minutes on a 2-vCPU x86-64 VM.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import json
 import logging
 import os
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -46,6 +48,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from synth import model_draw  # noqa: E402
 
+import agendascope  # noqa: E402
 from agendascope.corpus import (Corpus, PreprocessConfig, RawDocument,  # noqa: E402
                                 build_corpus)
 from agendascope.effects import EffectDraws  # noqa: E402
@@ -59,6 +62,27 @@ EFFECT_DRAWS = 100
 SPEECH_STOPWORDS = ("the", "of", "and", "to", "in", "that", "we", "our", "is", "for")
 _ONSETS, _VOWELS = "bdfgklmnprstvz", "aeiou"
 _SUFFIXES = ("", "s", "ing", "ation", "ment", "ness", "ed", "al")
+
+
+# Run in a fresh process: loads the corpus at argv[1] and prints the peak
+# RSS of its own address space in KiB. That is VmHWM, not ru_maxrss, which
+# execve carries over from the forking process, here the size of this one.
+LOAD_ONLY = """
+import sys
+sys.path.insert(0, sys.argv[2])
+from agendascope.corpus import Corpus
+Corpus.load(sys.argv[1])
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def load_only_peak_rss_mb(path: Path) -> float:
+    """Peak RSS of a new Python process that only loads the corpus at path."""
+    package_root = str(Path(agendascope.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", LOAD_ONLY, str(path), package_root],
+                         capture_output=True, text=True, check=True).stdout
+    return round(int(out) / 1024, 1)
 
 
 def peak_rss_mb() -> float:
@@ -111,8 +135,10 @@ def main() -> None:
     seconds = {}
     with tempfile.TemporaryDirectory() as tmp:
         path, seconds["save"] = timed(lambda: corpus.save(Path(tmp) / "corpus.json"))
-        file_mb = os.path.getsize(path) / 1e6
+        files = {p.name: round(p.stat().st_size / 1e6, 1) for p in sorted(Path(tmp).iterdir())}
+        corpus_mb = sum(p.stat().st_size for p in Path(tmp).iterdir()) / 1e6
         loaded, seconds["load"] = timed(lambda: Corpus.load(path))
+        load_rss_mb = load_only_peak_rss_mb(path)
     rows = np.flatnonzero(np.arange(loaded.n_docs) % 10 != 0)
     _, seconds["subset"] = timed(lambda: loaded.subset(rows))
     _, seconds["subset_all"] = timed(lambda: loaded.subset(np.arange(loaded.n_docs)))
@@ -138,7 +164,9 @@ def main() -> None:
     cpus = len(os.sched_getaffinity(0))
     print(json.dumps({
         "n_docs": loaded.n_docs, "n_terms": loaded.n_terms,
-        "ingest": ingest, "seconds": seconds, "file_mb": round(file_mb, 1),
+        "ingest": ingest, "seconds": seconds,
+        "corpus_files_mb": files, "corpus_mb": round(corpus_mb, 1),
+        "load_only_peak_rss_mb": load_rss_mb,
         "em": {"iterations": EM_ITERS, "threads": EM_THREADS, "by_k": em},
         "effects": effects, "peak_rss_mb": peak_rss_mb(),
         "cpus": cpus,
