@@ -4,7 +4,9 @@ Subcommands ingest, search, fit, metrics, effects, report, all operate on a
 shared output directory of JSON artifacts, plus ``.npy`` sidecars for the
 large arrays: ``corpus.indptr.npy``, ``corpus.indices.npy`` and
 ``corpus.counts.npy``, the term counts of ``corpus.json``, and
-``model.nu.npy``, the posterior covariances of ``model.json``. Every stage
+``model.nu.npy``, the posterior covariances of ``model.json`` as each
+document's packed upper triangle. Only the effects stage reads
+``model.nu.npy``; metrics and report load the model without it. Every stage
 writes a manifest with content hashes of its inputs and outputs, sidecars
 included. All randomness flows from the single config seed:
 the final fit uses it directly, search candidate k uses ``seed ^ k``, and
@@ -15,6 +17,8 @@ serves each estimate from those draws.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 import time
@@ -62,12 +66,17 @@ def _load_corpus(out_dir: Path) -> tuple[Corpus, dict[str, Path]]:
                        in Corpus.sidecar_paths(corpus_path).items()}}
 
 
-def _load_model(out_dir: Path) -> tuple[FittedModel, dict[str, Path]]:
-    """The fitted model, and its files as manifest inputs: ``model.json``
-    and the sidecar that holds ``nu``."""
+def _load_model(out_dir: Path, *, with_nu: bool) -> tuple[FittedModel, dict[str, Path]]:
+    """The fitted model, and its files as manifest inputs: ``model.json``,
+    and with ``with_nu`` the sidecar that holds ``nu`` as ``model_nu``.
+    Only the effects stage uses ``nu``; without it the sidecar is not
+    opened and ``nu`` is None."""
     model_path = _require(out_dir, MODEL_FILE, "fit")
-    model = FittedModel.load(model_path)
-    return model, {"model": model_path, "model_nu": FittedModel.nu_path(model_path)}
+    model = FittedModel.load(model_path, with_nu=with_nu)
+    inputs = {"model": model_path}
+    if with_nu:
+        inputs["model_nu"] = FittedModel.nu_path(model_path)
+    return model, inputs
 
 
 def _check_settings(n_terms: int, k: int, *, sizes: dict[str, int] | None = None,
@@ -171,7 +180,7 @@ def run_fit(cfg: RunConfig) -> Stage:
 def run_metrics(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     corpus, corpus_inputs = _load_corpus(out_dir)
-    model, model_inputs = _load_model(out_dir)
+    model, model_inputs = _load_model(out_dir, with_nu=False)
     _check_settings(len(model.vocabulary), model.k,
                     sizes={"metrics.coherence_m": cfg.coherence_m})
     summaries = summarize_topics(model.beta, model.vocabulary, corpus,
@@ -201,7 +210,7 @@ def _aligned_table(corpus: Corpus, model: FittedModel) -> dict[str, list]:
 def run_effects(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     corpus, corpus_inputs = _load_corpus(out_dir)
-    model, model_inputs = _load_model(out_dir)
+    model, model_inputs = _load_model(out_dir, with_nu=True)
     _check_settings(len(model.vocabulary), model.k,
                     topics={f"effects.targets[{i}].topics": t.topics
                             for i, t in enumerate(cfg.targets)})
@@ -234,7 +243,7 @@ def run_effects(cfg: RunConfig) -> Stage:
 
 def run_report(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
-    model, model_inputs = _load_model(out_dir)
+    model, model_inputs = _load_model(out_dir, with_nu=False)
     _check_settings(len(model.vocabulary), model.k,
                     sizes={"report.wordcloud_n": cfg.wordcloud_n},
                     topics={"report.wordcloud_topics": cfg.wordcloud_topics,
@@ -302,6 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # At exit, move every object into the permanent generation, so that
+    # interpreter teardown skips the cyclic collector's pass over numpy and
+    # the package. Registered here, not at import, so that importing the
+    # module changes nothing; unregistered first, so that repeated calls
+    # in one process register it once.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     overrides = vars(build_parser().parse_args(argv))
     command, config = overrides.pop("command"), overrides.pop("config")
     try:

@@ -101,6 +101,9 @@ class EffectDraws:
                  seed: int = 0):
         if n_draws < MIN_DRAWS:
             raise ValueError(f"n_draws must be at least {MIN_DRAWS}")
+        if model.nu is None:
+            raise ValueError("EffectDraws needs the model's posterior covariances "
+                             "nu; load it with FittedModel.load(path, with_nu=True)")
         n_rows = len(next(iter(covs.values())))
         if n_rows != model.n_docs:
             raise DimensionMismatch(

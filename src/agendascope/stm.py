@@ -100,7 +100,10 @@ class FittedModel:
     gamma: np.ndarray                 # P x (K-1)
     sigma: np.ndarray                 # (K-1) x (K-1)
     eta: np.ndarray                   # D x (K-1) posterior modes
-    nu: np.ndarray                    # D x (K-1) x (K-1) posterior covariances, saved to nu_path
+    # D x (K-1) x (K-1) posterior covariances, exactly symmetric; saved to
+    # nu_path as each document's upper triangle. None when loaded without
+    # them, as every stage but effects does.
+    nu: np.ndarray | None
     bound_trace: list[float]
     config: FitConfig
     vocabulary: list[str]
@@ -136,25 +139,33 @@ class FittedModel:
 
     def save(self, path: str | Path) -> Path:
         """Write every field but ``nu`` to ``path`` as JSON and ``nu`` to the
-        :meth:`nu_path` sidecar; returns ``path``."""
+        :meth:`nu_path` sidecar, as a D x K(K-1)/2 array of each document's
+        upper triangle in ``np.triu_indices(K-1)`` order; returns ``path``.
+        A ``nu`` that is not exactly symmetric raises ``ValueError``, since
+        its lower triangle would be lost."""
+        if not np.array_equal(self.nu, self.nu.transpose(0, 2, 1)):
+            raise ValueError("nu is not exactly symmetric; its packed upper "
+                             "triangles would not hold it")
         path = write_json(path, {f.name: getattr(self, f.name)
                                  for f in fields(self) if f.name != "nu"})
-        save_sidecar(path, "nu", self.nu)
+        upper = np.triu_indices(self.k - 1)
+        save_sidecar(path, "nu", self.nu[:, upper[0], upper[1]])
         return path
 
     @classmethod
-    def load(cls, path: str | Path) -> "FittedModel":
+    def load(cls, path: str | Path, *, with_nu: bool = True) -> "FittedModel":
         """The model at ``path``; an array whose shape does not fit K, the
         vocabulary, the documents or the design columns raises
-        :class:`DimensionMismatch` naming its file."""
+        :class:`DimensionMismatch` naming its file. With ``with_nu=False``
+        the :meth:`nu_path` sidecar is not opened and ``nu`` is None."""
         obj = read_json(path)
-        nu = load_sidecar(path, "nu", "fit")
+        packed = load_sidecar(path, "nu", "fit") if with_nu else None
         with malformed_as_corrupt(path):
             model = cls(beta=np.array(obj["beta"], dtype=float),
                         gamma=np.array(obj["gamma"], dtype=float),
                         sigma=np.array(obj["sigma"], dtype=float),
                         eta=np.array(obj["eta"], dtype=float),
-                        nu=nu,
+                        nu=None,
                         bound_trace=list(obj["bound_trace"]),
                         config=FitConfig(**obj["config"]),
                         vocabulary=list(obj["vocabulary"]),
@@ -170,10 +181,20 @@ class FittedModel:
             if shape != expected:
                 raise DimensionMismatch(f"{path}: {name} has shape {shape}; "
                                         f"expected {expected}")
-        expected = (n_docs, k_free, k_free)
-        if nu.dtype != np.float64 or nu.shape != expected:
-            raise DimensionMismatch(f"{cls.nu_path(path)} holds a {nu.dtype} array of "
-                                    f"shape {nu.shape}; expected float64 {expected}")
+        if packed is None:
+            return model
+        expected = (n_docs, k_free * k // 2)
+        if packed.dtype != np.float64 or packed.shape != expected:
+            raise DimensionMismatch(
+                f"{cls.nu_path(path)} holds a {packed.dtype} array of shape "
+                f"{packed.shape}; expected float64 {expected}, each document's "
+                f"packed upper triangle")
+        # entry (i, j) of a block is entry pos[i, j] of its packed row: one
+        # gather rebuilds the stack, both triangles at once
+        pos = np.empty((k_free, k_free), dtype=np.intp)
+        upper = np.triu_indices(k_free)
+        pos[upper] = pos[upper[::-1]] = np.arange(upper[0].size)
+        model.nu = packed[:, pos]
         return model
 
 

@@ -126,10 +126,10 @@ class TestStages:
 
 
 class TestModelSidecar:
-    """``nu`` lives in ``model.nu.npy`` next to ``model.json``; the
-    manifests hash it like any other artifact."""
+    """``nu`` lives in ``model.nu.npy`` next to ``model.json``; the one stage
+    that reads it, effects, hashes it like any other input."""
 
-    STAGES = ("metrics", "effects", "report")
+    STAGES = ("effects",)
 
     def test_fit_lists_sidecar_as_output(self, sample_all):
         _, out = sample_all
@@ -145,6 +145,19 @@ class TestModelSidecar:
             assert Path(entry["path"]) == sidecar
             assert entry["sha256"] == file_sha256(sidecar)
 
+    def test_metrics_and_report_do_not_read_sidecar(self, sample_all, tmp_path):
+        config, out = sample_all
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        (copy / "model.nu.npy").unlink()
+        for stage in ("metrics", "report"):
+            assert run_cli(stage, "--config", config, "--out", copy) == 0
+            manifest = read_json(copy / f"{stage}.manifest.json")
+            assert "model_nu" not in manifest["inputs"]
+            assert "model" in manifest["inputs"]
+            for rel, digest in manifest["outputs"].items():
+                assert file_sha256(out / rel) == digest, rel
+
     def test_changed_sidecar_byte_changes_input_hash(self, sample_all, tmp_path):
         config, out = sample_all
         copy = tmp_path / "out"
@@ -156,26 +169,26 @@ class TestModelSidecar:
         for stage in self.STAGES:
             entry = read_json(copy / f"{stage}.manifest.json")["inputs"]["model_nu"]
             assert entry["sha256"] != file_sha256(sidecar)
-        assert run_cli("report", "--config", config, "--out", copy) == 0
-        entry = read_json(copy / "report.manifest.json")["inputs"]["model_nu"]
+        assert run_cli("effects", "--config", config, "--out", copy) == 0
+        entry = read_json(copy / "effects.manifest.json")["inputs"]["model_nu"]
         assert entry["sha256"] == file_sha256(sidecar)
 
     def test_missing_sidecar_exit_is_structured(self, sample_all, tmp_path, capsys):
         """An output directory whose model.json was written without the
-        sidecar fails as MissingArtifact naming the sidecar."""
+        sidecar fails the effects stage as MissingArtifact naming the
+        sidecar."""
         config, out = sample_all
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
         (copy / "model.nu.npy").unlink()
         capsys.readouterr()
-        assert run_cli("metrics", "--config", config, "--out", copy) == 1
+        assert run_cli("effects", "--config", config, "--out", copy) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "MissingArtifact"
         assert str(copy / "model.nu.npy") in err["message"]
 
-
     @pytest.mark.parametrize("name, stage", [
-        ("model.nu.npy", "report"),
+        ("model.nu.npy", "effects"),
         ("model.json", "report"),
         ("corpus.json", "metrics"),
         ("corpus.indices.npy", "fit"),
@@ -605,3 +618,30 @@ def test_tracer_sees_every_layer(sample_run, tmp_path):
             "jsonio.model_load", "manifest.write_manifest", "stm.fit",
             "search.search"} <= names
     assert payload["counters"].get("porter.stem.calls", 0) > 0
+
+
+# Registers an exit handler before anything of the package is imported.
+# atexit runs handlers last-in, first-out, so this one runs after any that
+# the import or ``main`` registers, and sees their effect.
+FREEZE_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("freeze count", gc.get_freeze_count()))
+import agendascope.cli
+if sys.argv[1:]:
+    sys.exit(agendascope.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("run_main", [False, True], ids=["import", "main"])
+def test_main_freezes_heap_at_exit(tmp_path, run_main):
+    """``main`` leaves the heap frozen for interpreter teardown, even when
+    its stage fails; importing ``agendascope.cli`` alone registers nothing."""
+    config = tmp_path / "config.json"
+    config.write_text("[]")
+    args = ["ingest", "--config", str(config)] if run_main else []
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == (1 if run_main else 0), proc.stderr
+    count = int(proc.stdout.split()[-1])
+    assert count > 0 if run_main else count == 0

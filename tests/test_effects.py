@@ -301,6 +301,13 @@ class TestSharedDraws:
         assert dumps_canonical(contrast) == \
             (effects / "contrast_conflict_topic1.json").read_text(encoding="utf-8")
 
+    def test_model_loaded_without_nu_rejected(self, stage_runs):
+        cfg, both, _ = stage_runs
+        model = FittedModel.load(both / "model.json", with_nu=False)
+        table = _aligned_table(Corpus.load(both / "corpus.json"), model)
+        with pytest.raises(ValueError, match="posterior covariances nu"):
+            EffectDraws(model, cfg.formula, table, n_draws=cfg.n_draws, seed=0)
+
 
 class TestRegressionSolve:
     def test_spline_overlap_dropped_even_when_cholesky_succeeds(self):

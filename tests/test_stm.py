@@ -568,6 +568,36 @@ class TestFit:
         model.save(path)
         assert FittedModel.nu_path(path).read_bytes() == first
 
+    def test_nu_sidecar_is_packed_upper_triangles(self, tmp_path):
+        corpus = two_block_corpus(seed=10, n_docs=12)
+        design = PrevalenceDesign.intercept_only(corpus.n_docs)
+        model = fit(corpus, design, FitConfig(k=4, seed=6, max_em_iters=4))
+        packed = np.load(FittedModel.nu_path(model.save(tmp_path / "model.json")))
+        iu0, iu1 = np.triu_indices(3)
+        assert packed.dtype == np.float64 and packed.shape == (12, 6)
+        for d in range(12):
+            for j in range(6):
+                assert packed[d, j] == model.nu[d, iu0[j], iu1[j]]
+
+    def test_save_rejects_asymmetric_nu(self, tmp_path):
+        corpus = two_block_corpus(seed=10, n_docs=12)
+        design = PrevalenceDesign.intercept_only(corpus.n_docs)
+        model = fit(corpus, design, FitConfig(k=3, seed=6, max_em_iters=2))
+        model.nu[5, 1, 0] = np.nextafter(model.nu[5, 1, 0], np.inf)
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            model.save(tmp_path / "model.json")
+        assert not (tmp_path / "model.json").exists()
+
+    def test_load_without_nu_opens_no_sidecar(self, tmp_path):
+        corpus = two_block_corpus(seed=10, n_docs=12)
+        design = PrevalenceDesign.intercept_only(corpus.n_docs)
+        model = fit(corpus, design, FitConfig(k=3, seed=6, max_em_iters=2))
+        path = model.save(tmp_path / "model.json")
+        FittedModel.nu_path(path).unlink()
+        back = FittedModel.load(path, with_nu=False)
+        assert back.nu is None
+        assert np.array_equal(back.eta, model.eta)
+
     def test_missing_nu_sidecar(self, tmp_path):
         corpus = two_block_corpus(seed=10, n_docs=12)
         design = PrevalenceDesign.intercept_only(corpus.n_docs)
@@ -579,16 +609,17 @@ class TestFit:
         assert err.value.path == str(tmp_path / "model.nu.npy")
 
     @pytest.mark.parametrize("bad_nu", [
-        lambda nu: nu.astype(np.float32),  # wrong dtype
-        lambda nu: nu[1:],                 # one document short
-        lambda nu: nu[:, :1, :1],          # (K-1) x (K-1) blocks of a smaller K
-    ], ids=["float32", "fewer_docs", "smaller_k"])
+        lambda nu, iu: nu[:, iu[0], iu[1]].astype(np.float32),  # wrong dtype
+        lambda nu, iu: nu[1:, iu[0], iu[1]],                    # one document short
+        lambda nu, iu: nu[:, :1, :1].reshape(len(nu), 1),       # packed for a smaller K
+        lambda nu, iu: nu,                                      # the full blocks of old
+    ], ids=["float32", "fewer_docs", "smaller_k", "full_layout"])
     def test_bad_nu_sidecar_is_dimension_mismatch(self, tmp_path, bad_nu):
         corpus = two_block_corpus(seed=10, n_docs=12)
         design = PrevalenceDesign.intercept_only(corpus.n_docs)
         model = fit(corpus, design, FitConfig(k=3, seed=6, max_em_iters=2))
         path = model.save(tmp_path / "model.json")
-        np.save(FittedModel.nu_path(path), bad_nu(model.nu))
+        np.save(FittedModel.nu_path(path), bad_nu(model.nu, np.triu_indices(2)))
         with pytest.raises(DimensionMismatch, match="model.nu.npy"):
             FittedModel.load(path)
 

@@ -16,7 +16,11 @@ each (``max_em_iters=2``, ``threads=2``, BLAS limited to one thread) and
 reports half of each fit's wall time as the seconds per EM iteration, with
 the size of the fitted ``nu``. Keeping the K=50 model, it times the effects
 draws for the formula ``conflict`` (``EffectDraws`` with ``n_draws=100``,
-``seed=0``) and reports seconds per draw. Last, it renders each document as
+``seed=0``) and reports seconds per draw. It then saves that model and
+reports the bytes of ``model.json`` and ``model.nu.npy``, and the time of
+one ``FittedModel.save``, one ``FittedModel.load`` and one load without
+``nu``, made with ``model.nu.npy`` deleted, so that it can open no
+sidecar. Last, it renders each document as
 a speech, writing each term occurrence as a fixed word for its term id
 followed by a stopword, and times ``build_corpus`` on the speeches with the
 default preprocessing, in words per second. Prints one JSON object with
@@ -52,7 +56,7 @@ import agendascope  # noqa: E402
 from agendascope.corpus import (Corpus, PreprocessConfig, RawDocument,  # noqa: E402
                                 build_corpus)
 from agendascope.effects import EffectDraws  # noqa: E402
-from agendascope.stm import FitConfig, fit  # noqa: E402
+from agendascope.stm import FitConfig, FittedModel, fit  # noqa: E402
 
 EM_KS = (10, 30, 50)
 EM_ITERS = 2
@@ -159,7 +163,15 @@ def main() -> None:
                "s_per_draw": round(wall / EFFECT_DRAWS, 4),
                "peak_rss_mb_before": rss_before_effects,
                "peak_rss_mb_after": peak_rss_mb()}
-    model = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path, seconds["model_save"] = timed(lambda: model.save(Path(tmp) / "model.json"))
+        model_files = {p.name: round(p.stat().st_size / 1e6, 2)
+                       for p in sorted(Path(tmp).iterdir())}
+        model = None
+        _, seconds["model_load"] = timed(lambda: FittedModel.load(path))
+        FittedModel.nu_path(path).unlink()
+        _, seconds["model_load_without_nu"] = timed(
+            lambda: FittedModel.load(path, with_nu=False))
     ingest = time_ingest(loaded)  # last, so its text does not raise the peaks above
     cpus = len(os.sched_getaffinity(0))
     print(json.dumps({
@@ -168,7 +180,8 @@ def main() -> None:
         "corpus_files_mb": files, "corpus_mb": round(corpus_mb, 1),
         "load_only_peak_rss_mb": load_rss_mb,
         "em": {"iterations": EM_ITERS, "threads": EM_THREADS, "by_k": em},
-        "effects": effects, "peak_rss_mb": peak_rss_mb(),
+        "effects": effects, "model_files_mb": {"k": EM_KS[-1], **model_files},
+        "peak_rss_mb": peak_rss_mb(),
         "cpus": cpus,
         "note": f"measured on the {cpus} CPUs this process could use, no more"}))
 
