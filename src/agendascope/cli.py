@@ -22,6 +22,7 @@ import gc
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .config import RunConfig, load_config
@@ -116,9 +117,10 @@ def _preprocess_config(cfg: RunConfig) -> PreprocessConfig:
 
 
 def _fit_config(cfg: RunConfig, k: int) -> FitConfig:
-    return FitConfig(k=k, seed=cfg.seed, max_em_iters=cfg.max_em_iters,
-                     rel_tol=cfg.rel_tol, ridge_gamma=cfg.ridge_gamma,
-                     sigma_floor=cfg.sigma_floor)
+    """The fit of ``k`` topics: every other FitConfig field is the run
+    setting of the same name."""
+    return FitConfig(k=k, **{f.name: getattr(cfg, f.name)
+                             for f in fields(FitConfig) if f.name != "k"})
 
 
 def _design_and_subset(cfg: RunConfig, corpus: Corpus):
@@ -324,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(config, overrides)
         outputs = (run_all(cfg) if command == "all"
                    else _run_stage(command, cfg))
-    except AgendascopeError as exc:
+    except (AgendascopeError, OSError) as exc:  # OSError: an unreadable input file
         report = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ConfigError):
             report["violations"] = exc.violations

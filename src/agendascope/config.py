@@ -1,9 +1,9 @@
 """Run configuration: one JSON file drives the whole pipeline.
 
-Each file key is declared once, in ``_SETTINGS`` (the keys of an effects
-target in ``_TARGET_SETTINGS``), with its check and what a valid value must
-be. The key's last dotted part names the dataclass field it fills; a field's
-default is the key's default, and a field without one is a required key.
+Each setting is declared once, by :func:`_setting`, on the field it fills
+of :class:`RunConfig` (of :class:`EffectTarget` for an effects target's
+keys): its dotted file key, its check, and its default, which is taken from
+the library object that owns it. A field without a default is a required key.
 """
 
 from __future__ import annotations
@@ -13,54 +13,17 @@ import os
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
+from .corpus import PreprocessConfig
 from .effects import DEFAULT_DRAWS, DEFAULT_GRID_POINTS, MIN_DRAWS
 from .errors import ConfigError, CorruptArtifact, FormulaSyntaxError
 from .formula import parse_formula
 from .jsonio import read_json
-from .metrics import DEFAULT_FREX_WEIGHT
+from .metrics import DEFAULT_FREX_WEIGHT, DEFAULT_SUMMARY_WORDS, DEFAULT_TOP_WORDS
+from .report import DEFAULT_GRAPH_THRESHOLD
 from .search import CANDIDATE_REL_TOL
 from .stm import FitConfig
 
 THREADS_ENV = "AGENDASCOPE_THREADS"
-
-
-@dataclass
-class EffectTarget:
-    covariate: str
-    topics: list[int]
-    contrast: list | None = None  # [level_a, level_b] switches to a contrast
-    grid_points: int = DEFAULT_GRID_POINTS
-    hold: str = "typical"
-
-
-@dataclass
-class RunConfig:
-    corpus_dir: str
-    metadata: str
-    out_dir: str
-    formula: str
-    k: int | None = None
-    k_grid: list[int] | None = None
-    min_doc_freq: int = 10
-    min_term_len: int = 3
-    stopword_file: str | None = None
-    max_em_iters: int = FitConfig.max_em_iters
-    rel_tol: float = FitConfig.rel_tol
-    ridge_gamma: float = FitConfig.ridge_gamma
-    sigma_floor: float = FitConfig.sigma_floor
-    candidate_rel_tol: float = CANDIDATE_REL_TOL
-    coherence_m: int = 10
-    frex_w: float = DEFAULT_FREX_WEIGHT
-    top_words: int = 20
-    targets: list[EffectTarget] = field(default_factory=list)
-    n_draws: int = DEFAULT_DRAWS
-    perspectives: list[list[int]] = field(default_factory=list)
-    wordcloud_topics: list[int] = field(default_factory=list)
-    wordcloud_n: int = 50
-    graph_threshold: float = 0.05
-    seed: int = 0
-    deterministic: bool = True
-    threads: int = 1
 
 
 def _is_int(value) -> bool:
@@ -84,55 +47,75 @@ def _int_at_least(low: int):
 _TEXT = (lambda v: isinstance(v, str) and v != "", "a non-empty string")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a number > 0")
 
-# dotted file key -> (check, what a valid value must be)
-_SETTINGS = {
-    "paths.corpus_dir": _TEXT,
-    "paths.metadata": _TEXT,
-    "paths.out_dir": _TEXT,
-    "preprocess.min_doc_freq": _int_at_least(1),
-    "preprocess.min_term_len": _int_at_least(1),
-    "preprocess.stopword_file": _TEXT,
-    "fit.k": _int_at_least(2),
-    "fit.k_grid": (lambda v: isinstance(v, list) and all(_is_int(k) and k >= 2 for k in v)
-                   and len(set(v)) >= 3, "a list of >= 3 distinct integers >= 2"),
-    "fit.max_em_iters": _int_at_least(1),
-    "fit.rel_tol": _POSITIVE,
-    "fit.ridge_gamma": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
-    "fit.sigma_floor": _POSITIVE,
-    "fit.candidate_rel_tol": _POSITIVE,
-    "formula": _TEXT,
-    "metrics.coherence_m": _int_at_least(2),
-    "metrics.frex_w": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
-    "metrics.top_words": _int_at_least(1),
-    "effects.n_draws": _int_at_least(MIN_DRAWS),
-    "effects.targets": (lambda v: isinstance(v, list) and all(isinstance(t, dict) for t in v),
-                        "a list of objects"),
-    "report.perspectives": (lambda v: isinstance(v, list)
-                            and all(_is_topics(p) and len(set(p)) == len(p) == 2
-                                    for p in v),
-                            "a list of pairs [a, b] of distinct topics"),
-    "report.wordcloud_topics": (_is_topics, "a list of integers >= 0"),
-    "report.wordcloud_n": _int_at_least(1),
-    "report.graph_threshold": (lambda v: _is_number(v) and -1 < v < 1,
-                               "a number in (-1, 1)"),
-    "seed": _int_at_least(0),
-    "deterministic": (lambda v: isinstance(v, bool), "true or false"),
-    "threads": _int_at_least(1),
-}
 
-_TARGET_SETTINGS = {
-    "covariate": _TEXT,
-    "topics": (lambda v: _is_topics(v) and v != [], "a non-empty list of integers >= 0"),
-    "contrast": (lambda v: isinstance(v, list) and len(v) == 2, "a list of two levels"),
-    "grid_points": _int_at_least(2),
-    "hold": (lambda v: v in ("typical", "observed"), "'typical' or 'observed'"),
-}
+def _setting(key: str, rule: tuple, default=MISSING):
+    """The field that file key ``key`` fills when its value passes ``rule``,
+    a (check, what a valid value must be) pair. Without a default the key
+    is required; an empty-list default is a fresh list per config."""
+    kwargs = {"default_factory": list} if default == [] else {"default": default}
+    return field(**kwargs, metadata={"key": key, "check": rule[0], "must_be": rule[1]})
 
+
+@dataclass
+class EffectTarget:
+    covariate: str = _setting("covariate", _TEXT)
+    topics: list[int] = _setting("topics", (lambda v: _is_topics(v) and v != [],
+                                            "a non-empty list of integers >= 0"))
+    contrast: list | None = _setting(  # [level_a, level_b] switches to a contrast
+        "contrast", (lambda v: isinstance(v, list) and len(v) == 2, "a list of two levels"), None)
+    grid_points: int = _setting("grid_points", _int_at_least(2), DEFAULT_GRID_POINTS)
+    hold: str = _setting("hold", (lambda v: v in ("typical", "observed"),
+                                  "'typical' or 'observed'"), "typical")
+
+
+@dataclass
+class RunConfig:
+    corpus_dir: str = _setting("paths.corpus_dir", _TEXT)
+    metadata: str = _setting("paths.metadata", _TEXT)
+    out_dir: str = _setting("paths.out_dir", _TEXT)
+    formula: str = _setting("formula", _TEXT)
+    k: int | None = _setting("fit.k", _int_at_least(2), None)
+    k_grid: list[int] | None = _setting(
+        "fit.k_grid", (lambda v: isinstance(v, list) and all(_is_int(k) and k >= 2 for k in v)
+                       and len(set(v)) >= 3, "a list of >= 3 distinct integers >= 2"), None)
+    min_doc_freq: int = _setting("preprocess.min_doc_freq", _int_at_least(1),
+                                 PreprocessConfig.min_doc_freq)
+    min_term_len: int = _setting("preprocess.min_term_len", _int_at_least(1),
+                                 PreprocessConfig.min_term_len)
+    stopword_file: str | None = _setting("preprocess.stopword_file", _TEXT, None)
+    max_em_iters: int = _setting("fit.max_em_iters", _int_at_least(1), FitConfig.max_em_iters)
+    rel_tol: float = _setting("fit.rel_tol", _POSITIVE, FitConfig.rel_tol)
+    ridge_gamma: float = _setting("fit.ridge_gamma", (lambda v: _is_number(v) and v >= 0,
+                                                      "a number >= 0"), FitConfig.ridge_gamma)
+    sigma_floor: float = _setting("fit.sigma_floor", _POSITIVE, FitConfig.sigma_floor)
+    candidate_rel_tol: float = _setting("fit.candidate_rel_tol", _POSITIVE, CANDIDATE_REL_TOL)
+    coherence_m: int = _setting("metrics.coherence_m", _int_at_least(2), DEFAULT_TOP_WORDS)
+    frex_w: float = _setting("metrics.frex_w", (lambda v: _is_number(v) and 0 <= v <= 1,
+                                                "a number in [0, 1]"), DEFAULT_FREX_WEIGHT)
+    top_words: int = _setting("metrics.top_words", _int_at_least(1), DEFAULT_SUMMARY_WORDS)
+    targets: list[EffectTarget] = _setting(
+        "effects.targets", (lambda v: isinstance(v, list) and all(isinstance(t, dict) for t in v),
+                            "a list of objects"), [])
+    n_draws: int = _setting("effects.n_draws", _int_at_least(MIN_DRAWS), DEFAULT_DRAWS)
+    perspectives: list[list[int]] = _setting("report.perspectives", (
+        lambda v: isinstance(v, list) and all(_is_topics(p) and len(set(p)) == len(p) == 2
+                                              for p in v),
+        "a list of pairs [a, b] of distinct topics"), [])
+    wordcloud_topics: list[int] = _setting("report.wordcloud_topics",
+                                           (_is_topics, "a list of integers >= 0"), [])
+    wordcloud_n: int = _setting("report.wordcloud_n", _int_at_least(1), 50)
+    graph_threshold: float = _setting("report.graph_threshold", (
+        lambda v: _is_number(v) and -1 < v < 1, "a number in (-1, 1)"), DEFAULT_GRAPH_THRESHOLD)
+    seed: int = _setting("seed", _int_at_least(0), FitConfig.seed)
+    deterministic: bool = _setting("deterministic", (lambda v: isinstance(v, bool),
+                                                     "true or false"), True)
+    threads: int = _setting("threads", _int_at_least(1), 1)
+
+
+# dotted file key -> the field it fills
+_SETTINGS = {f.metadata["key"]: f for f in fields(RunConfig)}
+_TARGET_SETTINGS = {f.metadata["key"]: f for f in fields(EffectTarget)}
 _SECTIONS = {key.partition(".")[0] for key in _SETTINGS if "." in key}
-
-
-def _field(key: str) -> str:
-    return key.rpartition(".")[2]
 
 
 def _flatten(obj: dict, violations: list[str]) -> dict:
@@ -148,25 +131,23 @@ def _flatten(obj: dict, violations: list[str]) -> dict:
     return flat
 
 
-def _checked(cls, table: dict, obj: dict, prefix: str, violations: list[str]) -> dict:
-    """The values in ``obj`` that pass their ``table`` check, keyed by ``cls``
-    field. Adds a violation for every unknown key, failed check and missing
-    required key; null leaves a field whose default is None unset."""
-    defaults = {f.name: f.default for f in fields(cls)}
+def _checked(table: dict, obj: dict, prefix: str, violations: list[str]) -> dict:
+    """The values in ``obj`` that pass their ``table`` field's check, keyed
+    by field name. Adds a violation for every unknown key, failed check and
+    missing required key; null leaves a field whose default is None unset."""
     values = {}
     for key, value in obj.items():
-        if key not in table:
+        f = table.get(key)
+        if f is None:
             violations.append(f"{prefix}{key} is not a known setting")
-        elif value is None and defaults[_field(key)] is None:
+        elif value is None and f.default is None:
             continue
-        elif table[key][0](value):
-            values[_field(key)] = value
+        elif f.metadata["check"](value):
+            values[f.name] = value
         else:
-            violations.append(f"{prefix}{key} must be {table[key][1]}")
-    required = {f.name for f in fields(cls)
-                if f.default is MISSING and f.default_factory is MISSING}
-    violations.extend(f"{prefix}{key} is required" for key in table
-                      if _field(key) in required and key not in obj)
+            violations.append(f"{prefix}{key} must be {f.metadata['must_be']}")
+    violations.extend(f"{prefix}{key} is required" for key, f in table.items() if key not in obj
+                      and f.default is MISSING and f.default_factory is MISSING)
     return values
 
 
@@ -188,6 +169,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         obj = read_json(path)
     except CorruptArtifact as exc:
         raise ConfigError([f"the config file is not valid JSON: {exc.reason}"]) from None
+    except OSError as exc:
+        raise ConfigError([f"the config file cannot be read: {exc}"]) from None
     if not isinstance(obj, dict):
         raise ConfigError(["the config file must hold a JSON object"])
     violations: list[str] = []
@@ -198,12 +181,11 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
             flat["threads"] = int(env)
         except ValueError:
             violations.append(f"{THREADS_ENV} is not an integer: {env!r}")
-    values = _checked(RunConfig, _SETTINGS, flat, "", violations)
-    targets = [_checked(EffectTarget, _TARGET_SETTINGS, t, f"effects.targets[{i}].", violations)
+    values = _checked(_SETTINGS, flat, "", violations)
+    targets = [_checked(_TARGET_SETTINGS, t, f"effects.targets[{i}].", violations)
                for i, t in enumerate(values.get("targets", []))]
 
-    given = {_field(key) for key in _SETTINGS if flat.get(key) is not None}
-    if ("k" in given) == ("k_grid" in given):
+    if (flat.get("fit.k") is None) == (flat.get("fit.k_grid") is None):
         violations.append("fit must set exactly one of 'k' or 'k_grid'")
     if "formula" in values:
         try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import BuiltDesign, CategoricalSpec, SplineSpec, build_design
-from .errors import DimensionMismatch, SingularDesign
+from .errors import DimensionMismatch, HessianNotPD, SingularDesign
 from .formula import Formula
 from .stm import FittedModel, softmax_with_zero
 
@@ -75,12 +75,23 @@ def quantile_pair(draws: np.ndarray, level: float = 0.95):
 def _factor_stack(mats: np.ndarray) -> np.ndarray:
     """F with F @ F^T == M for each block M of a stack of symmetric PSD
     matrices: one batched Cholesky, or one batched eigh when any block is
-    singular (zero blocks stay zero)."""
+    singular (zero blocks stay zero). A block whose smallest eigenvalue is
+    below -1e-10 times its largest |eigenvalue| is not PSD, and raises
+    :class:`HessianNotPD` with its index in ``row`` rather than being
+    clamped to a different matrix."""
     try:
         return np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
         vals, vecs = np.linalg.eigh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
-        return vecs * np.sqrt(np.maximum(vals, 0.0))[..., None, :]
+    # eigenvalues ascend; "not >=" also catches a NaN block
+    indefinite = ~(vals[:, 0] >= -1e-10 * np.abs(vals).max(axis=-1))
+    if indefinite.any():
+        i = int(np.argmax(indefinite))
+        error = HessianNotPD(f"block {i} is not positive semidefinite: its "
+                             f"smallest eigenvalue is {vals[i, 0]:.6g}")
+        error.row = i
+        raise error
+    return vecs * np.sqrt(np.maximum(vals, 0.0))[..., None, :]
 
 
 class EffectDraws:
@@ -137,7 +148,12 @@ class EffectDraws:
         eta, nu = model.eta, model.nu
         if self.built.dropped_rows.size:  # nu[kept] would copy all of nu
             eta, nu = eta[kept], nu[kept]
-        self.coef = self._coefficient_draws(eta, _factor_stack(nu), seed)
+        try:
+            factors = _factor_stack(nu)
+        except HessianNotPD as exc:
+            raise HessianNotPD(f"posterior covariance nu of document "
+                               f"{model.doc_ids[kept[exc.row]]!r}: {exc}") from None
+        self.coef = self._coefficient_draws(eta, factors, seed)
 
     def _coefficient_draws(self, eta: np.ndarray, nu_factors: np.ndarray,
                            seed: int) -> np.ndarray:

@@ -48,12 +48,14 @@ class NonFiniteObjective(AgendascopeError):
 
 
 class HessianNotPD(AgendascopeError):
-    """A curvature matrix could not be factored.
+    """A curvature or covariance matrix could not be factored.
 
     Indefinite E-step curvature is first damped toward the identity; this
     escapes ``fit`` and ``e_step_doc`` when a curvature block is non-finite
     or cannot be damped to positive definite, and ``e_step_doc`` raises it
-    for a ``sigma_inv`` that is not positive definite.
+    for a ``sigma_inv`` that is not positive definite. The effects draws
+    raise it for a document's posterior covariance ``nu`` that is not
+    positive semidefinite, naming the document.
     """
 
 

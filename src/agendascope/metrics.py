@@ -18,6 +18,7 @@ from .errors import TermAbsentFromCorpus
 
 DEFAULT_FREX_WEIGHT = 0.7
 DEFAULT_TOP_WORDS = 10
+DEFAULT_SUMMARY_WORDS = 20
 
 
 def rank_terms(values: np.ndarray, m: int | None = None) -> np.ndarray:
@@ -157,7 +158,7 @@ def model_quality(beta: np.ndarray, corpus: Corpus, m: int = DEFAULT_TOP_WORDS,
 
 
 def summarize_topics(beta: np.ndarray, vocabulary: list[str], corpus: Corpus,
-                     n_words: int = 20,
+                     n_words: int = DEFAULT_SUMMARY_WORDS,
                      frex_w: float = DEFAULT_FREX_WEIGHT) -> list[TopicSummary]:
     """Ranked word lists per topic under all four keyword metrics."""
     frex = exclusivity_frex(beta, w=frex_w).frex

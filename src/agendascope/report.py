@@ -10,6 +10,8 @@ import numpy as np
 from .metrics import rank_terms
 from .stm import FittedModel
 
+DEFAULT_GRAPH_THRESHOLD = 0.05
+
 
 @dataclass
 class PerspectiveContrast:
@@ -71,39 +73,26 @@ def perspective_contrast(model: FittedModel, a: int, b: int,
     return PerspectiveContrast(topic_a=a, topic_b=b, entries=entries)
 
 
-def topic_graph(model: FittedModel, threshold: float = 0.05,
-                source: str = "theta", label_words: int = 3) -> TopicGraph:
-    """Correlation network over topics.
-
-    ``source='theta'`` correlates document-topic proportions across
-    documents; ``source='sigma'`` reads correlations off the model
-    covariance (the pinned reference topic then carries no edges).
-    """
+def topic_graph(model: FittedModel,
+                threshold: float = DEFAULT_GRAPH_THRESHOLD) -> TopicGraph:
+    """Correlation network over topics: an edge joins two topics whose
+    document-topic proportions correlate across documents above
+    ``threshold``; each node is labelled with its topic's top 3 words."""
     if not -1.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (-1, 1)")
     k = model.k
-    nodes = [(i, ", ".join(t for t, _ in wordcloud_data(model, i, label_words)))
+    nodes = [(i, ", ".join(t for t, _ in wordcloud_data(model, i, 3)))
              for i in range(k)]
     edges: list[tuple[int, int, float]] = []
-    if source == "theta":
-        theta = model.theta
-        centered = theta - theta.mean(axis=0, keepdims=True)
-        std = centered.std(axis=0)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if std[i] == 0.0 or std[j] == 0.0:
-                    continue
-                corr = float((centered[:, i] * centered[:, j]).mean()
-                             / (std[i] * std[j]))
-                if corr > threshold:
-                    edges.append((i, j, min(corr, 1.0)))
-    elif source == "sigma":
-        diag = np.sqrt(np.diag(model.sigma))
-        for i in range(k - 1):
-            for j in range(i + 1, k - 1):
-                corr = float(model.sigma[i, j] / (diag[i] * diag[j]))
-                if corr > threshold:
-                    edges.append((i, j, min(corr, 1.0)))
-    else:
-        raise ValueError("source must be 'theta' or 'sigma'")
+    theta = model.theta
+    centered = theta - theta.mean(axis=0, keepdims=True)
+    std = centered.std(axis=0)
+    for i in range(k):
+        for j in range(i + 1, k):
+            if std[i] == 0.0 or std[j] == 0.0:
+                continue
+            corr = float((centered[:, i] * centered[:, j]).mean()
+                         / (std[i] * std[j]))
+            if corr > threshold:
+                edges.append((i, j, min(corr, 1.0)))
     return TopicGraph(nodes=nodes, edges=edges, threshold=threshold)

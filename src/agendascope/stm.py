@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, csr_take
-from .errors import (DimensionMismatch, HessianNotPD, KExceedsVocabulary,
-                     NonFiniteObjective, SingularDesign)
+from .errors import (CorruptArtifact, DimensionMismatch, HessianNotPD,
+                     KExceedsVocabulary, NonFiniteObjective, SingularDesign)
 from .jsonio import (load_sidecar, malformed_as_corrupt, read_json, save_sidecar,
                      sidecar_path, write_json)
 
@@ -156,8 +156,9 @@ class FittedModel:
     def load(cls, path: str | Path, *, with_nu: bool = True) -> "FittedModel":
         """The model at ``path``; an array whose shape does not fit K, the
         vocabulary, the documents or the design columns raises
-        :class:`DimensionMismatch` naming its file. With ``with_nu=False``
-        the :meth:`nu_path` sidecar is not opened and ``nu`` is None."""
+        :class:`DimensionMismatch` naming its file, and one with a NaN or
+        infinite entry :class:`CorruptArtifact`. With ``with_nu=False`` the
+        :meth:`nu_path` sidecar is not opened and ``nu`` is None."""
         obj = read_json(path)
         packed = load_sidecar(path, "nu", "fit") if with_nu else None
         with malformed_as_corrupt(path):
@@ -177,10 +178,12 @@ class FittedModel:
                                ("eta", (n_docs, k_free)),
                                ("gamma", (len(model.design_column_names), k_free)),
                                ("sigma", (k_free, k_free))):
-            shape = getattr(model, name).shape
-            if shape != expected:
-                raise DimensionMismatch(f"{path}: {name} has shape {shape}; "
+            array = getattr(model, name)
+            if array.shape != expected:
+                raise DimensionMismatch(f"{path}: {name} has shape {array.shape}; "
                                         f"expected {expected}")
+            if not np.isfinite(array).all():
+                raise CorruptArtifact(str(path), f"{name} has a non-finite entry")
         if packed is None:
             return model
         expected = (n_docs, k_free * k // 2)
@@ -189,6 +192,8 @@ class FittedModel:
                 f"{cls.nu_path(path)} holds a {packed.dtype} array of shape "
                 f"{packed.shape}; expected float64 {expected}, each document's "
                 f"packed upper triangle")
+        if not np.isfinite(packed).all():
+            raise CorruptArtifact(str(cls.nu_path(path)), "nu has a non-finite entry")
         # entry (i, j) of a block is entry pos[i, j] of its packed row: one
         # gather rebuilds the stack, both triangles at once
         pos = np.empty((k_free, k_free), dtype=np.intp)

@@ -1,6 +1,7 @@
 """Pipeline CLI: stage wiring, manifests, determinism, config validation."""
 
 import importlib
+import inspect
 import json
 import os
 import re
@@ -18,9 +19,13 @@ from agendascope import effects
 from agendascope.cli import main
 from agendascope.config import (_SETTINGS, _TARGET_SETTINGS, RunConfig,
                                 _flatten, load_config)
+from agendascope.corpus import PreprocessConfig
 from agendascope.errors import ConfigError
 from agendascope.jsonio import read_json
 from agendascope.manifest import file_sha256
+from agendascope.metrics import model_quality, summarize_topics
+from agendascope.report import topic_graph
+from agendascope.stm import FitConfig
 
 SAMPLE = Path(str(resources.files("agendascope").joinpath("data/sample")))
 ROOT = Path(__file__).resolve().parents[1]
@@ -207,6 +212,34 @@ class TestModelSidecar:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "CorruptArtifact"
         assert str(copy / name) in err["message"]
+
+
+    @pytest.mark.parametrize("fault, error", [("nan", "CorruptArtifact"),
+                                              ("indefinite", "HessianNotPD")])
+    def test_corrupt_sidecar_fails_before_any_draw(self, sample_all, tmp_path, capsys,
+                                                   fault, error):
+        """A NaN, or a negative variance that makes one block indefinite,
+        fails the effects stage with the structured error before anything
+        is drawn or written, instead of a JSON-encoder traceback or a
+        silently clamped covariance."""
+        config, out = sample_all
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        sidecar = copy / "model.nu.npy"
+        packed = np.load(sidecar)
+        packed[3, 0] = np.nan if fault == "nan" else -1.0  # entry (0, 0) of document 3
+        np.save(sidecar, packed)
+        written = [*sorted((copy / "effects").iterdir()), copy / "effects.manifest.json"]
+        before = [path.read_bytes() for path in written]
+        capsys.readouterr()
+        assert run_cli("effects", "--config", config, "--out", copy) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error
+        named = (str(sidecar) if fault == "nan"
+                 else repr(read_json(copy / "model.json")["doc_ids"][3]))
+        assert named in err["message"]
+        assert [path.read_bytes() for path in written] == before
+        assert sorted((copy / "effects").iterdir()) == written[:-1]
 
 
 class TestCorpusSidecars:
@@ -598,6 +631,51 @@ class TestConfig:
         assert err["error"] == "ConfigError"
         [violation] = err["violations"]
         assert violation.startswith("the config file is not valid JSON: ")
+
+    @pytest.mark.parametrize("make", [lambda path: None, Path.mkdir],
+                             ids=["missing", "directory"])
+    def test_unreadable_config_is_violation(self, tmp_path, capsys, make):
+        path = tmp_path / "config.json"
+        make(path)
+        assert run_cli("ingest", "--config", path) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        [violation] = err["violations"]
+        assert violation.startswith("the config file cannot be read: ")
+        assert str(path) in violation
+
+    @pytest.mark.parametrize("name", ["paths.metadata", "preprocess.stopword_file"])
+    def test_unreadable_input_exit_is_structured(self, sample_run, capsys, name):
+        """An input file that cannot be opened exits 1 with the error's type
+        and message as JSON, not a traceback."""
+        config, _ = sample_run
+        set_setting(config, name, "absent.txt")
+        assert run_cli("ingest", "--config", config) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "FileNotFoundError", "message": err["message"]}
+        assert str(config.parent / "absent.txt") in err["message"]
+
+    def test_each_setting_declared_once(self):
+        """Every fit setting is the run setting of the same name, so the fit
+        stages pass it on, and the run defaults that stand for a library
+        default are that default."""
+        run = {f.name: f.default for f in fields(RunConfig)}
+        for f in fields(FitConfig):
+            if f.name != "k":
+                assert f.name in run and run[f.name] == f.default, f.name
+
+        def default(func, name):
+            return inspect.signature(func).parameters[name].default
+
+        assert {name: run[name] for name in ("min_doc_freq", "min_term_len",
+                                             "coherence_m", "top_words",
+                                             "graph_threshold")} == {
+            "min_doc_freq": PreprocessConfig().min_doc_freq,
+            "min_term_len": PreprocessConfig().min_term_len,
+            "coherence_m": default(model_quality, "m"),
+            "top_words": default(summarize_topics, "n_words"),
+            "graph_threshold": default(topic_graph, "threshold"),
+        }
 
 
 def test_tracer_sees_every_layer(sample_run, tmp_path):

@@ -14,7 +14,7 @@ from agendascope.corpus import (Corpus, PreprocessConfig, build_corpus,
                                 load_ungdc_layout)
 from agendascope.effects import (EffectDraws, _factor_stack, estimate_contrast,
                                  estimate_effect, quantile_pair)
-from agendascope.errors import DimensionMismatch
+from agendascope.errors import DimensionMismatch, HessianNotPD
 from agendascope.jsonio import dumps_canonical
 from agendascope.stm import FitConfig, FittedModel
 
@@ -344,3 +344,10 @@ class TestFactorStack:
         mats = v @ np.swapaxes(v, 1, 2)  # rank one: Cholesky fails
         factors = _factor_stack(mats)
         assert np.allclose(factors @ np.swapaxes(factors, 1, 2), mats, atol=1e-12)
+
+    def test_indefinite_block_raises_with_its_row(self):
+        mats = np.stack([np.eye(3)] * 4)
+        mats[2, 1, 1] = -1e-6  # one negative variance: not clamped to 0
+        with pytest.raises(HessianNotPD) as info:
+            _factor_stack(mats)
+        assert info.value.row == 2

@@ -126,16 +126,6 @@ class TestTopicGraph:
             assert i < j
             assert -1.0 < corr <= 1.0
 
-    def test_sigma_source_uses_model_covariance(self):
-        sigma = np.array([[1.0, 0.9, 0.0],
-                          [0.9, 1.0, 0.0],
-                          [0.0, 0.0, 1.0]])
-        model = model_with(np.full((4, 5), 0.2),
-                           eta=np.zeros((4, 3)), sigma=sigma)
-        graph = topic_graph(model, threshold=0.5, source="sigma")
-        assert [(i, j) for i, j, _ in graph.edges] == [(0, 1)]
-        assert graph.edges[0][2] == pytest.approx(0.9)
-
     def test_dot_output_deterministic(self):
         rng = np.random.default_rng(5)
         eta = rng.normal(size=(30, 2))
