@@ -14,7 +14,8 @@ from .report import (PerspectiveContrast, TopicGraph, perspective_contrast,
 from .search import (CandidatePoint, ModelSearchResult, ols_line,
                      rank_candidates)
 from .stm import (DocPosterior, FitConfig, FittedModel, PrevalenceDesign,
-                  e_step_doc, fit, init_params, m_step, softmax_with_zero)
+                  e_step_doc, fit, init_params, m_step, posterior_covariances,
+                  softmax_with_zero)
 
 __version__ = "0.1.0"
 
@@ -27,7 +28,8 @@ __all__ = [
     "bind_formula", "build_corpus", "build_design", "e_step_doc",
     "estimate_contrast", "estimate_effect", "exclusivity_frex", "fit",
     "init_params", "lift", "load_ungdc_layout", "m_step", "model_quality",
-    "ols_line", "parse_formula", "perspective_contrast", "rank_candidates",
+    "ols_line", "parse_formula", "perspective_contrast", "posterior_covariances",
+    "rank_candidates",
     "rank_terms", "score", "semantic_coherence",
     "softmax_with_zero", "summarize_topics", "tokenize", "topic_graph",
     "wordcloud_data",

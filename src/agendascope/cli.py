@@ -1,14 +1,12 @@
 """Pipeline CLI.
 
 Subcommands ingest, search, fit, metrics, effects, report, all operate on a
-shared output directory of JSON artifacts, plus ``.npy`` sidecars for the
-large arrays: ``corpus.indptr.npy``, ``corpus.indices.npy`` and
-``corpus.counts.npy``, the term counts of ``corpus.json``, and
-``model.nu.npy``, the posterior covariances of ``model.json`` as each
-document's packed upper triangle. Only the effects stage reads
-``model.nu.npy``; metrics and report load the model without it. Every stage
-writes a manifest with content hashes of its inputs and outputs, sidecars
-included. All randomness flows from the single config seed:
+shared output directory of JSON artifacts, plus three ``.npy`` sidecars,
+``corpus.indptr.npy``, ``corpus.indices.npy`` and ``corpus.counts.npy``,
+that hold the term counts of ``corpus.json``. The posterior covariances are
+not saved: the effects stage recomputes them from ``model.json`` and the
+corpus. Every stage writes a manifest with content hashes of its inputs and
+outputs, sidecars included. All randomness flows from the single config seed:
 the final fit uses it directly, search candidate k uses ``seed ^ k``, and
 the effects stage draws once from ``seed + 7919``, for every topic, and
 serves each estimate from those draws.
@@ -29,14 +27,14 @@ from .config import RunConfig, load_config
 from .corpus import Corpus, PreprocessConfig, build_corpus, load_ungdc_layout
 from .design import build_design
 from .effects import EffectDraws, estimate_contrast, estimate_effect
-from .errors import AgendascopeError, ConfigError, MissingArtifact
+from .errors import AgendascopeError, ConfigError, DimensionMismatch, MissingArtifact
 from .formula import parse_formula
 from .jsonio import write_json
 from .manifest import write_manifest
 from .metrics import model_quality, summarize_topics, top_words_table
 from .report import perspective_contrast, topic_graph, wordcloud_data
 from .search import ModelSearchResult, search
-from .stm import FitConfig, FittedModel, fit
+from .stm import FitConfig, FittedModel, fit, posterior_covariances
 
 CORPUS_FILE = "corpus.json"
 INGEST_REPORT_FILE = "ingest_report.json"
@@ -67,17 +65,10 @@ def _load_corpus(out_dir: Path) -> tuple[Corpus, dict[str, Path]]:
                        in Corpus.sidecar_paths(corpus_path).items()}}
 
 
-def _load_model(out_dir: Path, *, with_nu: bool) -> tuple[FittedModel, dict[str, Path]]:
-    """The fitted model, and its files as manifest inputs: ``model.json``,
-    and with ``with_nu`` the sidecar that holds ``nu`` as ``model_nu``.
-    Only the effects stage uses ``nu``; without it the sidecar is not
-    opened and ``nu`` is None."""
+def _load_model(out_dir: Path) -> tuple[FittedModel, dict[str, Path]]:
+    """The fitted model, and ``model.json`` as its manifest input."""
     model_path = _require(out_dir, MODEL_FILE, "fit")
-    model = FittedModel.load(model_path, with_nu=with_nu)
-    inputs = {"model": model_path}
-    if with_nu:
-        inputs["model_nu"] = FittedModel.nu_path(model_path)
-    return model, inputs
+    return FittedModel.load(model_path), {"model": model_path}
 
 
 def _check_settings(n_terms: int, k: int, *, sizes: dict[str, int] | None = None,
@@ -107,20 +98,11 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> Path:
     return path
 
 
-def _preprocess_config(cfg: RunConfig) -> PreprocessConfig:
-    stopwords = None
-    if cfg.stopword_file:
-        stopwords = PreprocessConfig.load_stopword_file(cfg.stopword_file)
-    return PreprocessConfig(min_doc_freq=cfg.min_doc_freq,
-                            min_term_len=cfg.min_term_len,
-                            stopwords=stopwords)
-
-
-def _fit_config(cfg: RunConfig, k: int) -> FitConfig:
-    """The fit of ``k`` topics: every other FitConfig field is the run
-    setting of the same name."""
-    return FitConfig(k=k, **{f.name: getattr(cfg, f.name)
-                             for f in fields(FitConfig) if f.name != "k"})
+def _from_settings(cls, cfg: RunConfig, **given):
+    """A ``cls`` (``FitConfig``, ``PreprocessConfig``) whose fields not
+    ``given`` are the run settings of the same name."""
+    return cls(**given, **{f.name: getattr(cfg, f.name)
+                           for f in fields(cls) if f.name not in given})
 
 
 def _design_and_subset(cfg: RunConfig, corpus: Corpus):
@@ -134,7 +116,10 @@ Stage = tuple[dict[str, str | Path], list[Path]]  # (manifest inputs, outputs)
 def run_ingest(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     docs, covs, skipped = load_ungdc_layout(cfg.corpus_dir, cfg.metadata)
-    corpus, report = build_corpus(docs, covs, _preprocess_config(cfg))
+    stopwords = (PreprocessConfig.load_stopword_file(cfg.stopword_file)
+                 if cfg.stopword_file else None)
+    corpus, report = build_corpus(docs, covs,
+                                  _from_settings(PreprocessConfig, cfg, stopwords=stopwords))
     corpus_path = corpus.save(out_dir / CORPUS_FILE)
     report_path = write_json(out_dir / INGEST_REPORT_FILE, {
         "skipped_files": skipped, **vars(report),
@@ -153,7 +138,7 @@ def run_search(cfg: RunConfig) -> Stage:
                     sizes={"metrics.coherence_m": cfg.coherence_m})
     built, sub = _design_and_subset(cfg, corpus)
     result = search(sub, built.design, cfg.k_grid,
-                    _fit_config(cfg, cfg.k_grid[0]),
+                    _from_settings(FitConfig, cfg, k=cfg.k_grid[0]),
                     coherence_m=cfg.coherence_m, frex_w=cfg.frex_w,
                     candidate_rel_tol=cfg.candidate_rel_tol,
                     threads=cfg.threads)
@@ -174,15 +159,14 @@ def run_fit(cfg: RunConfig) -> Stage:
         inputs["search"] = search_path
         k = ModelSearchResult.load(search_path).selected_k
     built, sub = _design_and_subset(cfg, corpus)
-    model = fit(sub, built.design, _fit_config(cfg, k), threads=cfg.threads)
-    model_path = model.save(out_dir / MODEL_FILE)
-    return inputs, [model_path, FittedModel.nu_path(model_path)]
+    model = fit(sub, built.design, _from_settings(FitConfig, cfg, k=k), threads=cfg.threads)
+    return inputs, [model.save(out_dir / MODEL_FILE)]
 
 
 def run_metrics(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     corpus, corpus_inputs = _load_corpus(out_dir)
-    model, model_inputs = _load_model(out_dir, with_nu=False)
+    model, model_inputs = _load_model(out_dir)
     _check_settings(len(model.vocabulary), model.k,
                     sizes={"metrics.coherence_m": cfg.coherence_m})
     summaries = summarize_topics(model.beta, model.vocabulary, corpus,
@@ -199,30 +183,38 @@ def run_metrics(cfg: RunConfig) -> Stage:
             [summaries_path, quality_path, table_path])
 
 
-def _aligned_table(corpus: Corpus, model: FittedModel) -> dict[str, list]:
-    table = corpus.covariate_table()
-    position = {doc_id: i for i, doc_id in enumerate(corpus.doc_ids)}
-    try:
-        rows = [position[doc_id] for doc_id in model.doc_ids]
-    except KeyError as exc:
-        raise MissingArtifact("ingest", f"model document {exc} absent from corpus") from None
-    return {name: [column[i] for i in rows] for name, column in table.items()}
+def _check_fitted_to(model: FittedModel, inputs: dict[str, Path], sub: Corpus,
+                     column_names: list[str]) -> None:
+    """Raise unless ``model`` was fitted to ``sub``, the corpus rows that
+    the formula keeps, under the formula's design columns."""
+    if model.design_column_names != column_names:
+        raise ConfigError([f"formula gives the design columns {column_names}, but "
+                           f"{inputs['model']} was fitted with {model.design_column_names}"])
+    for what, fitted, kept in (("vocabulary", model.vocabulary, sub.vocabulary),
+                               ("documents the formula keeps", model.doc_ids, sub.doc_ids)):
+        if fitted != kept:
+            raise DimensionMismatch(f"{inputs['model']} and {inputs['corpus']} "
+                                    f"disagree on the {what}")
 
 
 def run_effects(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
-    corpus, corpus_inputs = _load_corpus(out_dir)
-    model, model_inputs = _load_model(out_dir, with_nu=True)
+    corpus, inputs = _load_corpus(out_dir)
+    model, model_inputs = _load_model(out_dir)
+    inputs.update(model_inputs)
     _check_settings(len(model.vocabulary), model.k,
                     topics={f"effects.targets[{i}].topics": t.topics
                             for i, t in enumerate(cfg.targets)})
-    table = _aligned_table(corpus, model)
+    built, sub = _design_and_subset(cfg, corpus)
+    _check_fitted_to(model, inputs, sub, built.design.column_names)
+    draws = None
+    if cfg.targets:
+        model.nu = posterior_covariances(sub, built.design, model, threads=cfg.threads)
+        draws = EffectDraws(model, cfg.formula, sub.covariate_table(), cfg.n_draws,
+                            cfg.seed + _EFFECT_SEED_OFFSET)
     effects_dir = out_dir / "effects"
     effects_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
-    draws = (EffectDraws(model, cfg.formula, table, cfg.n_draws,
-                         cfg.seed + _EFFECT_SEED_OFFSET)
-             if cfg.targets else None)
     for target in cfg.targets:
         for topic in target.topics:
             if target.contrast is not None:
@@ -240,12 +232,12 @@ def run_effects(cfg: RunConfig) -> Stage:
                 outputs.append(_write_csv(effects_dir / f"{stem}.csv",
                                           ["grid", "mean", "lo", "hi"],
                                           est.table_rows()))
-    return {**corpus_inputs, **model_inputs}, outputs
+    return inputs, outputs
 
 
 def run_report(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
-    model, model_inputs = _load_model(out_dir, with_nu=False)
+    model, model_inputs = _load_model(out_dir)
     _check_settings(len(model.vocabulary), model.k,
                     sizes={"report.wordcloud_n": cfg.wordcloud_n},
                     topics={"report.wordcloud_topics": cfg.wordcloud_topics,

@@ -205,7 +205,7 @@ class Corpus:
     @classmethod
     def load(cls, path: str | Path) -> "Corpus":
         obj = read_json(path)
-        csr = {name: load_sidecar(path, name, "ingest", integers=True)
+        csr = {name: load_sidecar(path, name, "ingest")
                for name in cls.CSR_ARRAYS}
         with malformed_as_corrupt(path):
             corpus = cls(vocabulary=list(obj["vocabulary"]),
@@ -255,23 +255,29 @@ def _words(text: str) -> list[str]:
 
 
 class _TermMemo(dict):
-    """token -> term: its Porter stem, or None for a stopword or a stem
-    shorter than ``min_term_len``. Filled on a miss, so each distinct token
-    is stemmed once per process and settings."""
+    """token -> term id: the index in ``terms`` of the token's Porter stem,
+    or 0, where ``terms`` holds None, for a stopword or a stem shorter than
+    ``min_term_len``. Filled on a miss, so each distinct token is stemmed
+    once per process and settings, and each distinct stem gets one id."""
 
     def __init__(self, stopwords: frozenset[str], min_term_len: int):
         super().__init__()
         self.stopwords = stopwords
         self.min_term_len = min_term_len
+        self.terms: list[str | None] = [None]
+        self.term_ids: dict[str, int] = {}  # the inverse of terms
 
-    def __missing__(self, token: str) -> str | None:
-        term = None
+    def __missing__(self, token: str) -> int:
+        term_id = 0
         if token not in self.stopwords:
             term = porter.stem(token)
-            if len(term) < self.min_term_len:
-                term = None
-        self[token] = term
-        return term
+            if len(term) >= self.min_term_len:
+                term_id = self.term_ids.get(term)
+                if term_id is None:
+                    term_id = self.term_ids[term] = len(self.terms)
+                    self.terms.append(term)
+        self[token] = term_id
+        return term_id
 
 
 @cache
@@ -279,41 +285,36 @@ def _term_memo(stopwords: frozenset[str], min_term_len: int) -> _TermMemo:
     return _TermMemo(stopwords, min_term_len)
 
 
-class _FirstSeenIds(dict):
-    """key -> its index in the order keys were first looked up."""
-
-    def __missing__(self, key) -> int:
-        self[key] = index = len(self)
-        return index
-
-
-def tokenize(text: str, config: PreprocessConfig) -> list[str]:
+def tokenize(text: str, config: PreprocessConfig, *, ids: bool = False):
     """Lowercase, strip punctuation/digits, drop stopwords, Porter-stem.
 
     Stems shorter than ``min_term_len`` are removed; order is preserved.
+    Returns the terms as strings, or with ``ids`` as an int32 array of
+    their ids, which index the ``terms`` of the process's memo for
+    ``config``.
     """
     memo = _term_memo(config.stopword_set(), config.min_term_len)
-    # a stem is never empty, so filter(None) drops exactly the None terms
-    return list(filter(None, map(memo.__getitem__, _words(text))))
+    words = _words(text)
+    if ids:
+        term_ids = np.fromiter(map(memo.__getitem__, words), np.int32, len(words))
+        return term_ids[term_ids > 0]
+    # terms[0] is None, so filter(None) drops exactly the dropped tokens
+    return list(filter(None, map(memo.terms.__getitem__, map(memo.__getitem__, words))))
 
 
 def _count_terms(docs: list[RawDocument], config: PreprocessConfig,
-                 ) -> tuple[_FirstSeenIds, list[int], np.ndarray, np.ndarray]:
-    """(term -> first-seen id, each document's distinct term count, term
-    ids, counts): one (document, term) pair per entry, document after
-    document, never one entry per token. Ids and counts are int32 to halve
-    the pairs' memory."""
-    term_ids = _FirstSeenIds()
+                 ) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """(each document's distinct term count, term ids, counts): one
+    (document, term) pair per entry, document after document, never one
+    entry per token. Ids and counts are int32 to halve the pairs' memory."""
     doc_terms: list[np.ndarray] = []
     doc_counts: list[np.ndarray] = []
     for doc in docs:
-        terms = tokenize(doc.text, config)
-        ids = np.fromiter(map(term_ids.__getitem__, terms), np.int32, len(terms))
-        uniq, cts = np.unique(ids, return_counts=True)
+        uniq, cts = np.unique(tokenize(doc.text, config, ids=True), return_counts=True)
         doc_terms.append(uniq)
         doc_counts.append(cts.astype(np.int32))
     empty = [np.empty(0, np.int32)]
-    return (term_ids, [t.size for t in doc_terms], np.concatenate(doc_terms or empty),
+    return ([t.size for t in doc_terms], np.concatenate(doc_terms or empty),
             np.concatenate(doc_counts or empty))
 
 
@@ -336,11 +337,15 @@ def build_corpus(docs: list[RawDocument], covs: list[CovariateRecord],
             raise DuplicateDocId(rec.doc_id)
         cov_by_id[rec.doc_id] = rec
 
-    term_ids, n_distinct, pair_term, pair_count = _count_terms(docs, config)
-    doc_freq = np.bincount(pair_term, minlength=len(term_ids)).tolist()
-    vocabulary = sorted(t for t, df in zip(term_ids, doc_freq) if df >= config.min_doc_freq)
-    vocab_id = np.full(len(term_ids), -1, dtype=np.int32)
-    vocab_id[[term_ids[t] for t in vocabulary]] = np.arange(len(vocabulary))
+    n_distinct, pair_term, pair_count = _count_terms(docs, config)
+    terms = _term_memo(config.stopword_set(), config.min_term_len).terms
+    doc_freq = np.bincount(pair_term, minlength=len(terms))
+    # the memo also holds terms of earlier builds, in none of these documents
+    vocab_terms = sorted(np.flatnonzero(doc_freq >= max(config.min_doc_freq, 1)).tolist(),
+                         key=terms.__getitem__)
+    vocabulary = [terms[i] for i in vocab_terms]
+    vocab_id = np.full(len(terms), -1, dtype=np.int32)
+    vocab_id[vocab_terms] = np.arange(len(vocabulary))
     pair_term = vocab_id[pair_term]
     pair_doc = np.repeat(np.arange(len(docs), dtype=np.int32), n_distinct)
     in_vocab = pair_term >= 0

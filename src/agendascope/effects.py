@@ -114,7 +114,8 @@ class EffectDraws:
             raise ValueError(f"n_draws must be at least {MIN_DRAWS}")
         if model.nu is None:
             raise ValueError("EffectDraws needs the model's posterior covariances "
-                             "nu; load it with FittedModel.load(path, with_nu=True)")
+                             "nu, which a loaded model lacks; set model.nu = "
+                             "posterior_covariances(corpus, design, model)")
         n_rows = len(next(iter(covs.values())))
         if n_rows != model.n_docs:
             raise DimensionMismatch(

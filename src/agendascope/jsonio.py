@@ -3,9 +3,9 @@
 Every JSON artifact is written through :func:`dumps_canonical` so that
 identical in-memory objects always produce byte-identical files: keys
 sorted, no whitespace variance, floats via ``repr`` (shortest round-trip
-decimal), UTF-8, trailing newline. An array too large for JSON is written
-next to its artifact as one ``.npy`` file by :func:`save_sidecar` and read
-back by :func:`load_sidecar`.
+decimal), UTF-8, trailing newline. An integer array too large for JSON is
+written next to its artifact as one ``.npy`` file by :func:`save_sidecar`
+and read back by :func:`load_sidecar`.
 """
 
 from __future__ import annotations
@@ -75,32 +75,31 @@ def malformed_as_corrupt(path: str | Path) -> Iterator[None]:
 
 def sidecar_path(artifact: str | Path, name: str) -> Path:
     """The ``.npy`` sidecar that holds array ``name`` of the artifact at
-    ``artifact``: ``model.json``'s ``nu`` is in ``model.nu.npy``."""
+    ``artifact``: ``corpus.json``'s ``indices`` are in ``corpus.indices.npy``."""
     return Path(artifact).with_suffix(f".{name}.npy")
 
 
 def save_sidecar(artifact: str | Path, name: str, array: np.ndarray) -> Path:
-    """Write ``array`` to the ``name`` sidecar of ``artifact``; returns its
-    path. An integer array is stored in the narrowest dtype that holds its
-    values (unsigned when none is negative). ``np.save`` writes the same
-    bytes for the same array; ``np.savez`` is not used, because its zip
-    entries carry timestamps."""
-    if array.dtype.kind in "iu":
-        lo, hi = (array.min(), array.max()) if array.size else (0, 0)
-        array = array.astype(np.result_type(np.min_scalar_type(lo),
-                                            np.min_scalar_type(hi)))
+    """Write the integer ``array`` to the ``name`` sidecar of ``artifact``
+    in the narrowest dtype that holds its values (unsigned when none is
+    negative); returns its path. ``np.save`` writes the same bytes for the
+    same array; ``np.savez`` is not used, because its zip entries carry
+    timestamps."""
+    if array.dtype.kind not in "iu":
+        raise TypeError(f"sidecar {name} must hold integers, not {array.dtype}")
+    lo, hi = (array.min(), array.max()) if array.size else (0, 0)
+    array = array.astype(np.result_type(np.min_scalar_type(lo), np.min_scalar_type(hi)))
     path = sidecar_path(artifact, name)
     np.save(path, array, allow_pickle=False)
     return path
 
 
-def load_sidecar(artifact: str | Path, name: str, stage: str, *,
-                 integers: bool = False) -> np.ndarray:
-    """The array in the ``name`` sidecar of ``artifact``, which ``stage``
-    writes. An absent file raises :class:`MissingArtifact`; one that is not
-    a whole ``.npy`` array (truncated, pickled, a zip) raises
-    :class:`CorruptArtifact`, and so, with ``integers``, does any but a 1-D
-    integer array, which is returned as int64."""
+def load_sidecar(artifact: str | Path, name: str, stage: str) -> np.ndarray:
+    """The 1-D integer array in the ``name`` sidecar of ``artifact``, which
+    ``stage`` writes, as int64. An absent file raises
+    :class:`MissingArtifact`; one that is not a whole ``.npy`` array
+    (truncated, pickled, a zip), or holds any but a 1-D integer array,
+    raises :class:`CorruptArtifact`."""
     path = sidecar_path(artifact, name)
     try:
         with open(path, "rb") as fh:
@@ -109,8 +108,6 @@ def load_sidecar(artifact: str | Path, name: str, stage: str, *,
         raise MissingArtifact(stage, str(path)) from None
     except (ValueError, EOFError) as exc:
         raise CorruptArtifact(str(path), str(exc)) from None
-    if not integers:
-        return array
     if array.dtype.kind not in "iu":
         raise CorruptArtifact(str(path), f"{name} must be integers, not {array.dtype}")
     if array.ndim != 1:

@@ -9,6 +9,11 @@ over 64-document chunks of the documents sorted by decreasing distinct-term
 count (a stable sort), so a chunk pads its documents little; the partition,
 and so the order in which chunk results are summed, depends on the corpus
 alone and never on the thread count.
+
+``fit`` stops after an E-step, before the M-step that would follow it, so
+each saved posterior mode is the mode under the saved parameters, and
+:func:`posterior_covariances` recomputes the posterior covariances at those
+modes, bit for bit, from the saved model and its corpus; they are not saved.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ import numpy as np
 from .corpus import Corpus, csr_take
 from .errors import (CorruptArtifact, DimensionMismatch, HessianNotPD,
                      KExceedsVocabulary, NonFiniteObjective, SingularDesign)
-from .jsonio import (load_sidecar, malformed_as_corrupt, read_json, save_sidecar,
-                     sidecar_path, write_json)
+from .jsonio import malformed_as_corrupt, read_json, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -100,9 +104,8 @@ class FittedModel:
     gamma: np.ndarray                 # P x (K-1)
     sigma: np.ndarray                 # (K-1) x (K-1)
     eta: np.ndarray                   # D x (K-1) posterior modes
-    # D x (K-1) x (K-1) posterior covariances, exactly symmetric; saved to
-    # nu_path as each document's upper triangle. None when loaded without
-    # them, as every stage but effects does.
+    # D x (K-1) x (K-1) posterior covariances, exactly symmetric; not saved,
+    # so None in a loaded model until posterior_covariances recomputes them
     nu: np.ndarray | None
     bound_trace: list[float]
     config: FitConfig
@@ -131,36 +134,18 @@ class FittedModel:
         return len(trace) >= 2 and _bound_settled(trace[-2], trace[-1],
                                                   self.config.rel_tol)
 
-    @staticmethod
-    def nu_path(path: str | Path) -> Path:
-        """The ``.npy`` sidecar that holds ``nu`` for the model at ``path``:
-        ``model.json`` keeps it in ``model.nu.npy``."""
-        return sidecar_path(path, "nu")
-
     def save(self, path: str | Path) -> Path:
-        """Write every field but ``nu`` to ``path`` as JSON and ``nu`` to the
-        :meth:`nu_path` sidecar, as a D x K(K-1)/2 array of each document's
-        upper triangle in ``np.triu_indices(K-1)`` order; returns ``path``.
-        A ``nu`` that is not exactly symmetric raises ``ValueError``, since
-        its lower triangle would be lost."""
-        if not np.array_equal(self.nu, self.nu.transpose(0, 2, 1)):
-            raise ValueError("nu is not exactly symmetric; its packed upper "
-                             "triangles would not hold it")
-        path = write_json(path, {f.name: getattr(self, f.name)
+        """Write every field but ``nu`` to ``path`` as JSON; returns ``path``."""
+        return write_json(path, {f.name: getattr(self, f.name)
                                  for f in fields(self) if f.name != "nu"})
-        upper = np.triu_indices(self.k - 1)
-        save_sidecar(path, "nu", self.nu[:, upper[0], upper[1]])
-        return path
 
     @classmethod
-    def load(cls, path: str | Path, *, with_nu: bool = True) -> "FittedModel":
-        """The model at ``path``; an array whose shape does not fit K, the
-        vocabulary, the documents or the design columns raises
-        :class:`DimensionMismatch` naming its file, and one with a NaN or
-        infinite entry :class:`CorruptArtifact`. With ``with_nu=False`` the
-        :meth:`nu_path` sidecar is not opened and ``nu`` is None."""
+    def load(cls, path: str | Path) -> "FittedModel":
+        """The model at ``path``, with ``nu`` None; an array whose shape
+        does not fit K, the vocabulary, the documents or the design columns
+        raises :class:`DimensionMismatch` naming its file, and one with a NaN
+        or infinite entry :class:`CorruptArtifact`."""
         obj = read_json(path)
-        packed = load_sidecar(path, "nu", "fit") if with_nu else None
         with malformed_as_corrupt(path):
             model = cls(beta=np.array(obj["beta"], dtype=float),
                         gamma=np.array(obj["gamma"], dtype=float),
@@ -184,22 +169,6 @@ class FittedModel:
                                         f"expected {expected}")
             if not np.isfinite(array).all():
                 raise CorruptArtifact(str(path), f"{name} has a non-finite entry")
-        if packed is None:
-            return model
-        expected = (n_docs, k_free * k // 2)
-        if packed.dtype != np.float64 or packed.shape != expected:
-            raise DimensionMismatch(
-                f"{cls.nu_path(path)} holds a {packed.dtype} array of shape "
-                f"{packed.shape}; expected float64 {expected}, each document's "
-                f"packed upper triangle")
-        if not np.isfinite(packed).all():
-            raise CorruptArtifact(str(cls.nu_path(path)), "nu has a non-finite entry")
-        # entry (i, j) of a block is entry pos[i, j] of its packed row: one
-        # gather rebuilds the stack, both triangles at once
-        pos = np.empty((k_free, k_free), dtype=np.intp)
-        upper = np.triu_indices(k_free)
-        pos[upper] = pos[upper[::-1]] = np.arange(upper[0].size)
-        model.nu = packed[:, pos]
         return model
 
 
@@ -381,14 +350,14 @@ def _expected_counts(beta, w, den, cts, idx):
 
 
 def _estep_chunk(chunk: _Chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
-                 *, max_iter: int = 200, grad_tol: float = 1e-8):
+                 *, max_iter: int = 200, grad_tol: float = 1e-8, counts: bool = True):
     """Newton ascent for every document of one chunk, batched.
 
     Each document's state (value, gradient and mixture pieces) is carried at
     its current mode estimate and updated only for the rows a step moves; an
     accepted step takes its state from its line-search trial. Updates
-    eta_all/nu_all rows in place; returns (expected counts contribution,
-    bound contribution).
+    eta_all/nu_all rows in place; returns (expected counts contribution, or
+    None without ``counts``, bound contribution).
     """
     rows = chunk.rows
     m = len(rows)
@@ -461,7 +430,7 @@ def _estep_chunk(chunk: _Chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
 
     eta_all[rows] = eta
     nu_all[rows] = nu
-    return _expected_counts(beta, w, den, cts, chunk.idx), bound
+    return (_expected_counts(beta, w, den, cts, chunk.idx) if counts else None), bound
 
 
 def e_step_doc(counts_d: np.ndarray, mu_d: np.ndarray, sigma_inv: np.ndarray,
@@ -505,6 +474,34 @@ def e_step_doc(counts_d: np.ndarray, mu_d: np.ndarray, sigma_inv: np.ndarray,
 # -- the EM loop -------------------------------------------------------------
 
 
+def _design_matrix(corpus: Corpus, design: PrevalenceDesign) -> np.ndarray:
+    design.validate()
+    x = np.asarray(design.x, dtype=float)
+    if x.shape[0] != corpus.n_docs:
+        raise DimensionMismatch(
+            f"design has {x.shape[0]} rows for {corpus.n_docs} documents")
+    return x
+
+
+def _chunks(corpus: Corpus) -> list[_Chunk]:
+    """The E-step partition: longest documents first, so chunks pad little
+    and a pool does not end on its heaviest chunk; it depends on the corpus
+    alone."""
+    order = np.argsort(-np.diff(corpus.indptr), kind="stable")
+    return [_Chunk(order[start:start + _CHUNK], corpus.indptr, corpus.indices,
+                   corpus.counts)
+            for start in range(0, corpus.n_docs, _CHUNK)]
+
+
+def _prior(sigma: np.ndarray, x: np.ndarray, gamma: np.ndarray):
+    """(sigma_inv, mu, log det sigma) of the prevalence prior."""
+    chol_sigma = np.linalg.cholesky(sigma)
+    sigma_inv = np.linalg.solve(sigma, np.eye(sigma.shape[0]))
+    sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
+    logdet_sigma = 2.0 * float(np.log(np.diag(chol_sigma)).sum())
+    return sigma_inv, x @ gamma, logdet_sigma
+
+
 def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
         threads: int = 1) -> FittedModel:
     """Variational EM until the relative change of the approximate bound
@@ -513,11 +510,7 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
     Deterministic given the seed: document order, the length-sorted chunk
     partition, and reduction order are fixed regardless of ``threads``.
     """
-    design.validate()
-    x = np.asarray(design.x, dtype=float)
-    if x.shape[0] != corpus.n_docs:
-        raise DimensionMismatch(
-            f"design has {x.shape[0]} rows for {corpus.n_docs} documents")
+    x = _design_matrix(corpus, design)
     k = config.k
     beta, eta = init_params(corpus, config)
     n_docs, n_terms = corpus.n_docs, corpus.n_terms
@@ -526,25 +519,14 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
     nu = np.zeros((n_docs, k - 1, k - 1))
     bound_trace: list[float] = []
 
-    # longest documents first, so chunks pad little and a pool does not end
-    # on its heaviest chunk; the partition depends on the corpus alone
-    order = np.argsort(-np.diff(corpus.indptr), kind="stable")
-    chunks = [_Chunk(order[start:start + _CHUNK], corpus.indptr, corpus.indices,
-                     corpus.counts)
-              for start in range(0, n_docs, _CHUNK)]
-    pool = (concurrent.futures.ThreadPoolExecutor(max_workers=threads)
-            if threads > 1 else None)
-    try:
+    chunks = _chunks(corpus)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        chunk_map = pool.map if threads > 1 else map  # one thread: no worker starts
         prev_bound = None
         for iteration in range(config.max_em_iters):
-            chol_sigma = np.linalg.cholesky(sigma)
-            sigma_inv = np.linalg.solve(sigma, np.eye(k - 1))
-            sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
-            logdet_sigma = 2.0 * float(np.log(np.diag(chol_sigma)).sum())
-            mu = x @ gamma
-
-            run = (lambda c: _estep_chunk(c, eta, nu, mu, sigma_inv, beta))
-            partials = map(run, chunks) if pool is None else pool.map(run, chunks)
+            sigma_inv, mu, logdet_sigma = _prior(sigma, x, gamma)
+            partials = chunk_map(
+                lambda c: _estep_chunk(c, eta, nu, mu, sigma_inv, beta), chunks)
             beta_ss = np.zeros((k, n_terms))
             bound = 0.0
             for part_ss, part_bound in partials:  # fixed chunk order
@@ -563,9 +545,6 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
             beta, gamma, sigma = m_step(eta, nu.mean(axis=0), x, config,
                                         beta_ss)
             prev_bound = bound
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
     model = FittedModel(beta=beta, gamma=gamma, sigma=sigma, eta=eta, nu=nu,
                         bound_trace=bound_trace, config=config,
@@ -579,3 +558,23 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
                        "last relative bound change %.3g, rel_tol %g",
                        len(bound_trace), change, config.rel_tol)
     return model
+
+
+def posterior_covariances(corpus: Corpus, design: PrevalenceDesign,
+                          model: FittedModel, threads: int = 1) -> np.ndarray:
+    """The D x (K-1) x (K-1) posterior covariances of ``model``, fitted to
+    ``corpus`` under ``design``: the inverse damped curvature at each saved
+    mode under the saved parameters. This is the Laplace tail of ``fit``'s
+    E-step on ``fit``'s chunks, with no Newton step, so it gives the ``nu``
+    that ``fit`` returned, bit for bit, at any ``threads``."""
+    x = _design_matrix(corpus, design)
+    if model.eta.shape[0] != corpus.n_docs or model.beta.shape[1] != corpus.n_terms:
+        raise DimensionMismatch("the model does not fit the corpus's documents and terms")
+    sigma_inv, mu, _ = _prior(model.sigma, x, model.gamma)
+    eta = model.eta.copy()  # written back unchanged; the model is left alone
+    nu = np.zeros(eta.shape + eta.shape[1:])
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        list((pool.map if threads > 1 else map)(
+            lambda c: _estep_chunk(c, eta, nu, mu, sigma_inv, model.beta, max_iter=0,
+                                   counts=False), _chunks(corpus)))
+    return nu

@@ -130,31 +130,31 @@ class TestStages:
         assert file_sha256(out_b / "model.json") != model_a
 
 
+def effects_bytes(out: Path) -> dict[str, bytes]:
+    """Every file the effects stage wrote to ``out``, manifest included."""
+    written = [*sorted((out / "effects").iterdir()), out / "effects.manifest.json"]
+    return {path.name: path.read_bytes() for path in written}
+
+
 class TestModelSidecar:
-    """``nu`` lives in ``model.nu.npy`` next to ``model.json``; the one stage
-    that reads it, effects, hashes it like any other input."""
+    """``nu`` is not saved: fit writes ``model.json`` alone, and no stage
+    reads a ``model.nu.npy`` left in the output directory, such as one an
+    earlier version wrote."""
 
-    STAGES = ("effects",)
-
-    def test_fit_lists_sidecar_as_output(self, sample_all):
+    def test_fit_writes_model_json_only(self, sample_all):
         _, out = sample_all
         outputs = read_json(out / "fit.manifest.json")["outputs"]
-        assert set(outputs) == {"model.json", "model.nu.npy"}
-        assert outputs["model.nu.npy"] == file_sha256(out / "model.nu.npy")
-
-    def test_downstream_stages_hash_sidecar(self, sample_all):
-        _, out = sample_all
-        sidecar = out / "model.nu.npy"
-        for stage in self.STAGES:
-            entry = read_json(out / f"{stage}.manifest.json")["inputs"]["model_nu"]
-            assert Path(entry["path"]) == sidecar
-            assert entry["sha256"] == file_sha256(sidecar)
+        assert set(outputs) == {"model.json"}
+        assert not (out / "model.nu.npy").exists()
+        for stage in ("metrics", "effects", "report"):
+            inputs = read_json(out / f"{stage}.manifest.json")["inputs"]
+            assert "model" in inputs and "model_nu" not in inputs
 
     def test_metrics_and_report_do_not_read_sidecar(self, sample_all, tmp_path):
         config, out = sample_all
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
-        (copy / "model.nu.npy").unlink()
+        (copy / "model.nu.npy").write_bytes(b"not an array")
         for stage in ("metrics", "report"):
             assert run_cli(stage, "--config", config, "--out", copy) == 0
             manifest = read_json(copy / f"{stage}.manifest.json")
@@ -163,37 +163,34 @@ class TestModelSidecar:
             for rel, digest in manifest["outputs"].items():
                 assert file_sha256(out / rel) == digest, rel
 
-    def test_changed_sidecar_byte_changes_input_hash(self, sample_all, tmp_path):
+    @pytest.mark.parametrize("sidecar", [
+        lambda n_docs: b"not an array",
+        lambda n_docs: np.full((n_docs, 3), np.nan),            # corrupt
+        lambda n_docs: np.tile([2.0, 0.0, 2.0], (n_docs, 1)),  # stale: another nu
+    ], ids=["garbage", "nan", "stale"])
+    def test_sidecar_leaves_effects_unchanged(self, sample_all, tmp_path, sidecar):
+        """The effects stage recomputes ``nu`` from ``model.json`` and the
+        corpus, so its outputs and manifest are those of a run without the
+        file, byte for byte."""
         config, out = sample_all
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
-        sidecar = copy / "model.nu.npy"
-        data = bytearray(sidecar.read_bytes())
-        data[-8] ^= 1  # lowest mantissa bit of the last covariance entry
-        sidecar.write_bytes(bytes(data))
-        for stage in self.STAGES:
-            entry = read_json(copy / f"{stage}.manifest.json")["inputs"]["model_nu"]
-            assert entry["sha256"] != file_sha256(sidecar)
+        value = sidecar(len(read_json(copy / "model.json")["doc_ids"]))
+        if isinstance(value, bytes):
+            (copy / "model.nu.npy").write_bytes(value)
+        else:
+            np.save(copy / "model.nu.npy", value)
+        shutil.rmtree(copy / "effects")
         assert run_cli("effects", "--config", config, "--out", copy) == 0
-        entry = read_json(copy / "effects.manifest.json")["inputs"]["model_nu"]
-        assert entry["sha256"] == file_sha256(sidecar)
-
-    def test_missing_sidecar_exit_is_structured(self, sample_all, tmp_path, capsys):
-        """An output directory whose model.json was written without the
-        sidecar fails the effects stage as MissingArtifact naming the
-        sidecar."""
-        config, out = sample_all
-        copy = tmp_path / "out"
-        shutil.copytree(out, copy)
-        (copy / "model.nu.npy").unlink()
-        capsys.readouterr()
-        assert run_cli("effects", "--config", config, "--out", copy) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "MissingArtifact"
-        assert str(copy / "model.nu.npy") in err["message"]
+        expected = effects_bytes(out)
+        manifest = json.loads(expected.pop("effects.manifest.json"))
+        manifest["inputs"] = {name: {**entry, "path": entry["path"].replace(str(out), str(copy))}
+                              for name, entry in manifest["inputs"].items()}
+        actual = effects_bytes(copy)
+        assert json.loads(actual.pop("effects.manifest.json")) == manifest
+        assert actual == expected
 
     @pytest.mark.parametrize("name, stage", [
-        ("model.nu.npy", "effects"),
         ("model.json", "report"),
         ("corpus.json", "metrics"),
         ("corpus.indices.npy", "fit"),
@@ -214,32 +211,45 @@ class TestModelSidecar:
         assert str(copy / name) in err["message"]
 
 
-    @pytest.mark.parametrize("fault, error", [("nan", "CorruptArtifact"),
-                                              ("indefinite", "HessianNotPD")])
-    def test_corrupt_sidecar_fails_before_any_draw(self, sample_all, tmp_path, capsys,
-                                                   fault, error):
-        """A NaN, or a negative variance that makes one block indefinite,
-        fails the effects stage with the structured error before anything
-        is drawn or written, instead of a JSON-encoder traceback or a
-        silently clamped covariance."""
+class TestModelAgainstCorpus:
+    """The effects stage recomputes ``nu`` from the model and the corpus, so
+    a model that was not fitted to the corpus rows the formula keeps, under
+    the formula's design columns, fails before anything is drawn or
+    written."""
+
+    @staticmethod
+    def edit_model(copy: Path, key: str) -> None:
+        obj = read_json(copy / "model.json")
+        obj[key][0] = "ZZZ_1_1999" if key == "doc_ids" else "zzzz"
+        (copy / "model.json").write_text(json.dumps(obj))
+
+    @pytest.mark.parametrize("fault, error, named", [
+        ("vocabulary", "DimensionMismatch", "vocabulary"),
+        ("doc_ids", "DimensionMismatch", "documents the formula keeps"),
+        ("formula", "ConfigError", "formula gives the design columns"),
+    ], ids=["vocabulary", "doc_ids", "formula"])
+    def test_mismatch_exit_is_structured(self, sample_all, tmp_path, capsys,
+                                         fault, error, named):
         config, out = sample_all
+        shutil.copytree(config.parent, tmp_path / "sample")
+        config = tmp_path / "sample" / "config.json"
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
-        sidecar = copy / "model.nu.npy"
-        packed = np.load(sidecar)
-        packed[3, 0] = np.nan if fault == "nan" else -1.0  # entry (0, 0) of document 3
-        np.save(sidecar, packed)
-        written = [*sorted((copy / "effects").iterdir()), copy / "effects.manifest.json"]
-        before = [path.read_bytes() for path in written]
+        set_setting(config, "paths.out_dir", str(copy))
+        if fault == "formula":
+            set_setting(config, "formula", "s(year,df=5) + region + conflict")
+        else:
+            self.edit_model(copy, fault)
+        before = effects_bytes(copy)
         capsys.readouterr()
-        assert run_cli("effects", "--config", config, "--out", copy) == 1
+        assert run_cli("effects", "--config", config) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == error
-        named = (str(sidecar) if fault == "nan"
-                 else repr(read_json(copy / "model.json")["doc_ids"][3]))
         assert named in err["message"]
-        assert [path.read_bytes() for path in written] == before
-        assert sorted((copy / "effects").iterdir()) == written[:-1]
+        if fault != "formula":
+            assert str(copy / "model.json") in err["message"]
+            assert str(copy / "corpus.json") in err["message"]
+        assert effects_bytes(copy) == before
 
 
 class TestCorpusSidecars:
@@ -656,22 +666,21 @@ class TestConfig:
         assert str(config.parent / "absent.txt") in err["message"]
 
     def test_each_setting_declared_once(self):
-        """Every fit setting is the run setting of the same name, so the fit
-        stages pass it on, and the run defaults that stand for a library
-        default are that default."""
+        """Every fit setting but k, and every preprocessing setting but the
+        stopwords, is the run setting of the same name with the same
+        default, so the stages pass it on; and the other run defaults that
+        stand for a library default are that default."""
         run = {f.name: f.default for f in fields(RunConfig)}
-        for f in fields(FitConfig):
-            if f.name != "k":
-                assert f.name in run and run[f.name] == f.default, f.name
+        for cls, given in ((FitConfig, "k"), (PreprocessConfig, "stopwords")):
+            for f in fields(cls):
+                if f.name != given:
+                    assert f.name in run and run[f.name] == f.default, f.name
 
         def default(func, name):
             return inspect.signature(func).parameters[name].default
 
-        assert {name: run[name] for name in ("min_doc_freq", "min_term_len",
-                                             "coherence_m", "top_words",
+        assert {name: run[name] for name in ("coherence_m", "top_words",
                                              "graph_threshold")} == {
-            "min_doc_freq": PreprocessConfig().min_doc_freq,
-            "min_term_len": PreprocessConfig().min_term_len,
             "coherence_m": default(model_quality, "m"),
             "top_words": default(summarize_topics, "n_words"),
             "graph_threshold": default(topic_graph, "threshold"),

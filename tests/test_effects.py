@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import agendascope
-from agendascope.cli import _aligned_table, main
+from agendascope.cli import _design_and_subset, main
 from agendascope.config import load_config
 from agendascope.corpus import (Corpus, PreprocessConfig, build_corpus,
                                 load_ungdc_layout)
@@ -16,7 +16,7 @@ from agendascope.effects import (EffectDraws, _factor_stack, estimate_contrast,
                                  estimate_effect, quantile_pair)
 from agendascope.errors import DimensionMismatch, HessianNotPD
 from agendascope.jsonio import dumps_canonical
-from agendascope.stm import FitConfig, FittedModel
+from agendascope.stm import FitConfig, FittedModel, posterior_covariances
 
 SAMPLE = Path(agendascope.__file__).parent / "data" / "sample"
 
@@ -287,11 +287,12 @@ class TestSharedDraws:
     def test_stage_equals_direct_calls(self, stage_runs):
         cfg, both, _ = stage_runs
         model = FittedModel.load(both / "model.json")
-        table = _aligned_table(Corpus.load(both / "corpus.json"), model)
+        built, sub = _design_and_subset(cfg, Corpus.load(both / "corpus.json"))
+        model.nu = posterior_covariances(sub, built.design, model)
         year, conflict = cfg.targets
         seed = cfg.seed + 7919
-        draws = EffectDraws(model, cfg.formula, table, n_draws=cfg.n_draws,
-                            seed=seed)
+        draws = EffectDraws(model, cfg.formula, sub.covariate_table(),
+                            n_draws=cfg.n_draws, seed=seed)
         effect = estimate_effect(draws, 1, "year",
                                  grid_points=year.grid_points, hold=year.hold)
         contrast = estimate_contrast(draws, 1, "conflict", *conflict.contrast)
@@ -303,10 +304,11 @@ class TestSharedDraws:
 
     def test_model_loaded_without_nu_rejected(self, stage_runs):
         cfg, both, _ = stage_runs
-        model = FittedModel.load(both / "model.json", with_nu=False)
-        table = _aligned_table(Corpus.load(both / "corpus.json"), model)
-        with pytest.raises(ValueError, match="posterior covariances nu"):
-            EffectDraws(model, cfg.formula, table, n_draws=cfg.n_draws, seed=0)
+        model = FittedModel.load(both / "model.json")
+        _, sub = _design_and_subset(cfg, Corpus.load(both / "corpus.json"))
+        with pytest.raises(ValueError, match=r"nu = posterior_covariances\(corpus, design, model\)"):
+            EffectDraws(model, cfg.formula, sub.covariate_table(), n_draws=cfg.n_draws,
+                        seed=0)
 
 
 class TestRegressionSolve:

@@ -1,11 +1,12 @@
-"""Canonical JSON: exact bytes for numpy payloads, and what it refuses."""
+"""Canonical JSON: exact bytes for numpy payloads, and what it refuses;
+the integer-only .npy sidecars."""
 
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from agendascope.jsonio import dumps_canonical
+from agendascope.jsonio import dumps_canonical, save_sidecar
 
 
 @dataclass(frozen=True)
@@ -47,3 +48,10 @@ def test_arbitrary_object_rejected():
 def test_dataclass_class_rejected():
     with pytest.raises(TypeError):
         dumps_canonical({"x": Point})
+
+
+def test_float_sidecar_rejected(tmp_path):
+    """A sidecar holds integers: a float array would be narrowed."""
+    with pytest.raises(TypeError, match="must hold integers"):
+        save_sidecar(tmp_path / "a.json", "x", np.zeros(3))
+    assert not any(tmp_path.iterdir())

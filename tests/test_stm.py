@@ -2,6 +2,7 @@
 
 import collections
 import logging
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,15 +12,14 @@ import agendascope
 import agendascope.stm as stm_mod
 from agendascope.corpus import PreprocessConfig, build_corpus, load_ungdc_layout
 from agendascope.design import build_design
-from agendascope.errors import (DimensionMismatch, HessianNotPD,
-                                KExceedsVocabulary, MissingArtifact,
+from agendascope.errors import (DimensionMismatch, HessianNotPD, KExceedsVocabulary,
                                 NonFiniteObjective, SingularDesign)
 from agendascope.jsonio import dumps_canonical, read_json, write_json
 from agendascope.stm import (FitConfig, FittedModel, PrevalenceDesign,
                              _batch_neg_hessian, _batch_state, _batch_value,
                              _Chunk, _damped_cholesky, _estep_chunk,
                              _expected_counts, e_step_doc, fit, init_params, m_step,
-                             softmax_with_zero)
+                             posterior_covariances, softmax_with_zero)
 from oracles import (estep_chunk_reference, grid_search_eta, padded_chunk_reference,
                      ridge_closed_form)
 from synth import (counts_dense, csr, greedy_align, model_draw, tiny_corpus,
@@ -545,7 +545,7 @@ class TestFit:
         model = fit(corpus, design, FitConfig(k=2, seed=6, max_em_iters=6))
         path = model.save(tmp_path / "model.json")
         back = FittedModel.load(path)
-        assert dumps_canonical(back) == dumps_canonical(model)
+        assert dumps_canonical(back) == dumps_canonical(replace(model, nu=None))
 
     def test_legacy_model_with_k_loads(self, tmp_path):
         corpus = two_block_corpus(seed=10, n_docs=12)
@@ -553,75 +553,19 @@ class TestFit:
         model = fit(corpus, design, FitConfig(k=2, seed=6, max_em_iters=6))
         path = tmp_path / "model.json"
         write_json(path, {**read_json(model.save(path)), "k": 2})
-        assert dumps_canonical(FittedModel.load(path)) == dumps_canonical(model)
-
-    def test_nu_saved_to_sidecar_only(self, tmp_path):
-        corpus = two_block_corpus(seed=10, n_docs=12)
-        design = PrevalenceDesign.intercept_only(corpus.n_docs)
-        model = fit(corpus, design, FitConfig(k=3, seed=6, max_em_iters=6))
-        path = model.save(tmp_path / "model.json")
-        assert path == tmp_path / "model.json"
-        assert FittedModel.nu_path(path) == tmp_path / "model.nu.npy"
-        assert "nu" not in read_json(path)
-        assert np.array_equal(FittedModel.load(path).nu, model.nu)
-        first = FittedModel.nu_path(path).read_bytes()
-        model.save(path)
-        assert FittedModel.nu_path(path).read_bytes() == first
-
-    def test_nu_sidecar_is_packed_upper_triangles(self, tmp_path):
-        corpus = two_block_corpus(seed=10, n_docs=12)
-        design = PrevalenceDesign.intercept_only(corpus.n_docs)
-        model = fit(corpus, design, FitConfig(k=4, seed=6, max_em_iters=4))
-        packed = np.load(FittedModel.nu_path(model.save(tmp_path / "model.json")))
-        iu0, iu1 = np.triu_indices(3)
-        assert packed.dtype == np.float64 and packed.shape == (12, 6)
-        for d in range(12):
-            for j in range(6):
-                assert packed[d, j] == model.nu[d, iu0[j], iu1[j]]
-
-    def test_save_rejects_asymmetric_nu(self, tmp_path):
-        corpus = two_block_corpus(seed=10, n_docs=12)
-        design = PrevalenceDesign.intercept_only(corpus.n_docs)
-        model = fit(corpus, design, FitConfig(k=3, seed=6, max_em_iters=2))
-        model.nu[5, 1, 0] = np.nextafter(model.nu[5, 1, 0], np.inf)
-        with pytest.raises(ValueError, match="not exactly symmetric"):
-            model.save(tmp_path / "model.json")
-        assert not (tmp_path / "model.json").exists()
+        assert dumps_canonical(FittedModel.load(path)) == dumps_canonical(
+            replace(model, nu=None))
 
     def test_load_without_nu_opens_no_sidecar(self, tmp_path):
         corpus = two_block_corpus(seed=10, n_docs=12)
         design = PrevalenceDesign.intercept_only(corpus.n_docs)
         model = fit(corpus, design, FitConfig(k=3, seed=6, max_em_iters=2))
         path = model.save(tmp_path / "model.json")
-        FittedModel.nu_path(path).unlink()
-        back = FittedModel.load(path, with_nu=False)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        assert "nu" not in read_json(path)
+        back = FittedModel.load(path)
         assert back.nu is None
         assert np.array_equal(back.eta, model.eta)
-
-    def test_missing_nu_sidecar(self, tmp_path):
-        corpus = two_block_corpus(seed=10, n_docs=12)
-        design = PrevalenceDesign.intercept_only(corpus.n_docs)
-        model = fit(corpus, design, FitConfig(k=2, seed=6, max_em_iters=2))
-        path = model.save(tmp_path / "model.json")
-        FittedModel.nu_path(path).unlink()
-        with pytest.raises(MissingArtifact) as err:
-            FittedModel.load(path)
-        assert err.value.path == str(tmp_path / "model.nu.npy")
-
-    @pytest.mark.parametrize("bad_nu", [
-        lambda nu, iu: nu[:, iu[0], iu[1]].astype(np.float32),  # wrong dtype
-        lambda nu, iu: nu[1:, iu[0], iu[1]],                    # one document short
-        lambda nu, iu: nu[:, :1, :1].reshape(len(nu), 1),       # packed for a smaller K
-        lambda nu, iu: nu,                                      # the full blocks of old
-    ], ids=["float32", "fewer_docs", "smaller_k", "full_layout"])
-    def test_bad_nu_sidecar_is_dimension_mismatch(self, tmp_path, bad_nu):
-        corpus = two_block_corpus(seed=10, n_docs=12)
-        design = PrevalenceDesign.intercept_only(corpus.n_docs)
-        model = fit(corpus, design, FitConfig(k=3, seed=6, max_em_iters=2))
-        path = model.save(tmp_path / "model.json")
-        np.save(FittedModel.nu_path(path), bad_nu(model.nu, np.triu_indices(2)))
-        with pytest.raises(DimensionMismatch, match="model.nu.npy"):
-            FittedModel.load(path)
 
     @pytest.mark.parametrize("edit, name", [
         (lambda o: o["vocabulary"].pop(), "beta"),
@@ -655,6 +599,70 @@ class TestFit:
             done = fit(corpus, design, FitConfig(k=2, seed=11, max_em_iters=200))
         assert done.converged and len(done.bound_trace) < 200
         assert not caplog.records
+
+
+class TestPosteriorCovariances:
+    """``posterior_covariances`` gives the ``nu`` that ``fit`` returned, bit
+    for bit, from the saved model, its corpus and its design."""
+
+    @staticmethod
+    def last_estep_events(corpus, design, model, grad_tol=1e-8):
+        """Branches taken by the only E-step of a ``max_em_iters=1`` fit,
+        replayed from the fit's start by the reference kernel."""
+        events = collections.Counter()
+        k_free = model.eta.shape[1]
+        eta = np.zeros_like(model.eta)
+        sigma_inv, mu, _ = stm_mod._prior(np.eye(k_free), design.x,
+                                          np.zeros((design.x.shape[1], k_free)))
+        for chunk in stm_mod._chunks(corpus):
+            estep_chunk_reference(chunk, eta, np.zeros_like(model.nu), mu, sigma_inv,
+                                  model.beta, events, grad_tol=grad_tol)
+        assert np.array_equal(eta, model.eta)
+        return events
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("k", [2, 5, 30])
+    def test_equals_fit_nu(self, tmp_path, k, threads):
+        corpus, design, _, _ = model_draw(3, n_docs=150, n_terms=300, doc_len=80)
+        model = fit(corpus, design, FitConfig(k=k, seed=1, max_em_iters=6),
+                    threads=threads)
+        loaded = FittedModel.load(model.save(tmp_path / "model.json"))
+        for recompute_threads in (1, 2):
+            nu = posterior_covariances(corpus, design, loaded, threads=recompute_threads)
+            assert np.array_equal(nu, model.nu)
+        assert loaded.nu is None and np.array_equal(loaded.eta, model.eta)
+
+    def test_documents_dropped_for_missing_covariates(self):
+        corpus, _, _, _ = model_draw(4, n_docs=150, n_terms=300, doc_len=80)
+        corpus.covariates = [replace(rec, conflict=None) if d % 9 == 4 else rec
+                             for d, rec in enumerate(corpus.covariates)]
+        built = build_design("conflict", corpus.covariate_table())
+        sub = corpus.subset(built.kept_rows)
+        assert built.dropped_rows.size == 17 and sub.n_docs == corpus.n_docs - 17
+        model = fit(sub, built.design, FitConfig(k=4, seed=2, max_em_iters=5))
+        assert np.array_equal(posterior_covariances(sub, built.design, model), model.nu)
+        with pytest.raises(DimensionMismatch, match="does not fit"):
+            posterior_covariances(corpus, PrevalenceDesign.intercept_only(corpus.n_docs),
+                                  model)
+
+    def test_last_estep_damped(self):
+        corpus = two_block_corpus(seed=3, n_docs=40)
+        design = PrevalenceDesign.intercept_only(corpus.n_docs)
+        model = fit(corpus, design, FitConfig(k=8, seed=2, max_em_iters=1))
+        assert self.last_estep_events(corpus, design, model)["damped"] > 0
+        assert np.array_equal(posterior_covariances(corpus, design, model), model.nu)
+
+    def test_last_estep_froze_documents(self, monkeypatch):
+        """With no gradient tolerance, Newton ascent runs until a line
+        search fails, which freezes its document."""
+        kernel = stm_mod._estep_chunk
+        monkeypatch.setattr(stm_mod, "_estep_chunk",
+                            lambda *a, **kw: kernel(*a, **kw, grad_tol=0.0))
+        corpus = two_block_corpus(seed=3, n_docs=100)
+        design = PrevalenceDesign.intercept_only(corpus.n_docs)
+        model = fit(corpus, design, FitConfig(k=3, seed=2, max_em_iters=1))
+        assert self.last_estep_events(corpus, design, model, grad_tol=0.0)["frozen"] > 0
+        assert np.array_equal(posterior_covariances(corpus, design, model), model.nu)
 
 
 class TestRecovery:

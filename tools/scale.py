@@ -17,10 +17,12 @@ reports half of each fit's wall time as the seconds per EM iteration, with
 the size of the fitted ``nu``. Keeping the K=50 model, it times the effects
 draws for the formula ``conflict`` (``EffectDraws`` with ``n_draws=100``,
 ``seed=0``) and reports seconds per draw. It then saves that model and
-reports the bytes of ``model.json`` and ``model.nu.npy``, and the time of
-one ``FittedModel.save``, one ``FittedModel.load`` and one load without
-``nu``, made with ``model.nu.npy`` deleted, so that it can open no
-sidecar. Last, it renders each document as
+reports the bytes of ``model.json``, the bytes of the packed ``nu`` file
+that the fit no longer writes, and the time of one ``FittedModel.save``,
+one ``FittedModel.load``, and then of one ``posterior_covariances`` of the
+loaded model (``threads=2``), which it checks is bit-equal to the fit's
+``nu``.
+Last, it renders each document as
 a speech, writing each term occurrence as a fixed word for its term id
 followed by a stopword, and times ``build_corpus`` on the speeches with the
 default preprocessing, in words per second. Prints one JSON object with
@@ -56,7 +58,8 @@ import agendascope  # noqa: E402
 from agendascope.corpus import (Corpus, PreprocessConfig, RawDocument,  # noqa: E402
                                 build_corpus)
 from agendascope.effects import EffectDraws  # noqa: E402
-from agendascope.stm import FitConfig, FittedModel, fit  # noqa: E402
+from agendascope.stm import (FitConfig, FittedModel, fit,  # noqa: E402
+                             posterior_covariances)
 
 EM_KS = (10, 30, 50)
 EM_ITERS = 2
@@ -167,11 +170,17 @@ def main() -> None:
         path, seconds["model_save"] = timed(lambda: model.save(Path(tmp) / "model.json"))
         model_files = {p.name: round(p.stat().st_size / 1e6, 2)
                        for p in sorted(Path(tmp).iterdir())}
-        model = None
-        _, seconds["model_load"] = timed(lambda: FittedModel.load(path))
-        FittedModel.nu_path(path).unlink()
-        _, seconds["model_load_without_nu"] = timed(
-            lambda: FittedModel.load(path, with_nu=False))
+        loaded_model, seconds["model_load"] = timed(lambda: FittedModel.load(path))
+    nu, wall = timed(lambda: posterior_covariances(loaded, design, loaded_model,
+                                                   threads=EM_THREADS))
+    k_free = model.nu.shape[1]
+    recompute = {"k": EM_KS[-1], "threads": EM_THREADS, "s": wall,
+                 "bit_equal": bool(np.array_equal(nu, model.nu)),
+                 # the .npy of each document's packed upper triangle, its
+                 # 128-byte header included, that fit wrote before nu was
+                 # recomputed
+                 "bytes_not_written": 128 + 8 * model.n_docs * k_free * (k_free + 1) // 2}
+    model = loaded_model = nu = None
     ingest = time_ingest(loaded)  # last, so its text does not raise the peaks above
     cpus = len(os.sched_getaffinity(0))
     print(json.dumps({
@@ -181,6 +190,7 @@ def main() -> None:
         "load_only_peak_rss_mb": load_rss_mb,
         "em": {"iterations": EM_ITERS, "threads": EM_THREADS, "by_k": em},
         "effects": effects, "model_files_mb": {"k": EM_KS[-1], **model_files},
+        "posterior_covariances": recompute,
         "peak_rss_mb": peak_rss_mb(),
         "cpus": cpus,
         "note": f"measured on the {cpus} CPUs this process could use, no more"}))
