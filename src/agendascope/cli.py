@@ -18,14 +18,15 @@ import argparse
 import atexit
 import gc
 import json
+import math
 import sys
 import time
 from dataclasses import fields
 from pathlib import Path
 
-from .config import RunConfig, load_config
+from .config import EffectTarget, RunConfig, load_config
 from .corpus import Corpus, PreprocessConfig, build_corpus, load_ungdc_layout
-from .design import build_design
+from .design import BuiltDesign, CategoricalSpec, build_design
 from .effects import EffectDraws, estimate_contrast, estimate_effect
 from .errors import AgendascopeError, ConfigError, DimensionMismatch, MissingArtifact
 from .formula import parse_formula
@@ -165,13 +166,11 @@ def run_fit(cfg: RunConfig) -> Stage:
 
 def run_metrics(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
-    corpus, corpus_inputs = _load_corpus(out_dir)
-    model, model_inputs = _load_model(out_dir)
-    _check_settings(len(model.vocabulary), model.k,
-                    sizes={"metrics.coherence_m": cfg.coherence_m})
-    summaries = summarize_topics(model.beta, model.vocabulary, corpus,
+    model, _, sub, inputs = _load_fitted(
+        cfg, sizes={"metrics.coherence_m": cfg.coherence_m})
+    summaries = summarize_topics(model.beta, model.vocabulary, sub,
                                  n_words=cfg.top_words, frex_w=cfg.frex_w)
-    quality = model_quality(model.beta, corpus, m=cfg.coherence_m,
+    quality = model_quality(model.beta, sub, m=cfg.coherence_m,
                             frex_w=cfg.frex_w)
     summaries_path = write_json(out_dir / SUMMARIES_FILE, {"topics": summaries})
     quality_path = write_json(out_dir / QUALITY_FILE, quality)
@@ -179,8 +178,7 @@ def run_metrics(cfg: RunConfig) -> Stage:
     print(table)
     table_path = out_dir / TOP_WORDS_FILE
     table_path.write_text(table, encoding="utf-8")
-    return ({**corpus_inputs, **model_inputs},
-            [summaries_path, quality_path, table_path])
+    return inputs, [summaries_path, quality_path, table_path]
 
 
 def _check_fitted_to(model: FittedModel, inputs: dict[str, Path], sub: Corpus,
@@ -197,21 +195,52 @@ def _check_fitted_to(model: FittedModel, inputs: dict[str, Path], sub: Corpus,
                                     f"disagree on the {what}")
 
 
-def run_effects(cfg: RunConfig) -> Stage:
+def _load_fitted(cfg: RunConfig, **settings):
+    """The model, the design it was fitted with and the corpus rows it was
+    fitted to, with ``corpus.json``, its sidecars and ``model.json`` as
+    manifest inputs. Raises unless the run settings ``settings`` (as
+    :func:`_check_settings` takes them) suit the model and the model was
+    fitted to those rows under the formula's design columns."""
     out_dir = Path(cfg.out_dir)
     corpus, inputs = _load_corpus(out_dir)
     model, model_inputs = _load_model(out_dir)
     inputs.update(model_inputs)
-    _check_settings(len(model.vocabulary), model.k,
-                    topics={f"effects.targets[{i}].topics": t.topics
-                            for i, t in enumerate(cfg.targets)})
+    _check_settings(len(model.vocabulary), model.k, **settings)
     built, sub = _design_and_subset(cfg, corpus)
     _check_fitted_to(model, inputs, sub, built.design.column_names)
+    return model, built, sub, inputs
+
+
+def _check_contrasts(targets: list[EffectTarget], built: BuiltDesign) -> None:
+    """Raise one ConfigError naming every contrast level that the fitted
+    design cannot encode: a categorical level it never saw, or a
+    non-numeric level of a numeric covariate."""
+    specs = {spec.name: spec for spec in built.specs}
+    violations = []
+    for i, target in enumerate(targets):
+        spec = specs[target.covariate]
+        for level in target.contrast or ():
+            if isinstance(spec, CategoricalSpec):
+                if level not in spec.levels:
+                    violations.append(f"effects.targets[{i}].contrast level {level!r} is "
+                                      f"not a level of {spec.name!r} in the fitted design")
+            elif not (isinstance(level, (int, float)) and math.isfinite(level)):
+                violations.append(f"effects.targets[{i}].contrast level {level!r} "
+                                  f"is not a number, but {spec.name!r} is numeric")
+    if violations:
+        raise ConfigError(violations)
+
+
+def run_effects(cfg: RunConfig) -> Stage:
+    out_dir = Path(cfg.out_dir)
+    model, built, sub, inputs = _load_fitted(
+        cfg, topics={f"effects.targets[{i}].topics": t.topics
+                     for i, t in enumerate(cfg.targets)})
+    _check_contrasts(cfg.targets, built)
     draws = None
     if cfg.targets:
         model.nu = posterior_covariances(sub, built.design, model, threads=cfg.threads)
-        draws = EffectDraws(model, cfg.formula, sub.covariate_table(), cfg.n_draws,
-                            cfg.seed + _EFFECT_SEED_OFFSET)
+        draws = EffectDraws(model, built, cfg.n_draws, cfg.seed + _EFFECT_SEED_OFFSET)
     effects_dir = out_dir / "effects"
     effects_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []

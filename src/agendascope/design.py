@@ -132,13 +132,14 @@ def _spline_knots(values: np.ndarray, df: int, name: str) -> np.ndarray:
 
 @dataclass
 class BuiltDesign:
-    """Learned encoding for one formula over one table, and the design of
-    the table's complete-case rows."""
+    """Learned encoding for one formula over one table, and the design and
+    formula-term values (``columns``) of the table's complete-case rows."""
 
     formula: Formula
     specs: list
     kept_rows: np.ndarray
     dropped_rows: np.ndarray
+    columns: dict[str, list]
     design: PrevalenceDesign = field(init=False)
 
     @property
@@ -223,10 +224,10 @@ def build_design(formula: Formula | str, table: dict[str, list]) -> BuiltDesign:
             f"{kept_rows.size} complete rows for {len(column_names)} design columns")
 
     built = BuiltDesign(formula=formula, specs=specs, kept_rows=kept_rows,
-                        dropped_rows=dropped_rows)
-    sub_table = {name: [table[name][i] for i in kept_rows]
-                 for name in formula.term_names()}
-    built.design = PrevalenceDesign(x=built.transform(sub_table),
+                        dropped_rows=dropped_rows,
+                        columns={name: [table[name][i] for i in kept_rows]
+                                 for name in formula.term_names()})
+    built.design = PrevalenceDesign(x=built.transform(built.columns),
                                     column_names=column_names)
     built.design.validate()
     return built

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import BuiltDesign, CategoricalSpec, SplineSpec, build_design
+from .design import BuiltDesign, CategoricalSpec, SplineSpec
 from .errors import DimensionMismatch, HessianNotPD, SingularDesign
-from .formula import Formula
 from .stm import FittedModel, softmax_with_zero
 
 DEFAULT_DRAWS = 500
@@ -95,8 +94,8 @@ def _factor_stack(mats: np.ndarray) -> np.ndarray:
 
 
 class EffectDraws:
-    """Coefficient draws for every topic of one model and design: the one
-    seeded draw loop that effects and contrasts project.
+    """Coefficient draws for every topic of one model and the design it
+    was fitted with: the one seeded draw loop that effects and contrasts project.
 
     Each draw resamples every document's topic proportions from its
     posterior, regresses all K topics on the covariates at once and draws
@@ -107,24 +106,20 @@ class EffectDraws:
     design, never on which topics or targets are estimated from them.
     """
 
-    def __init__(self, model: FittedModel, formula: Formula | str,
-                 covs: dict[str, list], n_draws: int = DEFAULT_DRAWS,
-                 seed: int = 0):
+    def __init__(self, model: FittedModel, design: BuiltDesign,
+                 n_draws: int = DEFAULT_DRAWS, seed: int = 0):
         if n_draws < MIN_DRAWS:
             raise ValueError(f"n_draws must be at least {MIN_DRAWS}")
         if model.nu is None:
             raise ValueError("EffectDraws needs the model's posterior covariances "
                              "nu, which a loaded model lacks; set model.nu = "
                              "posterior_covariances(corpus, design, model)")
-        n_rows = len(next(iter(covs.values())))
-        if n_rows != model.n_docs:
-            raise DimensionMismatch(
-                f"covariate table has {n_rows} rows for {model.n_docs} documents")
-        self.built: BuiltDesign = build_design(formula, covs)
-        self.covs = covs
-        kept = self.built.kept_rows
-        self.x = self.built.x
+        self.built = design
+        self.x = design.x
         self.n, self.p = self.x.shape
+        if self.n != model.n_docs:
+            raise DimensionMismatch(
+                f"design has {self.n} rows for {model.n_docs} documents")
         # Rank-revealing least squares. A complete B-spline block sums to 1
         # on every row, so each spline term is structurally collinear with
         # the intercept, and only rounding decides whether X'X looks
@@ -135,7 +130,7 @@ class EffectDraws:
         vals, vecs = np.linalg.eigh(0.5 * (xtx + xtx.T))
         keep = vals > vals.max() * 1e-10
         rank = int(keep.sum())
-        n_spline_blocks = sum(isinstance(s, SplineSpec) for s in self.built.specs)
+        n_spline_blocks = sum(isinstance(s, SplineSpec) for s in design.specs)
         if rank < self.p - n_spline_blocks:
             raise SingularDesign(
                 "effects design X'X is singular beyond the structural "
@@ -146,15 +141,12 @@ class EffectDraws:
         self.coef_factor = vecs * np.sqrt(inv_vals)
         self.dof = self.n - rank
         self.n_draws = n_draws
-        eta, nu = model.eta, model.nu
-        if self.built.dropped_rows.size:  # nu[kept] would copy all of nu
-            eta, nu = eta[kept], nu[kept]
         try:
-            factors = _factor_stack(nu)
+            factors = _factor_stack(model.nu)
         except HessianNotPD as exc:
             raise HessianNotPD(f"posterior covariance nu of document "
-                               f"{model.doc_ids[kept[exc.row]]!r}: {exc}") from None
-        self.coef = self._coefficient_draws(eta, factors, seed)
+                               f"{model.doc_ids[exc.row]!r}: {exc}") from None
+        self.coef = self._coefficient_draws(model.eta, factors, seed)
 
     def _coefficient_draws(self, eta: np.ndarray, nu_factors: np.ndarray,
                            seed: int) -> np.ndarray:
@@ -182,13 +174,12 @@ class EffectDraws:
 
     def typical_row(self, exclude: str) -> dict[str, object]:
         """Held values: means for numeric columns, modes for categoricals
-        (ties break to the alphabetically first level), over kept rows."""
-        kept = self.built.kept_rows
+        (ties break to the alphabetically first level), over the design's rows."""
         row: dict[str, object] = {}
         for spec in self.built.specs:
             if spec.name == exclude:
                 continue
-            values = [self.covs[spec.name][i] for i in kept]
+            values = self.built.columns[spec.name]
             if isinstance(spec, CategoricalSpec):
                 counts = Counter(values)
                 top = max(counts.values())
@@ -210,7 +201,7 @@ def _grid_for(draws: EffectDraws, target: str, grid_points: int) -> list:
     spec = next(s for s in draws.built.specs if s.name == target)
     if isinstance(spec, CategoricalSpec):
         return list(spec.levels)
-    nums = np.sort([float(draws.covs[target][i]) for i in draws.built.kept_rows])
+    nums = np.sort([float(v) for v in draws.built.columns[target]])
     # not np.unique, which imports numpy.ma (np.ma.is_masked): about 10 ms
     first = np.ones(nums.size, dtype=bool)
     first[1:] = nums[1:] != nums[:-1]
@@ -228,14 +219,8 @@ def _prediction_matrix(draws: EffectDraws, target: str, grid: list,
     built = draws.built
     names = built.formula.term_names()
     if hold == "observed":
-        kept = built.kept_rows
-        rows = []
-        base = {name: [draws.covs[name][i] for i in kept] for name in names}
-        for g in grid:
-            table = dict(base)
-            table[target] = [g] * len(kept)
-            rows.append(built.transform(table).mean(axis=0))
-        return np.stack(rows)
+        return np.stack([built.transform({**built.columns, target: [g] * draws.n}).mean(axis=0)
+                         for g in grid])
     typical = draws.typical_row(exclude=target)
     table = {name: [] for name in names}
     for g in grid:

@@ -229,13 +229,13 @@ def test_criterion_6_effects_engine():
     of 20 replications at n_draws=500; B-spline partition of unity within
     1e-9 on every design row."""
     model, covs = _degenerate_model()
-    est = estimate_effect(EffectDraws(model, "x", covs, n_draws=500, seed=7),
+    est = estimate_effect(EffectDraws(model, build_design("x", covs), n_draws=500, seed=7),
                           0, "x")
     collapse_ok = (np.array_equal(est.ci_lower, est.mean)
                    and np.array_equal(est.ci_upper, est.mean))
 
     model, covs = _planted_model(61)
-    draws = EffectDraws(model, "x", covs, n_draws=500, seed=17)
+    draws = EffectDraws(model, build_design("x", covs), n_draws=500, seed=17)
     fwd = estimate_contrast(draws, 0, "x", 1.0, 0.0)
     rev = estimate_contrast(draws, 0, "x", 0.0, 1.0)
     antisym_ok = (rev.point == -fwd.point
@@ -244,7 +244,7 @@ def test_criterion_6_effects_engine():
     detected = 0
     for rep in range(20):
         model, covs = _planted_model(600 + rep)
-        draws = EffectDraws(model, "x", covs, n_draws=500, seed=6000 + rep)
+        draws = EffectDraws(model, build_design("x", covs), n_draws=500, seed=6000 + rep)
         est = estimate_contrast(draws, 0, "x", 1.0, 0.0)
         detected += int(est.ci[0] > 0.0)
     detect_ok = detected >= 18

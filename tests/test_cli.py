@@ -15,17 +15,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agendascope import effects
-from agendascope.cli import main
+from agendascope import cli, effects
+from agendascope.cli import _design_and_subset, main
 from agendascope.config import (_SETTINGS, _TARGET_SETTINGS, RunConfig,
                                 _flatten, load_config)
-from agendascope.corpus import PreprocessConfig
+from agendascope.corpus import Corpus, PreprocessConfig
 from agendascope.errors import ConfigError
-from agendascope.jsonio import read_json
+from agendascope.jsonio import dumps_canonical, read_json
 from agendascope.manifest import file_sha256
 from agendascope.metrics import model_quality, summarize_topics
 from agendascope.report import topic_graph
-from agendascope.stm import FitConfig
+from agendascope.stm import FitConfig, FittedModel
 
 SAMPLE = Path(str(resources.files("agendascope").joinpath("data/sample")))
 ROOT = Path(__file__).resolve().parents[1]
@@ -251,6 +251,57 @@ class TestModelAgainstCorpus:
             assert str(copy / "corpus.json") in err["message"]
         assert effects_bytes(copy) == before
 
+    def test_reingested_corpus_fails_metrics(self, sample_all, tmp_path, capsys):
+        """A corpus re-ingested under other settings after the fit is a
+        DimensionMismatch in metrics too, before any metrics file is
+        written."""
+        config, out = sample_all
+        shutil.copytree(config.parent, tmp_path / "sample")
+        config = tmp_path / "sample" / "config.json"
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        set_setting(config, "paths.out_dir", str(copy))
+        set_setting(config, "preprocess.min_term_len", 7)
+        assert run_cli("ingest", "--config", config) == 0
+        metrics_files = ["topic_summaries.json", "model_quality.json",
+                         "top_words.txt", "metrics.manifest.json"]
+        for name in metrics_files:
+            (copy / name).unlink()
+        capsys.readouterr()
+        assert run_cli("metrics", "--config", config) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DimensionMismatch"
+        assert "vocabulary" in err["message"]
+        assert not [name for name in metrics_files if (copy / name).exists()]
+
+
+class TestMetricsStage:
+    def test_scores_rows_the_model_was_fitted_to(self, tmp_path):
+        """With one document's covariate blank, the formula drops it, so
+        the model never saw it and metrics does not score it."""
+        config, out = copy_sample(tmp_path)
+        meta = config.parent / "metadata.csv"
+        header, first, *rest = meta.read_text().splitlines()
+        cells = first.split(",")
+        cells[header.split(",").index("conflict")] = ""
+        meta.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        obj = json.loads(config.read_text())
+        del obj["fit"]["k_grid"]
+        obj["fit"].update(k=3, max_em_iters=5)
+        config.write_text(json.dumps(obj))
+        for stage in ("ingest", "fit", "metrics"):
+            assert run_cli(stage, "--config", config) == 0
+        cfg = load_config(config)
+        corpus = Corpus.load(out / "corpus.json")
+        _, sub = _design_and_subset(cfg, corpus)
+        assert sub.n_docs == corpus.n_docs - 1
+        beta = FittedModel.load(out / "model.json").beta
+        written = (out / "model_quality.json").read_text(encoding="utf-8")
+        assert written == dumps_canonical(
+            model_quality(beta, sub, m=cfg.coherence_m, frex_w=cfg.frex_w))
+        assert written != dumps_canonical(
+            model_quality(beta, corpus, m=cfg.coherence_m, frex_w=cfg.frex_w))
+
 
 class TestCorpusSidecars:
     """The CSR triple of ``corpus.json`` lives in three ``.npy`` sidecars;
@@ -317,6 +368,55 @@ class TestEffectsStage:
         estimates = list((copy / "effects").glob("*.json"))
         assert len(estimates) == 4
         assert len(calls) == 1
+
+    def test_design_built_once_per_stage(self, sample_all, tmp_path, monkeypatch):
+        """The draws reuse the design the stage built to check and
+        recompute the model, so the stage builds it once."""
+        config, out = sample_all
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        calls = []
+        build_design = cli.build_design
+
+        def counting(formula, table):
+            calls.append(formula)
+            return build_design(formula, table)
+
+        # under both names bench/tracer.py wraps; effects.py itself binds none
+        monkeypatch.setattr(cli, "build_design", counting)
+        monkeypatch.setattr(effects, "build_design", counting, raising=False)
+        assert run_cli("effects", "--config", config, "--out", copy) == 0
+        assert len(calls) == 1
+
+
+class TestContrastLevels:
+    """A contrast level the fitted design cannot encode is a ConfigError
+    before any draw, and the stage writes nothing."""
+
+    REGION = {"covariate": "region", "topics": [0], "contrast": ["Narnia", "EAS"]}
+    CONFLICT = {"covariate": "conflict", "topics": [0], "contrast": ["yes", 0]}
+    REGION_ERROR = ("effects.targets[{i}].contrast level 'Narnia' is not a level "
+                    "of 'region' in the fitted design")
+    CONFLICT_ERROR = ("effects.targets[{i}].contrast level 'yes' is not a number, "
+                      "but 'conflict' is numeric")
+
+    @pytest.mark.parametrize("targets, errors", [
+        ([REGION], [REGION_ERROR]),
+        ([CONFLICT], [CONFLICT_ERROR]),
+        ([REGION, CONFLICT], [REGION_ERROR, CONFLICT_ERROR]),
+    ], ids=["unseen-level", "non-numeric", "both"])
+    def test_exit_is_structured(self, sample_all, tmp_path, capsys, targets, errors):
+        config, out = TestTopicsAgainstModel.copy_run(sample_all, tmp_path)
+        obj = json.loads(config.read_text())
+        obj["effects"]["targets"] = [obj["effects"]["targets"][0], *targets]
+        config.write_text(json.dumps(obj))
+        before = effects_bytes(out)
+        capsys.readouterr()
+        assert run_cli("effects", "--config", config) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["violations"] == [e.format(i=i + 1) for i, e in enumerate(errors)]
+        assert effects_bytes(out) == before
 
 
 class TestTopicsAgainstModel:

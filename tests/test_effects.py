@@ -12,6 +12,7 @@ from agendascope.cli import _design_and_subset, main
 from agendascope.config import load_config
 from agendascope.corpus import (Corpus, PreprocessConfig, build_corpus,
                                 load_ungdc_layout)
+from agendascope.design import build_design
 from agendascope.effects import (EffectDraws, _factor_stack, estimate_contrast,
                                  estimate_effect, quantile_pair)
 from agendascope.errors import DimensionMismatch, HessianNotPD
@@ -52,7 +53,7 @@ class TestDegenerateCollapse:
         eta = np.zeros((len(x), 1))
         nu = np.zeros((len(x), 1, 1))
         model = fake_model(eta, nu)
-        draws = EffectDraws(model, "x", {"x": list(x)}, n_draws=120, seed=5)
+        draws = EffectDraws(model, build_design("x", {"x": list(x)}), n_draws=120, seed=5)
         est = estimate_effect(draws, topic=0, target="x")
         assert est.grid == [0.0, 1.0]
         assert np.array_equal(est.ci_lower, est.mean)
@@ -65,7 +66,7 @@ class TestDegenerateCollapse:
         eta = np.log(p / (1.0 - p))[:, None]
         nu = np.zeros((len(x), 1, 1))
         model = fake_model(eta, nu)
-        draws = EffectDraws(model, "x", {"x": list(x)}, n_draws=120, seed=5)
+        draws = EffectDraws(model, build_design("x", {"x": list(x)}), n_draws=120, seed=5)
         est = estimate_effect(draws, topic=0, target="x")
         width = est.ci_upper - est.ci_lower
         assert np.abs(width).max() < 1e-12
@@ -75,14 +76,14 @@ class TestDegenerateCollapse:
 class TestContrast:
     def test_identical_levels_give_exact_zero(self):
         model, covs = planted_binary_model(0)
-        draws = EffectDraws(model, "x", covs, n_draws=120, seed=3)
+        draws = EffectDraws(model, build_design("x", covs), n_draws=120, seed=3)
         est = estimate_contrast(draws, 0, "x", 1.0, 1.0)
         assert est.point == 0.0
         assert est.ci == (0.0, 0.0)
 
     def test_level_swap_negates_exactly(self):
         model, covs = planted_binary_model(1)
-        draws = EffectDraws(model, "x", covs, n_draws=150, seed=9)
+        draws = EffectDraws(model, build_design("x", covs), n_draws=150, seed=9)
         fwd = estimate_contrast(draws, 0, "x", 1.0, 0.0)
         rev = estimate_contrast(draws, 0, "x", 0.0, 1.0)
         assert rev.point == -fwd.point
@@ -92,7 +93,7 @@ class TestContrast:
         detected = 0
         for rep in range(20):
             model, covs = planted_binary_model(100 + rep)
-            draws = EffectDraws(model, "x", covs, n_draws=150, seed=500 + rep)
+            draws = EffectDraws(model, build_design("x", covs), n_draws=150, seed=500 + rep)
             est = estimate_contrast(draws, 0, "x", 1.0, 0.0)
             assert est.ci[0] <= est.point <= est.ci[1]
             if est.ci[0] > 0.0:
@@ -107,7 +108,7 @@ class TestContrast:
         eta = np.array([offsets[r] for r in labels])[:, None]
         eta += rng.normal(0, 0.05, eta.shape)
         model = fake_model(eta, np.full((210, 1, 1), 1e-4))
-        draws = EffectDraws(model, "region", {"region": labels},
+        draws = EffectDraws(model, build_design("region", {"region": labels}),
                             n_draws=150, seed=11)
         est = estimate_effect(draws, 0, "region")
         assert est.grid == regions  # alphabetical levels
@@ -117,7 +118,7 @@ class TestContrast:
 class TestEffectEstimate:
     def test_ci_brackets_mean_and_values_in_unit_interval(self):
         model, covs = planted_binary_model(2, noise=0.4, nu_scale=0.05)
-        est = estimate_effect(EffectDraws(model, "x", covs, n_draws=200, seed=1),
+        est = estimate_effect(EffectDraws(model, build_design("x", covs), n_draws=200, seed=1),
                               0, "x")
         assert np.all(est.ci_lower <= est.mean + 1e-15)
         assert np.all(est.mean <= est.ci_upper + 1e-15)
@@ -126,13 +127,13 @@ class TestEffectEstimate:
 
     def test_bit_reproducible_given_seed(self):
         model, covs = planted_binary_model(3)
-        a = estimate_effect(EffectDraws(model, "x", covs, n_draws=130, seed=21),
+        a = estimate_effect(EffectDraws(model, build_design("x", covs), n_draws=130, seed=21),
                             0, "x")
-        b = estimate_effect(EffectDraws(model, "x", covs, n_draws=130, seed=21),
+        b = estimate_effect(EffectDraws(model, build_design("x", covs), n_draws=130, seed=21),
                             0, "x")
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.ci_lower, b.ci_lower)
-        c = estimate_effect(EffectDraws(model, "x", covs, n_draws=130, seed=22),
+        c = estimate_effect(EffectDraws(model, build_design("x", covs), n_draws=130, seed=22),
                             0, "x")
         assert not np.array_equal(a.mean, c.mean)
 
@@ -142,7 +143,7 @@ class TestEffectEstimate:
         z = rng.uniform(-2, 2, n)
         eta = (0.3 * z + rng.normal(0, 0.1, n))[:, None]
         model = fake_model(eta, np.full((n, 1, 1), 1e-3))
-        draws = EffectDraws(model, "z", {"z": list(z)}, n_draws=120, seed=2)
+        draws = EffectDraws(model, build_design("z", {"z": list(z)}), n_draws=120, seed=2)
         est = estimate_effect(draws, 0, "z", grid_points=25)
         grid = np.array(est.grid)
         assert grid.size == 25
@@ -154,7 +155,7 @@ class TestEffectEstimate:
         gdp = rng.uniform(100.0, 80000.0, n)
         eta = rng.normal(0, 0.2, (n, 1))
         model = fake_model(eta, np.full((n, 1, 1), 1e-3))
-        draws = EffectDraws(model, "s(gdp_pc,df=4)", {"gdp_pc": list(gdp)},
+        draws = EffectDraws(model, build_design("s(gdp_pc,df=4)", {"gdp_pc": list(gdp)}),
                             n_draws=120, seed=2)
         est = estimate_effect(draws, 0, "gdp_pc", grid_points=20)
         ratios = np.diff(np.log(np.array(est.grid)))
@@ -164,7 +165,8 @@ class TestEffectEstimate:
         model, covs = planted_binary_model(6, noise=0.3, nu_scale=0.05)
 
         def grid_point_means(n_draws):
-            return [estimate_effect(EffectDraws(model, "x", covs, n_draws=n_draws,
+            built = build_design("x", covs)
+            return [estimate_effect(EffectDraws(model, built, n_draws=n_draws,
                                                 seed=3000 + r), 0, "x").mean[1]
                     for r in range(20)]
 
@@ -176,7 +178,7 @@ class TestEffectEstimate:
         # with a single-term formula the two hold strategies coincide on a
         # binary covariate; both must produce ordered, bounded intervals
         model, covs = planted_binary_model(12, noise=0.3, nu_scale=0.02)
-        draws = EffectDraws(model, "x", covs, n_draws=150, seed=31)
+        draws = EffectDraws(model, build_design("x", covs), n_draws=150, seed=31)
         typical = estimate_effect(draws, 0, "x", hold="typical")
         observed = estimate_effect(draws, 0, "x", hold="observed")
         assert np.allclose(typical.mean, observed.mean, atol=1e-12)
@@ -187,7 +189,7 @@ class TestEffectEstimate:
         eta = (0.5 * x + 0.4 * z + rng.normal(0, 0.1, n))[:, None]
         model2 = fake_model(eta, np.full((n, 1, 1), 1e-3))
         covs2 = {"x": list(x), "z": list(z)}
-        draws2 = EffectDraws(model2, "x + z", covs2, n_draws=150, seed=32)
+        draws2 = EffectDraws(model2, build_design("x + z", covs2), n_draws=150, seed=32)
         obs = estimate_effect(draws2, 0, "x", hold="observed")
         typ = estimate_effect(draws2, 0, "x", hold="typical")
         for est in (obs, typ):
@@ -199,32 +201,33 @@ class TestEffectEstimate:
 
     def test_table_rows_match_arrays(self):
         model, covs = planted_binary_model(8)
-        est = estimate_effect(EffectDraws(model, "x", covs, n_draws=110, seed=4),
+        est = estimate_effect(EffectDraws(model, build_design("x", covs), n_draws=110, seed=4),
                               0, "x")
         rows = est.table_rows()
         assert rows[0][0] == est.grid[0]
         assert rows[0][1] == pytest.approx(float(est.mean[0]))
 
     def test_row_count_mismatch_rejected(self):
-        model, _ = planted_binary_model(9)
-        with pytest.raises(DimensionMismatch):
-            EffectDraws(model, "x", {"x": [0.0, 1.0]}, n_draws=120, seed=0)
+        model, covs = planted_binary_model(9)  # 160 documents
+        with pytest.raises(DimensionMismatch, match="100 rows for 160 documents"):
+            EffectDraws(model, build_design("x", {"x": covs["x"][:100]}),
+                        n_draws=120, seed=0)
 
     def test_draw_floor_enforced(self):
         model, covs = planted_binary_model(10)
         with pytest.raises(ValueError):
-            EffectDraws(model, "x", covs, n_draws=50, seed=0)
+            EffectDraws(model, build_design("x", covs), n_draws=50, seed=0)
 
     def test_topic_out_of_range_rejected(self):
         model, covs = planted_binary_model(11)
         with pytest.raises(ValueError, match="out of range"):
-            estimate_effect(EffectDraws(model, "x", covs, n_draws=120, seed=0),
+            estimate_effect(EffectDraws(model, build_design("x", covs), n_draws=120, seed=0),
                             2, "x")
 
     def test_unknown_target_rejected(self):
         model, covs = planted_binary_model(11)
         with pytest.raises(ValueError):
-            estimate_effect(EffectDraws(model, "x", covs, n_draws=120, seed=0),
+            estimate_effect(EffectDraws(model, build_design("x", covs), n_draws=120, seed=0),
                             0, "zzz")
 
 
@@ -291,8 +294,7 @@ class TestSharedDraws:
         model.nu = posterior_covariances(sub, built.design, model)
         year, conflict = cfg.targets
         seed = cfg.seed + 7919
-        draws = EffectDraws(model, cfg.formula, sub.covariate_table(),
-                            n_draws=cfg.n_draws, seed=seed)
+        draws = EffectDraws(model, built, n_draws=cfg.n_draws, seed=seed)
         effect = estimate_effect(draws, 1, "year",
                                  grid_points=year.grid_points, hold=year.hold)
         contrast = estimate_contrast(draws, 1, "conflict", *conflict.contrast)
@@ -305,10 +307,9 @@ class TestSharedDraws:
     def test_model_loaded_without_nu_rejected(self, stage_runs):
         cfg, both, _ = stage_runs
         model = FittedModel.load(both / "model.json")
-        _, sub = _design_and_subset(cfg, Corpus.load(both / "corpus.json"))
+        built, _ = _design_and_subset(cfg, Corpus.load(both / "corpus.json"))
         with pytest.raises(ValueError, match=r"nu = posterior_covariances\(corpus, design, model\)"):
-            EffectDraws(model, cfg.formula, sub.covariate_table(), n_draws=cfg.n_draws,
-                        seed=0)
+            EffectDraws(model, built, n_draws=cfg.n_draws, seed=0)
 
 
 class TestRegressionSolve:
@@ -321,8 +322,8 @@ class TestRegressionSolve:
         corpus, _ = build_corpus(docs, covs, PreprocessConfig(min_doc_freq=5))
         n = corpus.n_docs
         model = fake_model(np.zeros((n, 2)), np.tile(np.eye(2) * 1e-3, (n, 1, 1)))
-        draws = EffectDraws(model, "s(year,df=4) + region + conflict",
-                            corpus.covariate_table(), n_draws=100, seed=0)
+        built = build_design("s(year,df=4) + region + conflict", corpus.covariate_table())
+        draws = EffectDraws(model, built, n_draws=100, seed=0)
         assert draws.dof == draws.n - (draws.p - 1)
         assert np.abs(draws.coef_factor).max() < 1e3
 

@@ -15,8 +15,9 @@ with the draw's two-column design, at K = 10, 30 and 50 for 2 EM iterations
 each (``max_em_iters=2``, ``threads=2``, BLAS limited to one thread) and
 reports half of each fit's wall time as the seconds per EM iteration, with
 the size of the fitted ``nu``. Keeping the K=50 model, it times the effects
-draws for the formula ``conflict`` (``EffectDraws`` with ``n_draws=100``,
-``seed=0``) and reports seconds per draw. It then saves that model and
+draws over the design of the formula ``conflict``, built beforehand
+(``EffectDraws`` with ``n_draws=100``, ``seed=0``), and reports seconds
+per draw. It then saves that model and
 reports the bytes of ``model.json``, the bytes of the packed ``nu`` file
 that the fit no longer writes, and the time of one ``FittedModel.save``,
 one ``FittedModel.load``, and then of one ``posterior_covariances`` of the
@@ -57,6 +58,7 @@ from synth import model_draw  # noqa: E402
 import agendascope  # noqa: E402
 from agendascope.corpus import (Corpus, PreprocessConfig, RawDocument,  # noqa: E402
                                 build_corpus)
+from agendascope.design import build_design  # noqa: E402
 from agendascope.effects import EffectDraws  # noqa: E402
 from agendascope.stm import (FitConfig, FittedModel, fit,  # noqa: E402
                              posterior_covariances)
@@ -159,9 +161,8 @@ def main() -> None:
         em[k] = {"s_per_em_iter": round(wall / EM_ITERS, 3),
                  "nu_mb": round(model.nu.nbytes / 1e6, 1)}
     rss_before_effects = peak_rss_mb()  # the K=50 model is still held
-    table = loaded.covariate_table()
-    _, wall = timed(lambda: EffectDraws(model, "conflict", table,
-                                        n_draws=EFFECT_DRAWS, seed=0))
+    built = build_design("conflict", loaded.covariate_table())
+    _, wall = timed(lambda: EffectDraws(model, built, n_draws=EFFECT_DRAWS, seed=0))
     effects = {"k": EM_KS[-1], "formula": "conflict", "n_draws": EFFECT_DRAWS,
                "s_per_draw": round(wall / EFFECT_DRAWS, 4),
                "peak_rss_mb_before": rss_before_effects,
