@@ -29,7 +29,6 @@ from .corpus import Corpus, PreprocessConfig, build_corpus, load_ungdc_layout
 from .design import BuiltDesign, CategoricalSpec, build_design
 from .effects import EffectDraws, estimate_contrast, estimate_effect
 from .errors import AgendascopeError, ConfigError, DimensionMismatch, MissingArtifact
-from .formula import parse_formula
 from .jsonio import write_json
 from .manifest import write_manifest
 from .metrics import model_quality, summarize_topics, top_words_table
@@ -107,7 +106,7 @@ def _from_settings(cls, cfg: RunConfig, **given):
 
 
 def _design_and_subset(cfg: RunConfig, corpus: Corpus):
-    built = build_design(parse_formula(cfg.formula), corpus.covariate_table())
+    built = build_design(cfg.formula, corpus.covariate_table())
     return built, corpus.subset(built.kept_rows)
 
 
@@ -138,7 +137,7 @@ def run_search(cfg: RunConfig) -> Stage:
     _check_settings(corpus.n_terms, max(cfg.k_grid),
                     sizes={"metrics.coherence_m": cfg.coherence_m})
     built, sub = _design_and_subset(cfg, corpus)
-    result = search(sub, built.design, cfg.k_grid,
+    result = search(sub, built, cfg.k_grid,
                     _from_settings(FitConfig, cfg, k=cfg.k_grid[0]),
                     coherence_m=cfg.coherence_m, frex_w=cfg.frex_w,
                     candidate_rel_tol=cfg.candidate_rel_tol,
@@ -160,7 +159,7 @@ def run_fit(cfg: RunConfig) -> Stage:
         inputs["search"] = search_path
         k = ModelSearchResult.load(search_path).selected_k
     built, sub = _design_and_subset(cfg, corpus)
-    model = fit(sub, built.design, _from_settings(FitConfig, cfg, k=k), threads=cfg.threads)
+    model = fit(sub, built, _from_settings(FitConfig, cfg, k=k), threads=cfg.threads)
     return inputs, [model.save(out_dir / MODEL_FILE)]
 
 
@@ -207,7 +206,7 @@ def _load_fitted(cfg: RunConfig, **settings):
     inputs.update(model_inputs)
     _check_settings(len(model.vocabulary), model.k, **settings)
     built, sub = _design_and_subset(cfg, corpus)
-    _check_fitted_to(model, inputs, sub, built.design.column_names)
+    _check_fitted_to(model, inputs, sub, built.column_names)
     return model, built, sub, inputs
 
 
@@ -239,7 +238,7 @@ def run_effects(cfg: RunConfig) -> Stage:
     _check_contrasts(cfg.targets, built)
     draws = None
     if cfg.targets:
-        model.nu = posterior_covariances(sub, built.design, model, threads=cfg.threads)
+        model.nu = posterior_covariances(sub, built, model, threads=cfg.threads)
         draws = EffectDraws(model, built, cfg.n_draws, cfg.seed + _EFFECT_SEED_OFFSET)
     effects_dir = out_dir / "effects"
     effects_dir.mkdir(parents=True, exist_ok=True)

@@ -432,8 +432,10 @@ def load_ungdc_layout(directory: str | Path, meta: str | Path,
     """Load speeches laid out as ``{ISO3}_{session}_{year}.txt`` plus a
     covariate CSV.
 
-    Non-conforming or unreadable files are skipped, not fatal; they come
-    back as (filename, reason) pairs.
+    A file is skipped, not fatal, when its name does not conform, its text
+    is empty or blank, it is not valid UTF-8, or its year lies outside
+    1970-2016; skipped files come back as (filename, reason) pairs, which
+    the ingest stage writes to ``skipped_files``.
     """
     directory = Path(directory)
     files = sorted(p for p in directory.glob("*.txt") if p.is_file())

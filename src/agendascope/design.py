@@ -93,7 +93,7 @@ class LinearSpec:
     scale: float
 
     def encode(self, values: np.ndarray) -> np.ndarray:
-        return (np.asarray(values, dtype=float) - self.mean) / self.scale
+        return ((np.asarray(values, dtype=float) - self.mean) / self.scale)[:, None]
 
 
 def _numeric_column(values: list, name: str) -> np.ndarray:
@@ -131,20 +131,20 @@ def _spline_knots(values: np.ndarray, df: int, name: str) -> np.ndarray:
 
 
 @dataclass
-class BuiltDesign:
-    """Learned encoding for one formula over one table, and the design and
-    formula-term values (``columns``) of the table's complete-case rows."""
+class BuiltDesign(PrevalenceDesign):
+    """A prevalence design with its learned encoding: one spec per formula
+    term, the table rows it keeps (those complete in every term's column),
+    and those rows' values of each term's column (``columns``, keyed by
+    term name in formula order). ``x`` is ``transform(columns)``."""
 
-    formula: Formula
+    x: np.ndarray = field(init=False)
     specs: list
     kept_rows: np.ndarray
-    dropped_rows: np.ndarray
     columns: dict[str, list]
-    design: PrevalenceDesign = field(init=False)
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.design.x
+    def __post_init__(self):
+        self.x = self.transform(self.columns)
+        self.validate()
 
     def transform(self, table: dict[str, list]) -> np.ndarray:
         """Encode complete rows with the recorded parameters."""
@@ -152,29 +152,22 @@ class BuiltDesign:
         blocks = [np.ones((n_rows, 1))]
         for spec in self.specs:
             values = table[spec.name]
-            if isinstance(spec, SplineSpec):
-                col = _numeric_column(values, spec.name)
-                if np.isnan(col).any():
-                    raise ValueError(f"missing value in column {spec.name!r}")
-                blocks.append(spec.basis(col))
-            elif isinstance(spec, CategoricalSpec):
-                if any(v is None for v in values):
-                    raise ValueError(f"missing value in column {spec.name!r}")
-                blocks.append(spec.encode(list(values)))
+            if isinstance(spec, CategoricalSpec):
+                missing = any(v is None for v in values)
             else:
-                col = _numeric_column(values, spec.name)
-                if np.isnan(col).any():
-                    raise ValueError(f"missing value in column {spec.name!r}")
-                blocks.append(spec.encode(col)[:, None])
+                values = _numeric_column(values, spec.name)
+                missing = np.isnan(values).any()
+            if missing:
+                raise ValueError(f"missing value in column {spec.name!r}")
+            blocks.append(spec.basis(values) if isinstance(spec, SplineSpec)
+                          else spec.encode(values))
         return np.hstack(blocks)
 
 
 def build_design(formula: Formula | str, table: dict[str, list]) -> BuiltDesign:
-    """Build the design over complete-case rows of the referenced columns.
-
-    Rows with a missing value in any referenced column are dropped and
-    reported via ``dropped_rows``.
-    """
+    """Build the design over complete-case rows of the referenced columns;
+    rows with a missing value in any referenced column are left out of
+    ``kept_rows``."""
     if isinstance(formula, str):
         formula = parse_formula(formula)
     formula = bind_formula(formula, table)
@@ -191,7 +184,6 @@ def build_design(formula: Formula | str, table: dict[str, list]) -> BuiltDesign:
             numeric_cache[term.name] = col
             keep &= ~np.isnan(col)
     kept_rows = np.nonzero(keep)[0]
-    dropped_rows = np.nonzero(~keep)[0]
 
     specs: list = []
     column_names = ["(intercept)"]
@@ -222,12 +214,6 @@ def build_design(formula: Formula | str, table: dict[str, list]) -> BuiltDesign:
     if kept_rows.size < len(column_names) + 2:
         raise InsufficientData(
             f"{kept_rows.size} complete rows for {len(column_names)} design columns")
-
-    built = BuiltDesign(formula=formula, specs=specs, kept_rows=kept_rows,
-                        dropped_rows=dropped_rows,
-                        columns={name: [table[name][i] for i in kept_rows]
-                                 for name in formula.term_names()})
-    built.design = PrevalenceDesign(x=built.transform(built.columns),
-                                    column_names=column_names)
-    built.design.validate()
-    return built
+    return BuiltDesign(column_names=column_names, specs=specs, kept_rows=kept_rows,
+                       columns={name: [table[name][i] for i in kept_rows]
+                                for name in formula.term_names()})

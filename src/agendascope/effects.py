@@ -193,7 +193,7 @@ def _check_request(draws: EffectDraws, topic: int, target: str) -> None:
     k = draws.coef.shape[1]
     if not 0 <= topic < k:
         raise ValueError(f"topic {topic} out of range for k={k}")
-    if target not in draws.built.formula.term_names():
+    if target not in draws.built.columns:
         raise ValueError(f"target {target!r} does not appear in the formula")
 
 
@@ -217,16 +217,12 @@ def _grid_for(draws: EffectDraws, target: str, grid_points: int) -> list:
 def _prediction_matrix(draws: EffectDraws, target: str, grid: list,
                        hold: str) -> np.ndarray:
     built = draws.built
-    names = built.formula.term_names()
     if hold == "observed":
         return np.stack([built.transform({**built.columns, target: [g] * draws.n}).mean(axis=0)
                          for g in grid])
     typical = draws.typical_row(exclude=target)
-    table = {name: [] for name in names}
-    for g in grid:
-        for name in names:
-            table[name].append(g if name == target else typical[name])
-    return built.transform(table)
+    return built.transform({name: [g if name == target else typical[name] for g in grid]
+                            for name in built.columns})
 
 
 def estimate_effect(draws: EffectDraws, topic: int, target: str, *,

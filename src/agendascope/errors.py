@@ -105,6 +105,14 @@ class UnknownCovariate(AgendascopeError):
         self.name = name
 
 
+class NonNumericSpline(AgendascopeError, ValueError):
+    """A spline term names a column that holds text."""
+
+    def __init__(self, name: str):
+        super().__init__(f"spline term on non-numeric column {name!r}")
+        self.name = name
+
+
 class InsufficientData(AgendascopeError):
     pass
 

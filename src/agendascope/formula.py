@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import FormulaSyntaxError, UnknownCovariate
+from .errors import FormulaSyntaxError, NonNumericSpline, UnknownCovariate
 
 LINEAR = "linear"
 SPLINE = "spline"
@@ -26,7 +26,9 @@ KNOWN_CATEGORICAL = frozenset({"region"})
 DEFAULT_SPLINE_DF = 10
 MIN_SPLINE_DF = 4
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# a name, an integer or any other single non-space character
+_TOKEN_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|\S")
+_EXPECTED = {"name": "a covariate name", "int": "an integer"}
 
 
 @dataclass(frozen=True)
@@ -44,104 +46,63 @@ class Term:
 @dataclass(frozen=True)
 class Formula:
     terms: tuple[Term, ...]
-    text: str
 
     def term_names(self) -> list[str]:
         return [t.name for t in self.terms]
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def byte_offset(self, pos: int | None = None) -> int:
-        pos = self.pos if pos is None else pos
-        return len(self.text[:pos].encode("utf-8"))
-
-    def error(self, message: str, pos: int | None = None):
-        raise FormulaSyntaxError(self.byte_offset(pos), message)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def expect(self, char: str) -> None:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != char:
-            self.error(f"expected {char!r}")
-        self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def name(self) -> str:
-        self.skip_ws()
-        match = _NAME_RE.match(self.text, self.pos)
-        if match is None:
-            self.error("expected a covariate name")
-        self.pos = match.end()
-        return match.group()
-
-    def integer(self) -> tuple[int, int]:
-        self.skip_ws()
-        start = self.pos
-        match = re.compile(r"\d+").match(self.text, self.pos)
-        if match is None:
-            self.error("expected an integer")
-        self.pos = match.end()
-        return int(match.group()), start
-
-
-def _parse_term(scanner: _Scanner) -> Term:
-    name = scanner.name()
-    if name == "s" and scanner.peek() == "(":
-        scanner.expect("(")
-        inner = scanner.name()
-        df = DEFAULT_SPLINE_DF
-        if scanner.peek() == ",":
-            scanner.expect(",")
-            key = scanner.name()
-            if key != "df":
-                scanner.error("expected 'df'", scanner.pos - len(key))
-        else:
-            key = None
-        if key == "df":
-            scanner.expect("=")
-            df, df_pos = scanner.integer()
-            if df < MIN_SPLINE_DF:
-                scanner.error(f"spline df must be at least {MIN_SPLINE_DF}", df_pos)
-        scanner.expect(")")
-        return Term(kind=SPLINE, name=inner, df=df)
-    kind = CATEGORICAL if name in KNOWN_CATEGORICAL else LINEAR
-    return Term(kind=kind, name=name)
-
-
 def parse_formula(text: str) -> Formula:
     """Parse a prevalence formula; errors carry the byte offset."""
-    scanner = _Scanner(text)
-    if scanner.at_end():
-        scanner.error("empty formula", 0)
-    terms: list[Term] = []
-    positions: list[int] = []
+    # (kind, token, start), kind "name", "int" or the character itself,
+    # and an end token of kind ""
+    tokens = [(m.lastgroup or m.group(), m.group(), m.start())
+              for m in _TOKEN_RE.finditer(text)] + [("", "", len(text))]
+    at = 0
+
+    def fail(pos: int, message: str):
+        raise FormulaSyntaxError(len(text[:pos].encode("utf-8")), message)
+
+    def take(kind: str) -> tuple[str, int]:
+        nonlocal at
+        token_kind, token, pos = tokens[at]
+        if token_kind != kind:
+            fail(pos, "expected " + _EXPECTED.get(kind, repr(kind)))
+        at += 1
+        return token, pos
+
+    if len(tokens) == 1:
+        fail(0, "empty formula")
+    terms: list[tuple[Term, int]] = []
     while True:
-        scanner.skip_ws()
-        positions.append(scanner.pos)
-        terms.append(_parse_term(scanner))
-        if scanner.at_end():
+        name, start = take("name")
+        if name == "s" and tokens[at][0] == "(":
+            take("(")
+            name, _ = take("name")
+            df = DEFAULT_SPLINE_DF
+            if tokens[at][0] == ",":
+                take(",")
+                key, key_pos = take("name")
+                if key != "df":
+                    fail(key_pos, "expected 'df'")
+                take("=")
+                digits, df_pos = take("int")
+                df = int(digits)
+                if df < MIN_SPLINE_DF:
+                    fail(df_pos, f"spline df must be at least {MIN_SPLINE_DF}")
+            take(")")
+            terms.append((Term(kind=SPLINE, name=name, df=df), start))
+        else:
+            kind = CATEGORICAL if name in KNOWN_CATEGORICAL else LINEAR
+            terms.append((Term(kind=kind, name=name), start))
+        if tokens[at][0] == "":
             break
-        scanner.expect("+")
+        take("+")
     seen: set[str] = set()
-    for term, pos in zip(terms, positions):
+    for term, start in terms:
         if term.name in seen:
-            scanner.error(f"duplicate term {term.name!r}", pos)
+            fail(start, f"duplicate term {term.name!r}")
         seen.add(term.name)
-    return Formula(terms=tuple(terms), text=text)
+    return Formula(terms=tuple(term for term, _ in terms))
 
 
 def _is_string_column(values: list) -> bool:
@@ -161,10 +122,10 @@ def bind_formula(formula: Formula, table: dict[str, list]) -> Formula:
         stringy = _is_string_column(table[term.name])
         if term.kind == SPLINE:
             if stringy:
-                raise ValueError(f"spline term on non-numeric column {term.name!r}")
+                raise NonNumericSpline(term.name)
             bound.append(term)
         elif stringy or term.kind == CATEGORICAL:
             bound.append(Term(kind=CATEGORICAL, name=term.name))
         else:
             bound.append(term)
-    return Formula(terms=tuple(bound), text=formula.text)
+    return Formula(terms=tuple(bound))

@@ -143,8 +143,9 @@ class FittedModel:
     def load(cls, path: str | Path) -> "FittedModel":
         """The model at ``path``, with ``nu`` None; an array whose shape
         does not fit K, the vocabulary, the documents or the design columns
-        raises :class:`DimensionMismatch` naming its file, and one with a NaN
-        or infinite entry :class:`CorruptArtifact`."""
+        raises :class:`DimensionMismatch` naming its file; one with a NaN or
+        infinite entry, or a ``sigma`` that is not symmetric positive
+        definite, :class:`CorruptArtifact`."""
         obj = read_json(path)
         with malformed_as_corrupt(path):
             model = cls(beta=np.array(obj["beta"], dtype=float),
@@ -169,6 +170,12 @@ class FittedModel:
                                         f"expected {expected}")
             if not np.isfinite(array).all():
                 raise CorruptArtifact(str(path), f"{name} has a non-finite entry")
+        if not np.array_equal(model.sigma, model.sigma.T):
+            raise CorruptArtifact(str(path), "sigma is not symmetric")
+        try:  # the factor is discarded: factoring is the positive-definite check
+            np.linalg.cholesky(model.sigma)
+        except np.linalg.LinAlgError:
+            raise CorruptArtifact(str(path), "sigma is not positive definite") from None
         return model
 
 
@@ -570,6 +577,9 @@ def posterior_covariances(corpus: Corpus, design: PrevalenceDesign,
     x = _design_matrix(corpus, design)
     if model.eta.shape[0] != corpus.n_docs or model.beta.shape[1] != corpus.n_terms:
         raise DimensionMismatch("the model does not fit the corpus's documents and terms")
+    if x.shape[1] != model.gamma.shape[0]:
+        raise DimensionMismatch(f"design has {x.shape[1]} columns for the model's "
+                                f"{model.gamma.shape[0]} rows of gamma")
     sigma_inv, mu, _ = _prior(model.sigma, x, model.gamma)
     eta = model.eta.copy()  # written back unchanged; the model is left alone
     nu = np.zeros(eta.shape + eta.shape[1:])

@@ -13,6 +13,10 @@ from collections import Counter
 
 import numpy as np
 
+from agendascope.errors import FormulaSyntaxError
+from agendascope.formula import (CATEGORICAL, DEFAULT_SPLINE_DF, KNOWN_CATEGORICAL,
+                                 LINEAR, MIN_SPLINE_DF, SPLINE, Term)
+
 
 def padded_chunk_reference(docs: list[tuple[np.ndarray, np.ndarray]]):
     """(idx, cts, totals) of an E-step chunk, padded one document at a
@@ -492,3 +496,102 @@ def build_corpus_reference(docs, covs, stopwords: frozenset[str],
         out["years"].append(doc.year)
     out["unmatched_covariates"] = sorted(set(cov_by_id) - set(out["doc_ids"]))
     return out
+
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+class _FormulaScanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def byte_offset(self, pos: int | None = None) -> int:
+        pos = self.pos if pos is None else pos
+        return len(self.text[:pos].encode("utf-8"))
+
+    def error(self, message: str, pos: int | None = None):
+        raise FormulaSyntaxError(self.byte_offset(pos), message)
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def expect(self, char: str) -> None:
+        self.skip_ws()
+        if self.pos >= len(self.text) or self.text[self.pos] != char:
+            self.error(f"expected {char!r}")
+        self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def name(self) -> str:
+        self.skip_ws()
+        match = _NAME_RE.match(self.text, self.pos)
+        if match is None:
+            self.error("expected a covariate name")
+        self.pos = match.end()
+        return match.group()
+
+    def integer(self) -> tuple[int, int]:
+        self.skip_ws()
+        start = self.pos
+        match = re.compile(r"\d+").match(self.text, self.pos)
+        if match is None:
+            self.error("expected an integer")
+        self.pos = match.end()
+        return int(match.group()), start
+
+
+def _parse_term_reference(scanner: _FormulaScanner) -> Term:
+    name = scanner.name()
+    if name == "s" and scanner.peek() == "(":
+        scanner.expect("(")
+        inner = scanner.name()
+        df = DEFAULT_SPLINE_DF
+        if scanner.peek() == ",":
+            scanner.expect(",")
+            key = scanner.name()
+            if key != "df":
+                scanner.error("expected 'df'", scanner.pos - len(key))
+        else:
+            key = None
+        if key == "df":
+            scanner.expect("=")
+            df, df_pos = scanner.integer()
+            if df < MIN_SPLINE_DF:
+                scanner.error(f"spline df must be at least {MIN_SPLINE_DF}", df_pos)
+        scanner.expect(")")
+        return Term(kind=SPLINE, name=inner, df=df)
+    kind = CATEGORICAL if name in KNOWN_CATEGORICAL else LINEAR
+    return Term(kind=kind, name=name)
+
+
+def parse_formula_reference(text: str) -> tuple[Term, ...]:
+    """The terms of a prevalence formula, parsed by a character scanner:
+    the parser the package used before it tokenized with one regex; errors
+    carry the byte offset."""
+    scanner = _FormulaScanner(text)
+    if scanner.at_end():
+        scanner.error("empty formula", 0)
+    terms: list[Term] = []
+    positions: list[int] = []
+    while True:
+        scanner.skip_ws()
+        positions.append(scanner.pos)
+        terms.append(_parse_term_reference(scanner))
+        if scanner.at_end():
+            break
+        scanner.expect("+")
+    seen: set[str] = set()
+    for term, pos in zip(terms, positions):
+        if term.name in seen:
+            scanner.error(f"duplicate term {term.name!r}", pos)
+        seen.add(term.name)
+    return tuple(terms)

@@ -460,6 +460,18 @@ class TestTopicsAgainstModel:
             "effects.targets[0].covariate 'gdp_pc' does not appear in the formula"]
 
 
+def test_spline_on_text_column_exit_is_structured(sample_run, capsys):
+    config, out = sample_run
+    set_setting(config, "formula", "s(region,df=4) + year + conflict")
+    assert run_cli("ingest", "--config", config) == 0
+    capsys.readouterr()
+    assert run_cli("search", "--config", config) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "NonNumericSpline",
+                   "message": "spline term on non-numeric column 'region'"}
+    assert not (out / "search.json").exists()
+
+
 class TestTopNAgainstVocabulary:
     """A top-n count larger than the vocabulary is a ConfigError once the
     stage knows the vocabulary: before search fits anything, and before
@@ -510,6 +522,10 @@ class TestMalformedArtifacts:
          "a term index lies outside [0, "),
         ("model.json", "report", lambda c, o: o.pop("beta"), "missing key 'beta'"),
         ("search.json", "fit", lambda c, o: o.pop("selected_k"), "missing key 'selected_k'"),
+        ("model.json", "effects", lambda c, o: o["sigma"][0].__setitem__(0, -o["sigma"][0][0]),
+         "sigma is not positive definite"),
+        ("model.json", "effects", lambda c, o: o["sigma"][0].__setitem__(1, o["sigma"][0][1] + 1e-3),
+         "sigma is not symmetric"),
     ])
     def test_exit_is_structured(self, sample_all, tmp_path, capsys, name, stage,
                                 edit, reason):
@@ -785,6 +801,23 @@ class TestConfig:
             "top_words": default(summarize_topics, "n_words"),
             "graph_threshold": default(topic_graph, "threshold"),
         }
+
+
+def test_readme_library_block_runs(sample_all, tmp_path, monkeypatch):
+    """The README's library example runs as shown, in a copy of the sample
+    beside the output of a CLI ``all`` run, so the public API it shows
+    cannot drift."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\s+```python\n(.*?)```", readme, re.S)[1]
+    config, out = sample_all
+    shutil.copytree(config.parent, tmp_path / "sample")
+    shutil.copytree(out, tmp_path / "sample" / "out")
+    monkeypatch.chdir(tmp_path / "sample")
+    names: dict = {}
+    exec(compile(block, "README.md", "exec"), names)
+    loaded, model = names["loaded"], names["model"]
+    assert loaded.nu.shape == (names["sub"].n_docs, loaded.k - 1, loaded.k - 1)
+    assert model.k == names["result"].selected_k
 
 
 def test_tracer_sees_every_layer(sample_run, tmp_path):

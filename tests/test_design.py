@@ -28,7 +28,7 @@ class TestBuildDesign:
     def test_region_reference_coding(self):
         rng = np.random.default_rng(0)
         built = build_design("region", numeric_table(rng, 40))
-        names = built.design.column_names
+        names = built.column_names
         assert names[0] == "(intercept)"
         assert len(names) == 1 + 6  # 7 levels, first dropped
         assert "region=EAS" not in names  # alphabetically first is reference
@@ -80,7 +80,7 @@ class TestBuildDesign:
         built = build_design("polity + conflict", table)
         linear = {s.name: s for s in built.specs if isinstance(s, LinearSpec)}
         assert set(linear) == {"polity", "conflict"}
-        col = built.x[:, built.design.column_names.index("polity")]
+        col = built.x[:, built.column_names.index("polity")]
         assert abs(col.mean()) < 1e-12
         assert col.std() == pytest.approx(1.0)
         mean, scale = linear["polity"].mean, linear["polity"].scale
@@ -91,14 +91,14 @@ class TestBuildDesign:
         rng = np.random.default_rng(4)
         table = numeric_table(rng, 30, with_missing=True)
         built = build_design("s(gdp_pc,df=4) + region", table)
-        assert set(built.dropped_rows.tolist()) == {3, 5}
+        assert set(range(30)) - set(built.kept_rows.tolist()) == {3, 5}
         assert built.x.shape[0] == 28
 
     def test_unreferenced_missing_does_not_drop(self):
         rng = np.random.default_rng(5)
         table = numeric_table(rng, 30, with_missing=True)
         built = build_design("polity", table)
-        assert built.dropped_rows.size == 0
+        assert built.kept_rows.tolist() == list(range(30))
 
     def test_insufficient_rows(self):
         rng = np.random.default_rng(6)

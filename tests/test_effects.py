@@ -291,7 +291,7 @@ class TestSharedDraws:
         cfg, both, _ = stage_runs
         model = FittedModel.load(both / "model.json")
         built, sub = _design_and_subset(cfg, Corpus.load(both / "corpus.json"))
-        model.nu = posterior_covariances(sub, built.design, model)
+        model.nu = posterior_covariances(sub, built, model)
         year, conflict = cfg.targets
         seed = cfg.seed + 7919
         draws = EffectDraws(model, built, n_draws=cfg.n_draws, seed=seed)

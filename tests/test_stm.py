@@ -12,8 +12,8 @@ import agendascope
 import agendascope.stm as stm_mod
 from agendascope.corpus import PreprocessConfig, build_corpus, load_ungdc_layout
 from agendascope.design import build_design
-from agendascope.errors import (DimensionMismatch, HessianNotPD, KExceedsVocabulary,
-                                NonFiniteObjective, SingularDesign)
+from agendascope.errors import (CorruptArtifact, DimensionMismatch, HessianNotPD,
+                                KExceedsVocabulary, NonFiniteObjective, SingularDesign)
 from agendascope.jsonio import dumps_canonical, read_json, write_json
 from agendascope.stm import (FitConfig, FittedModel, PrevalenceDesign,
                              _batch_neg_hessian, _batch_state, _batch_value,
@@ -584,6 +584,23 @@ class TestFit:
         with pytest.raises(DimensionMismatch, match=f"model.json: {name} has shape"):
             FittedModel.load(path)
 
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda s: s[0].__setitem__(1, s[0][1] + 1e-3), "sigma is not symmetric"),
+        (lambda s: s[0].__setitem__(0, -s[0][0]), "sigma is not positive definite"),
+    ], ids=["asymmetric", "indefinite"])
+    def test_sigma_not_spd_is_corrupt(self, tmp_path, edit, reason):
+        """A fitted sigma is exactly symmetric and eigenvalue-floored, so a
+        saved one that is not symmetric positive definite was altered."""
+        corpus = two_block_corpus(seed=10, n_docs=12)
+        design = PrevalenceDesign.intercept_only(corpus.n_docs)
+        model = fit(corpus, design, FitConfig(k=3, seed=6, max_em_iters=2))
+        path = model.save(tmp_path / "model.json")
+        obj = read_json(path)
+        edit(obj["sigma"])
+        write_json(path, obj)
+        with pytest.raises(CorruptArtifact, match=f"model.json: {reason}"):
+            FittedModel.load(path)
+
     def test_converged_flags_capped_fit_and_warns(self, caplog):
         corpus = two_block_corpus(seed=5, n_docs=24)
         design = PrevalenceDesign.intercept_only(corpus.n_docs)
@@ -638,10 +655,18 @@ class TestPosteriorCovariances:
                              for d, rec in enumerate(corpus.covariates)]
         built = build_design("conflict", corpus.covariate_table())
         sub = corpus.subset(built.kept_rows)
-        assert built.dropped_rows.size == 17 and sub.n_docs == corpus.n_docs - 17
-        model = fit(sub, built.design, FitConfig(k=4, seed=2, max_em_iters=5))
-        assert np.array_equal(posterior_covariances(sub, built.design, model), model.nu)
+        assert built.kept_rows.size == sub.n_docs == corpus.n_docs - 17
+        model = fit(sub, built, FitConfig(k=4, seed=2, max_em_iters=5))
+        assert np.array_equal(posterior_covariances(sub, built, model), model.nu)
         with pytest.raises(DimensionMismatch, match="does not fit"):
+            posterior_covariances(corpus, PrevalenceDesign.intercept_only(corpus.n_docs),
+                                  model)
+
+    def test_design_width_differs_from_gamma(self):
+        corpus, design, _, _ = model_draw(4, n_docs=60, n_terms=120, doc_len=40)
+        model = fit(corpus, design, FitConfig(k=3, seed=2, max_em_iters=2))
+        with pytest.raises(DimensionMismatch, match=f"design has 1 columns for the "
+                           f"model's {design.x.shape[1]} rows of gamma"):
             posterior_covariances(corpus, PrevalenceDesign.intercept_only(corpus.n_docs),
                                   model)
 
