@@ -16,7 +16,7 @@ from pathlib import Path
 from .corpus import PreprocessConfig
 from .effects import DEFAULT_DRAWS, DEFAULT_GRID_POINTS, MIN_DRAWS
 from .errors import ConfigError, CorruptArtifact, FormulaSyntaxError
-from .formula import parse_formula
+from .formula import KNOWN_CATEGORICAL, SPLINE, parse_formula
 from .jsonio import read_json
 from .metrics import DEFAULT_FREX_WEIGHT, DEFAULT_SUMMARY_WORDS, DEFAULT_TOP_WORDS
 from .report import DEFAULT_GRAPH_THRESHOLD
@@ -189,10 +189,14 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         violations.append("fit must set exactly one of 'k' or 'k_grid'")
     if "formula" in values:
         try:
-            terms = parse_formula(values["formula"]).term_names()
+            formula = parse_formula(values["formula"])
         except FormulaSyntaxError as exc:
             violations.append(f"formula does not parse: {exc}")
         else:
+            terms = formula.term_names()
+            violations.extend(f"formula has a spline term on {t.name!r}, which is "
+                              f"categorical" for t in formula.terms
+                              if t.kind == SPLINE and t.name in KNOWN_CATEGORICAL)
             violations.extend(
                 f"effects.targets[{i}].covariate {t['covariate']!r} does not "
                 f"appear in the formula" for i, t in enumerate(targets)

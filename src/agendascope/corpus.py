@@ -432,7 +432,10 @@ def load_ungdc_layout(directory: str | Path, meta: str | Path,
     """Load speeches laid out as ``{ISO3}_{session}_{year}.txt`` plus a
     covariate CSV.
 
-    A file is skipped, not fatal, when its name does not conform, its text
+    The speeches must sit directly in ``directory``; files in its
+    subfolders are not read, and when only they exist the
+    :class:`EmptyDirectory` error counts them. A file is skipped, not
+    fatal, when its name does not conform, its text
     is empty or blank, it is not valid UTF-8, or its year lies outside
     1970-2016; skipped files come back as (filename, reason) pairs, which
     the ingest stage writes to ``skipped_files``.
@@ -440,7 +443,11 @@ def load_ungdc_layout(directory: str | Path, meta: str | Path,
     directory = Path(directory)
     files = sorted(p for p in directory.glob("*.txt") if p.is_file())
     if not files:
-        raise EmptyDirectory(f"no .txt files under {directory}")
+        nested = sum(1 for p in directory.glob("*/**/*.txt") if p.is_file())
+        raise EmptyDirectory(
+            f"no .txt files directly in {directory}, but {nested} in its "
+            "subfolders; the layout must be flat, one folder of speeches"
+            if nested else f"no .txt files under {directory}")
     docs: list[RawDocument] = []
     skipped: list[tuple[str, str]] = []
     for path in files:

@@ -269,30 +269,33 @@ class _Chunk:
 
 def _batch_value(eta, mu, sigma_inv, b, cts, totals):
     """Objective values for a batch, with the pieces the gradient reuses;
-    padding columns carry zero counts."""
+    padding columns carry zero counts. A row's pieces come from that row
+    alone (``dsi`` by one vector-matrix product per row, since a 2-D GEMM
+    can round a one-row product differently), so they do not depend on
+    which other rows are evaluated with it."""
     full = np.concatenate([eta, np.zeros((eta.shape[0], 1))], axis=1)
     full -= full.max(axis=1, keepdims=True)
     w = np.exp(full)
     wsum = w.sum(axis=1)
     den = (w[:, None, :] @ b)[:, 0, :]
     diff = eta - mu
-    quad = np.einsum("mi,ij,mj->m", diff, sigma_inv, diff)
+    dsi = (diff[:, None, :] @ sigma_inv)[:, 0]  # diff @ sigma_inv, row by row
     value = ((cts * np.log(den)).sum(axis=1) - totals * np.log(wsum)
-             - 0.5 * quad)
-    return value, w, wsum, den, diff
+             - 0.5 * (dsi * diff).sum(axis=1))
+    return value, w, wsum, den, dsi
 
 
-def _batch_grad(w, wsum, den, diff, sigma_inv, b, cts, totals):
+def _batch_grad(w, wsum, den, dsi, b, cts, totals):
     """(grad, q, theta) from :func:`_batch_value`'s pieces at the same points."""
     theta = w / wsum[:, None]
     q = (b @ (cts / den)[:, :, None])[:, :, 0] * w
-    grad = (q - totals[:, None] * theta)[:, :-1] - diff @ sigma_inv
+    grad = (q - totals[:, None] * theta)[:, :-1] - dsi
     return grad, q, theta
 
 
 def _batch_state(eta, mu, sigma_inv, b, cts, totals):
-    value, w, wsum, den, diff = _batch_value(eta, mu, sigma_inv, b, cts, totals)
-    grad, q, theta = _batch_grad(w, wsum, den, diff, sigma_inv, b, cts, totals)
+    value, w, wsum, den, dsi = _batch_value(eta, mu, sigma_inv, b, cts, totals)
+    grad, q, theta = _batch_grad(w, wsum, den, dsi, b, cts, totals)
     return value, grad, w, den, q, theta
 
 
@@ -347,13 +350,18 @@ def _expected_counts(beta, w, den, cts, idx):
 
     So the sum is ``beta * (w.T @ r)``, one GEMM, with ``r`` the m x V
     matrix holding ``cts / den`` at each document's terms and zeros
-    elsewhere. A document's terms are distinct; its filled positions are
-    those with ``cts > 0``, so padding (term 0, count 0) leaves ``r`` alone.
+    elsewhere. ``r`` is filled by one flat scatter into an m x (V + 1)
+    buffer whose last column takes the padding positions (term 0, count
+    0); a document's terms are distinct and its filled positions are those
+    with ``cts > 0``, so no position is written twice but padding's, and the
+    GEMM reads the first V columns.
     """
-    doc, pos = np.nonzero(cts > 0)
-    r = np.zeros((cts.shape[0], beta.shape[1]))
-    r[doc, idx[doc, pos]] = cts[doc, pos] / den[doc, pos]
-    return beta * (w.T @ r)
+    n_terms = beta.shape[1]
+    r = np.zeros((cts.shape[0], n_terms + 1))
+    target = np.where(cts > 0, idx, n_terms)
+    target += np.arange(0, r.size, n_terms + 1)[:, None]
+    r.ravel()[target.ravel()] = (cts / den).ravel()
+    return beta * (w.T @ r[:, :n_terms])
 
 
 def _estep_chunk(chunk: _Chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
@@ -394,30 +402,33 @@ def _estep_chunk(chunk: _Chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
         _, neg_h = _damped_cholesky(neg_h)
         step = np.linalg.solve(neg_h, grad_a[:, :, None])[:, :, 0]
         slope = (grad_a * step).sum(axis=1)
-        t = np.ones(len(active))
-        for attempt in range(31):
-            trial = eta_a + t[:, None] * step
-            pieces = (trial,) + _batch_value(trial, mu_a, sigma_inv, b_a, cts_a, tot_a)
-            ok = pieces[1] >= value_a + 1e-4 * t * slope
-            if attempt == 0:
-                kept, accepted = pieces, ok
+        # Armijo backtracking: the first round tries every row at t = 1;
+        # each later round halves t and tries only the rows still pending
+        t, pending, kept = 1.0, slice(None), None
+        for _ in range(31):
+            trial = eta_a[pending] + t * step[pending]
+            pieces = (trial,) + _batch_value(trial, mu_a[pending], sigma_inv,
+                                             b_a[pending], cts_a[pending], tot_a[pending])
+            ok = pieces[1] >= value_a[pending] + 1e-4 * t * slope[pending]
+            if kept is None:
+                kept, pending = pieces, np.flatnonzero(~ok)
             else:
-                newly = ok & ~accepted
                 for dst, src in zip(kept, pieces):
-                    dst[newly] = src[newly]
-                accepted |= ok
-            if accepted.all():
+                    dst[pending[ok]] = src[ok]
+                pending = pending[~ok]
+            if not pending.size:
                 break
-            t[~accepted] *= 0.5
-        if not accepted.any():
+            t *= 0.5
+        if pending.size == len(active):
             break
-        if not accepted.all():  # line-search failures freeze in place
+        if pending.size:  # line-search failures freeze in place
+            accepted = np.ones(len(active), dtype=bool)
+            accepted[pending] = False
             active = active[accepted]
             kept = [a[accepted] for a in kept]
             b_a, cts_a, tot_a = b_a[accepted], cts_a[accepted], tot_a[accepted]
-        eta_m, value_m, w_m, wsum_m, den_m, diff_m = kept
-        grad_m, q_m, theta_m = _batch_grad(w_m, wsum_m, den_m, diff_m, sigma_inv,
-                                           b_a, cts_a, tot_a)
+        eta_m, value_m, w_m, wsum_m, den_m, dsi_m = kept
+        grad_m, q_m, theta_m = _batch_grad(w_m, wsum_m, den_m, dsi_m, b_a, cts_a, tot_a)
         if len(active) == m:
             eta, value, grad, w, den, q, theta = (eta_m, value_m, grad_m, w_m,
                                                   den_m, q_m, theta_m)

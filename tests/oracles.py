@@ -126,9 +126,13 @@ def ols_closed_form(x_vals: np.ndarray, y_vals: np.ndarray):
 #
 # A verbatim copy of the earlier stm._estep_chunk and its helpers: the
 # transposed fancy-index gather, a whole-state recompute after every
-# accepted step and once more for the whole chunk, and the m x K x width
-# count block. It adds only ``events``, a counter of the branches taken, so
-# a test can show that its chunk exercises the branch it names. The current
+# accepted step and once more for the whole chunk, a line search that
+# evaluates every active row in every round, and the m x K x width count
+# block. It adds only ``events``, counters of the branches taken and of the
+# rows each Newton step and line-search round tries, so a test can show
+# that its chunk exercises the branch it names. Its value helper mirrors
+# the kernel's per-row ``diff @ sigma_inv``, shared by the prior term and
+# the gradient; the einsum form it replaced is kept below it. The current
 # kernel must match it bit for bit in eta, nu and the bound, and in the
 # expected counts to rtol 1e-14, since it sums them with one GEMM.
 
@@ -140,17 +144,17 @@ def _ref_batch_value(eta, mu, sigma_inv, b, cts, totals):
     wsum = w.sum(axis=1)
     den = (w[:, None, :] @ b)[:, 0, :]
     diff = eta - mu
-    quad = np.einsum("mi,ij,mj->m", diff, sigma_inv, diff)
+    dsi = (diff[:, None, :] @ sigma_inv)[:, 0]
     value = ((cts * np.log(den)).sum(axis=1) - totals * np.log(wsum)
-             - 0.5 * quad)
-    return value, w, wsum, den, diff
+             - 0.5 * (dsi * diff).sum(axis=1))
+    return value, w, wsum, den, dsi
 
 
 def _ref_batch_state(eta, mu, sigma_inv, b, cts, totals):
-    value, w, wsum, den, diff = _ref_batch_value(eta, mu, sigma_inv, b, cts, totals)
+    value, w, wsum, den, dsi = _ref_batch_value(eta, mu, sigma_inv, b, cts, totals)
     theta = w / wsum[:, None]
     q = (b @ (cts / den)[:, :, None])[:, :, 0] * w
-    grad = (q - totals[:, None] * theta)[:, :-1] - diff @ sigma_inv
+    grad = (q - totals[:, None] * theta)[:, :-1] - dsi
     return value, grad, w, den, q, theta
 
 
@@ -163,6 +167,22 @@ def _ref_batch_neg_hessian(q, theta, w, den, b, cts, sigma_inv, totals):
     diag = np.arange(k)
     a[:, diag, diag] -= q - totals[:, None] * theta
     return sigma_inv[None, :, :] + a[:, :-1, :-1]
+
+
+# The value as the earlier kernel formed it, with a three-operand einsum
+# for the prior term.
+
+def batch_value_einsum(eta, mu, sigma_inv, b, cts, totals):
+    full = np.concatenate([eta, np.zeros((eta.shape[0], 1))], axis=1)
+    full -= full.max(axis=1, keepdims=True)
+    w = np.exp(full)
+    wsum = w.sum(axis=1)
+    den = (w[:, None, :] @ b)[:, 0, :]
+    diff = eta - mu
+    quad = np.einsum("mi,ij,mj->m", diff, sigma_inv, diff)
+    value = ((cts * np.log(den)).sum(axis=1) - totals * np.log(wsum)
+             - 0.5 * quad)
+    return value, w, wsum, den, diff
 
 
 def _ref_damped_cholesky(mats, events):
@@ -220,11 +240,13 @@ def estep_chunk_reference(chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
         neg_h = _ref_batch_neg_hessian(q, theta, w, den, b_a, cts_a, sigma_inv, tot_a)
         _, neg_h = _ref_damped_cholesky(neg_h, events)
         step = np.linalg.solve(neg_h, grad[:, :, None])[:, :, 0]
+        events["steps"] += len(active)
         slope = (grad * step).sum(axis=1)
         t = np.ones(len(active))
         accepted = np.zeros(len(active), dtype=bool)
         cand = eta_a.copy()
         for _ in range(31):
+            events["trials"] += len(active)
             trial = eta_a + t[:, None] * step
             trial_value = _ref_batch_value(trial, mu_a, sigma_inv, b_a, cts_a, tot_a)[0]
             ok = trial_value >= value + 1e-4 * t * slope

@@ -461,15 +461,28 @@ class TestTopicsAgainstModel:
 
 
 def test_spline_on_text_column_exit_is_structured(sample_run, capsys):
+    # doc_id is a text column that the formula grammar does not know, so only
+    # the design build, at search, can see that it holds text
     config, out = sample_run
-    set_setting(config, "formula", "s(region,df=4) + year + conflict")
+    set_setting(config, "formula", "s(doc_id,df=4) + year + conflict")
     assert run_cli("ingest", "--config", config) == 0
     capsys.readouterr()
     assert run_cli("search", "--config", config) == 1
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "NonNumericSpline",
-                   "message": "spline term on non-numeric column 'region'"}
+                   "message": "spline term on non-numeric column 'doc_id'"}
     assert not (out / "search.json").exists()
+
+
+def test_spline_on_categorical_covariate_rejected_before_ingest(sample_run, capsys):
+    config, out = sample_run
+    set_setting(config, "formula", "s(region,df=4) + year + conflict")
+    assert run_cli("ingest", "--config", config) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["violations"] == ["formula has a spline term on 'region', which is "
+                                 "categorical"]
+    assert not (out / "corpus.json").exists()
 
 
 class TestTopNAgainstVocabulary:

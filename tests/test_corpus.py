@@ -448,8 +448,20 @@ class TestUngdcLayout:
     def test_empty_directory(self, tmp_path):
         meta = tmp_path / "meta.csv"
         self._write_meta(meta, [])
-        with pytest.raises(EmptyDirectory):
+        with pytest.raises(EmptyDirectory, match="no .txt files under"):
             load_ungdc_layout(tmp_path, meta)
+
+    def test_speeches_in_subfolders_named(self, tmp_path):
+        meta = tmp_path / "meta.csv"
+        self._write_meta(meta, [])
+        for session, name in (("25", "AFG_25_1970.txt"), ("25", "ALB_25_1970.txt"),
+                              ("26/extra", "AFG_26_1971.txt")):
+            (tmp_path / "speeches" / session).mkdir(parents=True, exist_ok=True)
+            (tmp_path / "speeches" / session / name).write_text("Peace.")
+        with pytest.raises(EmptyDirectory) as err:
+            load_ungdc_layout(tmp_path / "speeches", meta)
+        assert "but 3 in its subfolders" in str(err.value)
+        assert "must be flat" in str(err.value)
 
     def test_missing_values_parsed_as_none(self, tmp_path):
         meta = tmp_path / "meta.csv"

@@ -20,8 +20,8 @@ from agendascope.stm import (FitConfig, FittedModel, PrevalenceDesign,
                              _Chunk, _damped_cholesky, _estep_chunk,
                              _expected_counts, e_step_doc, fit, init_params, m_step,
                              posterior_covariances, softmax_with_zero)
-from oracles import (estep_chunk_reference, grid_search_eta, padded_chunk_reference,
-                     ridge_closed_form)
+from oracles import (batch_value_einsum, estep_chunk_reference,
+                     grid_search_eta, padded_chunk_reference, ridge_closed_form)
 from synth import (counts_dense, csr, greedy_align, model_draw, tiny_corpus,
                    two_block_corpus)
 
@@ -251,12 +251,16 @@ class TestKernelMatchesReference:
     order, so eta, nu and the bound are bit-equal on chunks that take each
     branch of it; the expected counts agree to a few ulps."""
 
-    # (prior precision, start spread around mu, count scale, grad_tol) and
-    # the first seed at K = 3, 8, 30 whose chunk takes the case's branch
+    # (prior precision, its coupling, start spread around mu, count scale,
+    # grad_tol) and the first seed at K = 3, 8, 30 whose chunk takes the
+    # case's branch. The prior precision is prior * (I + coupling * 1 1');
+    # "coupled" halves like "halve" under a dense one, so the bit-equality
+    # sees how the pending-only line search forms diff @ sigma_inv.
     CASES = {
-        "accept": ((5.0, 0.0, 1.0, 1e-8), {3: 0, 8: 0, 30: 0}),
-        "halve": ((2.0, 3.0, 1.0, 1e-8), {3: 1, 8: 0, 30: 0}),
-        "frozen": ((1.0, 0.0, 1e4, 0.0), {3: 7, 8: 28, 30: 1}),
+        "accept": ((5.0, 0.0, 0.0, 1.0, 1e-8), {3: 0, 8: 0, 30: 0}),
+        "halve": ((2.0, 0.0, 3.0, 1.0, 1e-8), {3: 1, 8: 0, 30: 0}),
+        "coupled": ((2.0, 0.3, 3.0, 1.0, 1e-8), {3: 1, 8: 1, 30: 0}),
+        "frozen": ((1.0, 0.0, 0.0, 1e4, 0.0), {3: 7, 8: 28, 30: 1}),
     }
 
     @classmethod
@@ -273,7 +277,7 @@ class TestKernelMatchesReference:
             mu = rng.normal(scale=0.3, size=(m, k - 1))
             eta = -8.0 + rng.normal(scale=0.5, size=(m, k - 1))
             return _Chunk(range(m), *csr(docs)), eta, mu, 1e-3 * np.eye(k - 1), beta, 1e-8
-        (prior, spread, scale, grad_tol), seeds = cls.CASES[name]
+        (prior, coupling, spread, scale, grad_tol), seeds = cls.CASES[name]
         rng = np.random.default_rng(seeds[k])
         beta = rng.dirichlet(np.full(v, 0.5), size=k)
         docs = []
@@ -283,10 +287,11 @@ class TestKernelMatchesReference:
                          rng.integers(1, 6, n) * scale))
         mu = rng.normal(scale=0.3, size=(m, k - 1))
         eta = mu + rng.normal(scale=spread, size=(m, k - 1)) if spread else mu.copy()
-        return _Chunk(range(m), *csr(docs)), eta, mu, prior * np.eye(k - 1), beta, grad_tol
+        sigma_inv = prior * (np.eye(k - 1) + coupling)
+        return _Chunk(range(m), *csr(docs)), eta, mu, sigma_inv, beta, grad_tol
 
     @pytest.mark.parametrize("k", [3, 8, 30])
-    @pytest.mark.parametrize("name", ["accept", "halve", "frozen", "damped"])
+    @pytest.mark.parametrize("name", ["accept", "halve", "coupled", "frozen", "damped"])
     def test_bit_equal_to_reference(self, name, k):
         chunk, eta0, mu, sigma_inv, beta, grad_tol = self.case(name, k)
         m = len(chunk.rows)
@@ -301,6 +306,7 @@ class TestKernelMatchesReference:
         taken = {"accept": not (events["halved"] or events["damped"]
                                 or events["frozen"] or events["all_frozen"]),
                  "halve": 0 < events["halved"] and not events["damped"],
+                 "coupled": 0 < events["halved"] and not events["damped"],
                  "frozen": events["frozen"] > 0,
                  "damped": events["damped"] > 0}
         assert taken[name], dict(events)
@@ -311,6 +317,39 @@ class TestKernelMatchesReference:
         # they round differently
         np.testing.assert_allclose(counts, ref_counts, rtol=1e-14, atol=0)
         assert np.array_equal(counts == 0, ref_counts == 0)
+
+    @pytest.mark.parametrize("k", [3, 8, 30])
+    @pytest.mark.parametrize("name", ["accept", "halve", "coupled", "frozen", "damped"])
+    def test_value_matches_einsum_form(self, name, k):
+        """The value at the chunk's start against the earlier kernel's form,
+        a three-operand einsum for the prior term, to 1e-12 of each row's
+        value."""
+        chunk, eta, mu, sigma_inv, beta, _ = self.case(name, k)
+        b = np.ascontiguousarray(beta[:, chunk.idx].transpose(1, 0, 2))
+        args = (mu, sigma_inv, b, chunk.cts, chunk.totals)
+        value = _batch_value(eta, *args)[0]
+        ref_value = batch_value_einsum(eta, *args)[0]
+        assert (np.abs(value - ref_value) <= 1e-12 * np.abs(ref_value)).all()
+
+    def test_line_search_evaluates_pending_rows_only(self, monkeypatch):
+        """Each line-search round after the first evaluates only the rows no
+        round has accepted, so each halving costs one row evaluation; the
+        reference evaluates every row of the batch in every round."""
+        chunk, eta0, mu, sigma_inv, beta, grad_tol = self.case("halve", 8)
+        m, k_free = len(chunk.rows), beta.shape[0] - 1
+        events = collections.Counter()
+        estep_chunk_reference(chunk, eta0.copy(), np.zeros((m, k_free, k_free)), mu,
+                              sigma_inv, beta, events, grad_tol=grad_tol)
+        assert events["halved"] and not (events["frozen"] or events["all_frozen"])
+        rows = []
+        value = stm_mod._batch_value
+        monkeypatch.setattr(stm_mod, "_batch_value",
+                            lambda eta, *args: rows.append(len(eta)) or value(eta, *args))
+        _estep_chunk(chunk, eta0.copy(), np.zeros((m, k_free, k_free)), mu, sigma_inv,
+                     beta, grad_tol=grad_tol)
+        # the start state, each Newton step's first round, then one row per halving
+        assert sum(rows) == m + events["steps"] + events["halved"]
+        assert events["halved"] < events["trials"] - events["steps"]
 
 
 class TestMStep:

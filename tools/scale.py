@@ -11,10 +11,13 @@ UNGDC 1970-2016), then times one call each of ``Corpus.save``,
 document) and ``presence_matrix``, and reports the bytes of every file the
 save wrote (``corpus.json`` and its sidecars) and the peak RSS of a fresh
 Python process that only loads that corpus. It then fits the loaded corpus,
-with the draw's two-column design, at K = 10, 30 and 50 for 2 EM iterations
-each (``max_em_iters=2``, ``threads=2``, BLAS limited to one thread) and
-reports half of each fit's wall time as the seconds per EM iteration, with
-the size of the fitted ``nu``. Keeping the K=50 model, it times the effects
+with the draw's two-column design, at K = 10 and 30 for 2 EM iterations and
+at K = 50 for 7 (``max_em_iters``, ``threads=2``, BLAS limited to one
+thread), and reports the mean seconds of EM iterations 1-2 at each K, with
+the size of the fitted ``nu``, and of iterations 6-7 at K = 50, after a
+warm-up of 5. An iteration is timed from the M-step before its E-step
+(the fit's start, for the first) to the M-step after it (the fit's end,
+for the last). Keeping the K=50 model, it times the effects
 draws over the design of the formula ``conflict``, built beforehand
 (``EffectDraws`` with ``n_draws=100``, ``seed=0``), and reports seconds
 per draw. It then saves that model and
@@ -30,7 +33,7 @@ default preprocessing, in words per second. Prints one JSON object with
 those figures and the peak RSS of this process, which includes the corpus
 draw, before and after the effects draws and at the end. The JSON names the
 CPUs the process could use, because nothing here measures more cores than
-that. It runs in about two minutes on a 2-vCPU x86-64 VM.
+that. It runs in about a minute and a half on a 2-vCPU x86-64 VM.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 from synth import model_draw  # noqa: E402
 
 import agendascope  # noqa: E402
+import agendascope.stm as stm  # noqa: E402
 from agendascope.corpus import (Corpus, PreprocessConfig, RawDocument,  # noqa: E402
                                 build_corpus)
 from agendascope.design import build_design  # noqa: E402
@@ -65,6 +69,7 @@ from agendascope.stm import (FitConfig, FittedModel, fit,  # noqa: E402
 
 EM_KS = (10, 30, 50)
 EM_ITERS = 2
+LATE_ITERS = (6, 7)  # 1-based, timed at the last K only
 EM_THREADS = 2
 EFFECT_DRAWS = 100
 # stopwords of the built-in list, written after every term word
@@ -102,6 +107,26 @@ def timed(call):
     start = time.perf_counter()
     result = call()
     return result, round(time.perf_counter() - start, 3)
+
+
+def timed_em(corpus: Corpus, design, config: FitConfig):
+    """(model, seconds of each EM iteration) of one fit: an iteration ends
+    where the M-step after its E-step begins, the last where the fit
+    returns."""
+    stamps = [time.perf_counter()]
+    m_step = stm.m_step
+
+    def stamped(*args):
+        stamps.append(time.perf_counter())
+        return m_step(*args)
+
+    stm.m_step = stamped
+    try:
+        model = fit(corpus, design, config, threads=EM_THREADS)
+    finally:
+        stm.m_step = m_step
+    stamps.append(time.perf_counter())
+    return model, np.diff(stamps)
 
 
 def term_word(v: int) -> str:
@@ -156,10 +181,16 @@ def main() -> None:
     em, model = {}, None
     for k in EM_KS:
         model = None  # free the previous K's model before this fit
-        config = FitConfig(k=k, max_em_iters=EM_ITERS)
-        model, wall = timed(lambda: fit(loaded, design, config, threads=EM_THREADS))
-        em[k] = {"s_per_em_iter": round(wall / EM_ITERS, 3),
+        iters = LATE_ITERS[-1] if k == EM_KS[-1] else EM_ITERS
+        model, seconds_per_iter = timed_em(loaded, design, FitConfig(k=k, max_em_iters=iters))
+        if len(seconds_per_iter) != iters:
+            raise RuntimeError(f"timed {len(seconds_per_iter)} of the K={k} fit's "
+                               f"{iters} EM iterations")
+        em[k] = {"s_per_em_iter": round(float(seconds_per_iter[:EM_ITERS].mean()), 3),
                  "nu_mb": round(model.nu.nbytes / 1e6, 1)}
+    late = seconds_per_iter[LATE_ITERS[0] - 1:]
+    em_late = {"k": EM_KS[-1], "iterations": list(LATE_ITERS),
+               "s_per_em_iter": round(float(late.mean()), 3)}
     rss_before_effects = peak_rss_mb()  # the K=50 model is still held
     built = build_design("conflict", loaded.covariate_table())
     _, wall = timed(lambda: EffectDraws(model, built, n_draws=EFFECT_DRAWS, seed=0))
@@ -189,7 +220,8 @@ def main() -> None:
         "ingest": ingest, "seconds": seconds,
         "corpus_files_mb": files, "corpus_mb": round(corpus_mb, 1),
         "load_only_peak_rss_mb": load_rss_mb,
-        "em": {"iterations": EM_ITERS, "threads": EM_THREADS, "by_k": em},
+        "em": {"iterations": EM_ITERS, "threads": EM_THREADS, "by_k": em,
+               "late": em_late},
         "effects": effects, "model_files_mb": {"k": EM_KS[-1], **model_files},
         "posterior_covariances": recompute,
         "peak_rss_mb": peak_rss_mb(),
