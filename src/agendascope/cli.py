@@ -7,7 +7,9 @@ that hold the term counts of ``corpus.json``. The posterior covariances are
 not saved: the effects stage recomputes them from ``model.json`` and the
 corpus. Every stage writes a manifest with content hashes of its inputs and
 outputs, sidecars included. All randomness flows from the single config seed:
-the final fit uses it directly, search candidate k uses ``seed ^ k``, and
+search candidate k uses ``seed ^ k``; the final fit uses the seed itself
+under a fixed ``fit.k``, and the selected candidate's ``seed ^ k`` when k
+comes from ``search.json``, so it runs that candidate on to ``fit.rel_tol``;
 the effects stage draws once from ``seed + 7919``, for every topic, and
 serves each estimate from those draws.
 """
@@ -33,7 +35,7 @@ from .jsonio import write_json
 from .manifest import write_manifest
 from .metrics import model_quality, summarize_topics, top_words_table
 from .report import perspective_contrast, topic_graph, wordcloud_data
-from .search import ModelSearchResult, search
+from .search import ModelSearchResult, derive_candidate_seed, search
 from .stm import FitConfig, FittedModel, fit, posterior_covariances
 
 CORPUS_FILE = "corpus.json"
@@ -153,13 +155,15 @@ def run_fit(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     corpus, inputs = _load_corpus(out_dir)
     if cfg.k is not None:
-        k = cfg.k
-    else:
+        k, seed = cfg.k, cfg.seed
+    else:  # continue the selected candidate: same k, same seed
         search_path = _require(out_dir, SEARCH_FILE, "search")
         inputs["search"] = search_path
         k = ModelSearchResult.load(search_path).selected_k
+        seed = derive_candidate_seed(cfg.seed, k)
     built, sub = _design_and_subset(cfg, corpus)
-    model = fit(sub, built, _from_settings(FitConfig, cfg, k=k), threads=cfg.threads)
+    model = fit(sub, built, _from_settings(FitConfig, cfg, k=k, seed=seed),
+                threads=cfg.threads)
     return inputs, [model.save(out_dir / MODEL_FILE)]
 
 

@@ -239,6 +239,10 @@ class Corpus:
             return "counts", "a count is not positive"
         if len(self.covariates) != n:
             return None, f"{len(self.covariates)} covariate records for {n} docs"
+        for d, (rec, doc_id) in enumerate(zip(self.covariates, self.doc_ids)):
+            if rec.doc_id != doc_id:
+                return None, (f"covariate record {d} is for {rec.doc_id!r}, "
+                              f"not document {doc_id!r}")
         return None
 
 

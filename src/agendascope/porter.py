@@ -3,181 +3,126 @@
 Implements the five-step suffix-stripping algorithm exactly as published
 (longest-match rule selection within each step, no later revisions such as
 the BLI/LOGI rules). Input must be a lowercase alphabetic token.
+
+Each letter condition reads the consonant/vowel form of its stem, a "c" or
+"v" per letter: m of [C](VC)^m[V] counts its "vc" pairs, *v* is a "v" in it.
 """
 
 from __future__ import annotations
 
-_VOWELS = frozenset("aeiou")
+# Vowels to "v", other letters but "y" to "c"; "y" is left for _form.
+_CV = bytes.maketrans(b"aeiou" b"bcdfghjklmnpqrstvwxz", b"v" * 5 + b"c" * 20)
 
 
-def _cons_flags(word: str) -> list[bool]:
-    """True where the letter acts as a consonant.
-
-    'y' is a consonant at the word start or after a vowel, a vowel after a
-    consonant.
-    """
-    flags: list[bool] = []
-    for i, c in enumerate(word):
-        if c in _VOWELS:
-            flags.append(False)
-        elif c == "y":
-            flags.append(True if i == 0 else not flags[i - 1])
-        else:
-            flags.append(True)
-    return flags
+def _form(word: str) -> str:
+    """The consonant/vowel form of ``word``. A "y" is a vowel after a
+    consonant, and a consonant at the start or after a vowel."""
+    form = word.encode().translate(_CV).decode()  # a byte table: faster than str.translate
+    if form[:1] == "y":
+        form = "c" + form[1:]
+    while "y" in form:  # each pass settles at least the leftmost "y"
+        form = form.replace("cy", "cv").replace("vy", "vc")
+    return form
 
 
 def _measure(stem: str) -> int:
-    """Number of vowel-consonant sequences: the m of [C](VC)^m[V]."""
-    flags = _cons_flags(stem)
-    m = 0
-    prev_vowel = False
-    for is_cons in flags:
-        if is_cons:
-            if prev_vowel:
-                m += 1
-            prev_vowel = False
-        else:
-            prev_vowel = True
-    return m
+    return _form(stem).count("vc")
 
 
-def _has_vowel(stem: str) -> bool:
-    return not all(_cons_flags(stem))
-
-
-def _ends_double_consonant(stem: str) -> bool:
-    if len(stem) < 2 or stem[-1] != stem[-2]:
-        return False
-    return _cons_flags(stem)[-1] and _cons_flags(stem)[-2]
-
-
-def _ends_cvc(stem: str) -> bool:
+def _ends_cvc(stem: str, form: str) -> bool:
     """*o condition: ends consonant-vowel-consonant, final not w, x or y."""
-    if len(stem) < 3:
-        return False
-    flags = _cons_flags(stem)
-    return flags[-3] and not flags[-2] and flags[-1] and stem[-1] not in "wxy"
+    return form.endswith("cvc") and stem[-1] not in "wxy"
 
 
-# (suffix, replacement) pairs; condition m > threshold applies to the stem
-# left after removing the suffix.
-_STEP2_RULES = (
-    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
-    ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
-    ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
-    ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
-    ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
-)
+# Steps 2, 3 and 4 as suffix -> replacement tables; the m floor of each
+# step applies to the stem left after removing the suffix.
+_STEP2_RULES = {
+    "ational": "ate", "tional": "tion", "enci": "ence", "anci": "ance",
+    "izer": "ize", "abli": "able", "alli": "al", "entli": "ent",
+    "eli": "e", "ousli": "ous", "ization": "ize", "ation": "ate",
+    "ator": "ate", "alism": "al", "iveness": "ive", "fulness": "ful",
+    "ousness": "ous", "aliti": "al", "iviti": "ive", "biliti": "ble",
+}
 
-_STEP3_RULES = (
-    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
-    ("ical", "ic"), ("ful", ""), ("ness", ""),
-)
+_STEP3_RULES = {
+    "icate": "ic", "ative": "", "alize": "al", "iciti": "ic",
+    "ical": "ic", "ful": "", "ness": "",
+}
 
-_STEP2_SUFFIXES = tuple(s for s, _ in _STEP2_RULES)
-_STEP2_REPLACEMENT = dict(_STEP2_RULES)
-_STEP3_SUFFIXES = tuple(s for s, _ in _STEP3_RULES)
-_STEP3_REPLACEMENT = dict(_STEP3_RULES)
-
-_STEP4_SUFFIXES = (
+_STEP4_RULES = dict.fromkeys((
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-)
+), "")
 
 
-def _longest_match(word: str, suffixes: tuple[str, ...]) -> str | None:
-    if not word.endswith(suffixes):
-        return None
-    best = None
-    for sfx in suffixes:
-        if word.endswith(sfx) and (best is None or len(sfx) > len(best)):
-            best = sfx
-    return best
+def _replace_suffix(word: str, rules: dict[str, str], m_floor: int) -> str:
+    """Replace the longest suffix of ``word`` in ``rules`` if the stem
+    before it has m > ``m_floor``; the step 4 rule (*S or *T)ION needs the
+    stem to end in s or t. A longest suffix that fails leaves ``word``."""
+    if not word.endswith(tuple(rules)):
+        return word
+    suffix = max(filter(word.endswith, rules), key=len)
+    stem = word[:-len(suffix)]
+    if _measure(stem) > m_floor and (suffix != "ion" or stem.endswith(("s", "t"))):
+        return stem + rules[suffix]
+    return word
 
 
 def _step1a(word: str) -> str:
-    if word.endswith("sses"):
+    if word.endswith(("sses", "ies")):
         return word[:-2]
-    if word.endswith("ies"):
-        return word[:-2]
-    if word.endswith("ss"):
-        return word
-    if word.endswith("s"):
+    if word.endswith("s") and not word.endswith("ss"):
         return word[:-1]
     return word
 
 
 def _step1b(word: str) -> str:
     if word.endswith("eed"):
-        if _measure(word[:-3]) > 0:
-            return word[:-1]
+        return word[:-1] if _measure(word[:-3]) > 0 else word
+    stem = (word[:-2] if word.endswith("ed") else
+            word[:-3] if word.endswith("ing") else "")
+    form = _form(stem)
+    if "v" not in form:  # no suffix, or no vowel before it
         return word
-    stripped = None
-    if word.endswith("ed") and _has_vowel(word[:-2]):
-        stripped = word[:-2]
-    elif word.endswith("ing") and _has_vowel(word[:-3]):
-        stripped = word[:-3]
-    if stripped is None:
-        return word
-    if stripped.endswith(("at", "bl", "iz")):
-        return stripped + "e"
-    if _ends_double_consonant(stripped) and not stripped.endswith(("l", "s", "z")):
-        return stripped[:-1]
-    if _measure(stripped) == 1 and _ends_cvc(stripped):
-        return stripped + "e"
-    return stripped
+    if stem.endswith(("at", "bl", "iz")):
+        return stem + "e"
+    if form.endswith("cc") and stem[-1] == stem[-2] and stem[-1] not in "lsz":
+        return stem[:-1]
+    if form.count("vc") == 1 and _ends_cvc(stem, form):
+        return stem + "e"
+    return stem
 
 
 def _step1c(word: str) -> str:
-    if word.endswith("y") and _has_vowel(word[:-1]):
+    if word.endswith("y") and "v" in _form(word[:-1]):
         return word[:-1] + "i"
     return word
 
 
 def _step2(word: str) -> str:
-    match = _longest_match(word, _STEP2_SUFFIXES)
-    if match is None:
-        return word
-    stem = word[: -len(match)]
-    if _measure(stem) > 0:
-        return stem + _STEP2_REPLACEMENT[match]
-    return word
+    return _replace_suffix(word, _STEP2_RULES, 0)
 
 
 def _step3(word: str) -> str:
-    match = _longest_match(word, _STEP3_SUFFIXES)
-    if match is None:
-        return word
-    stem = word[: -len(match)]
-    if _measure(stem) > 0:
-        return stem + _STEP3_REPLACEMENT[match]
-    return word
+    return _replace_suffix(word, _STEP3_RULES, 0)
 
 
 def _step4(word: str) -> str:
-    match = _longest_match(word, _STEP4_SUFFIXES)
-    if match is None:
-        return word
-    stem = word[: -len(match)]
-    if _measure(stem) > 1:
-        if match == "ion" and not stem.endswith(("s", "t")):
-            return word
-        return stem
-    return word
+    return _replace_suffix(word, _STEP4_RULES, 1)
 
 
 def _step5a(word: str) -> str:
     if word.endswith("e"):
         stem = word[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
+        form = _form(stem)
+        m = form.count("vc")
+        if m > 1 or (m == 1 and not _ends_cvc(stem, form)):
             return stem
     return word
 
 
 def _step5b(word: str) -> str:
-    if _measure(word) > 1 and _ends_double_consonant(word) and word.endswith("l"):
+    if word.endswith("ll") and _measure(word) > 1:
         return word[:-1]
     return word
 

@@ -540,8 +540,10 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
     chunks = _chunks(corpus)
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         chunk_map = pool.map if threads > 1 else map  # one thread: no worker starts
-        prev_bound = None
         for iteration in range(config.max_em_iters):
+            if iteration:  # so the loop ends on an E-step, whatever stops it
+                beta, gamma, sigma = m_step(eta, nu.mean(axis=0), x, config,
+                                            beta_ss)
             sigma_inv, mu, logdet_sigma = _prior(sigma, x, gamma)
             partials = chunk_map(
                 lambda c: _estep_chunk(c, eta, nu, mu, sigma_inv, beta), chunks)
@@ -555,14 +557,8 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
             if not np.isfinite(bound):
                 raise NonFiniteObjective(iteration)
             bound_trace.append(bound)
-            if (prev_bound is not None
-                    and _bound_settled(prev_bound, bound, config.rel_tol)):
+            if len(bound_trace) > 1 and _bound_settled(*bound_trace[-2:], config.rel_tol):
                 break
-            if iteration == config.max_em_iters - 1:
-                break
-            beta, gamma, sigma = m_step(eta, nu.mean(axis=0), x, config,
-                                        beta_ss)
-            prev_bound = bound
 
     model = FittedModel(beta=beta, gamma=gamma, sigma=sigma, eta=eta, nu=nu,
                         bound_trace=bound_trace, config=config,

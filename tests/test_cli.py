@@ -1,6 +1,6 @@
 """Pipeline CLI: stage wiring, manifests, determinism, config validation."""
 
-import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -25,7 +25,8 @@ from agendascope.jsonio import dumps_canonical, read_json
 from agendascope.manifest import file_sha256
 from agendascope.metrics import model_quality, summarize_topics
 from agendascope.report import topic_graph
-from agendascope.stm import FitConfig, FittedModel
+from agendascope.search import ModelSearchResult
+from agendascope.stm import FitConfig, FittedModel, fit
 
 SAMPLE = Path(str(resources.files("agendascope").joinpath("data/sample")))
 ROOT = Path(__file__).resolve().parents[1]
@@ -128,6 +129,22 @@ class TestStages:
         assert run_cli("all", "--config", config, "--out", out_b,
                        "--seed", 999) == 0
         assert file_sha256(out_b / "model.json") != model_a
+
+    def test_fit_continues_the_selected_candidate(self, sample_all, tmp_path):
+        """With k from search.json, fit uses the selected candidate's own
+        seed, so model.json is that candidate run on to ``fit.rel_tol``."""
+        config, out = sample_all
+        cfg = load_config(config)
+        result = ModelSearchResult.load(out / "search.json")
+        k = result.selected_k
+        [chosen] = [c for c in result.candidates if c.k == k]
+        model = read_json(out / "model.json")
+        assert f"seed:{model['config']['seed']}" == chosen.fit_ref
+        built, sub = _design_and_subset(cfg, Corpus.load(out / "corpus.json"))
+        direct = fit(sub, built, FitConfig(k, cfg.seed ^ k, cfg.max_em_iters, cfg.rel_tol,
+                                           cfg.ridge_gamma, cfg.sigma_floor))
+        assert direct.save(tmp_path / "model.json").read_bytes() == \
+            (out / "model.json").read_bytes()
 
 
 def effects_bytes(out: Path) -> dict[str, bytes]:
@@ -533,6 +550,8 @@ class TestMalformedArtifacts:
         ("corpus.json", "metrics", lambda c, o: o.pop("docs"), "missing key 'docs'"),
         ("corpus.json", "metrics", lambda c, o: _index_out_of_range(c, o),
          "a term index lies outside [0, "),
+        ("corpus.json", "metrics", lambda c, o: o["covariates"].reverse(),
+         "covariate record 0 is for 'ZWE_67_2012', not document 'AFG_56_2001'"),
         ("model.json", "report", lambda c, o: o.pop("beta"), "missing key 'beta'"),
         ("search.json", "fit", lambda c, o: o.pop("selected_k"), "missing key 'selected_k'"),
         ("model.json", "effects", lambda c, o: o["sigma"][0].__setitem__(0, -o["sigma"][0][0]),
@@ -831,6 +850,21 @@ def test_readme_library_block_runs(sample_all, tmp_path, monkeypatch):
     loaded, model = names["loaded"], names["model"]
     assert loaded.nu.shape == (names["sub"].n_docs, loaded.k - 1, loaded.k - 1)
     assert model.k == names["result"].selected_k
+
+
+def test_sample_generator_reproduces_the_fixture(tmp_path, monkeypatch):
+    """tools/make_sample_fixture.py rewrites the committed sample byte for
+    byte, so the fixture can be regenerated without a diff."""
+    spec = importlib.util.spec_from_file_location(
+        "make_sample_fixture", ROOT / "tools" / "make_sample_fixture.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "SAMPLE", tmp_path)
+    tool.main()
+    committed = {p.relative_to(SAMPLE): p.read_bytes() for p in SAMPLE.rglob("*") if p.is_file()}
+    written = {p.relative_to(tmp_path): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert sorted(written) == sorted(committed)
+    assert [rel for rel in committed if written[rel] != committed[rel]] == []
 
 
 def test_tracer_sees_every_layer(sample_run, tmp_path):

@@ -372,6 +372,8 @@ class TestCsrLayout:
         (lambda o: o["indices"].__setitem__(1, 5), "not strictly ascending"),
         (lambda o: o["indices"].__setitem__(5, 0), "not strictly ascending"),
         (lambda o: o["covariates"].pop(), "3 covariate records for 4 docs"),
+        (lambda o: o["covariates"].reverse(),
+         "covariate record 0 is for 'd3', not document 'd0'"),
         (lambda o: o["covariates"][0].pop("region"), "region"),
     ])
     def test_malformed_file_is_corrupt(self, tmp_path, edit, reason):

@@ -1,5 +1,6 @@
 """Stemmer checks against the algorithm's published transformations."""
 
+import itertools
 import re
 from importlib import resources
 
@@ -7,9 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from agendascope import porter
 from agendascope.porter import (_step1a, _step1b, _step1c, _step2, _step3,
                                 _step4, _step5a, _step5b, stem)
 from oracles import porter_stem_reference
+
+STEP_NAMES = ("_step1a", "_step1b", "_step1c", "_step2", "_step3", "_step4",
+              "_step5a", "_step5b")
 
 # Per-step examples straight from the published rule tables.
 STEP_CASES = [
@@ -115,7 +121,8 @@ def test_outputs_are_lowercase_alpha():
 
 
 class TestMatchesReference:
-    """``stem`` gives the reference stemmer's output in tests/oracles.py."""
+    """``stem``, and each of its steps, gives the reference stemmer's
+    output in tests/oracles.py."""
 
     ROOTS = ("nation", "develop", "econom", "sustain", "relat", "condit",
              "hope", "form", "electr", "agre", "troubl", "size", "hop",
@@ -143,10 +150,30 @@ class TestMatchesReference:
         words = [r + s for r in self.ROOTS for s in self.SUFFIXES]
         assert [w for w in words if stem(w) != porter_stem_reference(w)] == []
 
+    def test_form_matches_reference_cons_flags(self):
+        """The consonant/vowel form that every letter condition reads, on
+        every word of up to 8 letters over a vowel, a consonant and y, so
+        runs of y after either class are covered."""
+        words = ["".join(w) for n in range(9) for w in itertools.product("aby", repeat=n)]
+        assert [w for w in words if porter._form(w) != "".join(
+            "c" if cons else "v" for cons in oracles._porter_cons_flags(w))] == []
+
+    @pytest.mark.parametrize("name", STEP_NAMES)
+    def test_each_step_on_roots_times_suffixes(self, name):
+        step, reference = getattr(porter, name), getattr(oracles, "_porter" + name)
+        words = [r + s for r in self.ROOTS for s in self.SUFFIXES]
+        assert [w for w in words if step(w) != reference(w)] == []
+
     @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=16))
     @settings(max_examples=300, deadline=None)
     def test_drawn_lowercase_strings(self, word):
         assert stem(word) == porter_stem_reference(word)
+
+    @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=16))
+    @settings(max_examples=300, deadline=None)
+    def test_each_step_on_drawn_lowercase_strings(self, word):
+        for name in STEP_NAMES:
+            assert getattr(porter, name)(word) == getattr(oracles, "_porter" + name)(word), name
 
     @given(st.lists(st.sampled_from(SUFFIXES), max_size=3),
            st.sampled_from(ROOTS))

@@ -656,6 +656,19 @@ class TestFit:
         assert done.converged and len(done.bound_trace) < 200
         assert not caplog.records
 
+    @pytest.mark.parametrize("max_em_iters", [3, 200], ids=["capped", "converged"])
+    def test_fit_ends_on_an_estep(self, monkeypatch, max_em_iters):
+        """One M-step between each two E-steps and none after the last, so
+        the saved modes are the modes under the saved parameters."""
+        corpus = two_block_corpus(seed=5, n_docs=24)
+        design = PrevalenceDesign.intercept_only(corpus.n_docs)
+        calls = []
+        monkeypatch.setattr(stm_mod, "m_step", lambda *a: calls.append(1) or m_step(*a))
+        model = fit(corpus, design, FitConfig(k=2, seed=11, max_em_iters=max_em_iters))
+        assert model.converged == (max_em_iters == 200)
+        assert len(model.bound_trace) > 2
+        assert len(calls) == len(model.bound_trace) - 1
+
 
 class TestPosteriorCovariances:
     """``posterior_covariances`` gives the ``nu`` that ``fit`` returned, bit
