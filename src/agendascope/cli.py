@@ -3,15 +3,14 @@
 Subcommands ingest, search, fit, metrics, effects, report, all operate on a
 shared output directory of JSON artifacts, plus three ``.npy`` sidecars,
 ``corpus.indptr.npy``, ``corpus.indices.npy`` and ``corpus.counts.npy``,
-that hold the term counts of ``corpus.json``. The posterior covariances are
-not saved: the effects stage recomputes them from ``model.json`` and the
-corpus. Every stage writes a manifest with content hashes of its inputs and
-outputs, sidecars included. All randomness flows from the single config seed:
-search candidate k uses ``seed ^ k``; the final fit uses the seed itself
-under a fixed ``fit.k``, and the selected candidate's ``seed ^ k`` when k
-comes from ``search.json``, so it runs that candidate on to ``fit.rel_tol``;
-the effects stage draws once from ``seed + 7919``, for every topic, and
-serves each estimate from those draws.
+that hold the term counts of ``corpus.json``. Every stage writes a manifest
+with content hashes of its inputs and outputs, sidecars included. All
+randomness flows from the single config seed: search candidate k uses
+``seed ^ k``; the final fit uses the seed itself under a fixed ``fit.k``,
+and the selected candidate's ``seed ^ k`` when k comes from
+``search.json`` (scored under another seed, a ``ConfigError``), so it runs
+that candidate on to ``fit.rel_tol``; the effects stage draws once from
+``seed + 7919``, for every topic, and serves each estimate from those draws.
 """
 
 from __future__ import annotations
@@ -86,15 +85,9 @@ def _check_settings(n_terms: int, k: int, *, sizes: dict[str, int] | None = None
         raise ConfigError(violations)
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> Path:
     lines = [",".join(header)]
-    lines += [",".join(_cell(c) for c in row) for row in rows]
+    lines += [",".join(map(str, row)) for row in rows]  # str of a float is its repr
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
@@ -159,8 +152,13 @@ def run_fit(cfg: RunConfig) -> Stage:
     else:  # continue the selected candidate: same k, same seed
         search_path = _require(out_dir, SEARCH_FILE, "search")
         inputs["search"] = search_path
-        k = ModelSearchResult.load(search_path).selected_k
+        result = ModelSearchResult.load(search_path)
+        k = result.selected_k
         seed = derive_candidate_seed(cfg.seed, k)
+        scored = {c.k: c.fit_ref for c in result.candidates}.get(k)
+        if scored != f"seed:{seed}":
+            raise ConfigError([f"{search_path} scored k={k} with {scored}, but seed "
+                               f"{cfg.seed} continues it with seed:{seed}; rerun search"])
     built, sub = _design_and_subset(cfg, corpus)
     model = fit(sub, built, _from_settings(FitConfig, cfg, k=k, seed=seed),
                 threads=cfg.threads)
@@ -242,8 +240,8 @@ def run_effects(cfg: RunConfig) -> Stage:
     _check_contrasts(cfg.targets, built)
     draws = None
     if cfg.targets:
-        model.nu = posterior_covariances(sub, built, model, threads=cfg.threads)
-        draws = EffectDraws(model, built, cfg.n_draws, cfg.seed + _EFFECT_SEED_OFFSET)
+        nu = posterior_covariances(sub, built, model, threads=cfg.threads)
+        draws = EffectDraws(model, built, nu, cfg.n_draws, cfg.seed + _EFFECT_SEED_OFFSET)
     effects_dir = out_dir / "effects"
     effects_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []

@@ -78,10 +78,13 @@ def _factor_stack(mats: np.ndarray) -> np.ndarray:
     below -1e-10 times its largest |eigenvalue| is not PSD, and raises
     :class:`HessianNotPD` with its index in ``row`` rather than being
     clamped to a different matrix."""
-    try:
-        return np.linalg.cholesky(mats)
+    try:  # batched LAPACK returns NaN factors for a non-finite block
+        factors = np.linalg.cholesky(mats)
+        if np.isfinite(factors).all():
+            return factors
     except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+        pass
+    vals, vecs = np.linalg.eigh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
     # eigenvalues ascend; "not >=" also catches a NaN block
     indefinite = ~(vals[:, 0] >= -1e-10 * np.abs(vals).max(axis=-1))
     if indefinite.any():
@@ -94,8 +97,9 @@ def _factor_stack(mats: np.ndarray) -> np.ndarray:
 
 
 class EffectDraws:
-    """Coefficient draws for every topic of one model and the design it
-    was fitted with: the one seeded draw loop that effects and contrasts project.
+    """Coefficient draws for every topic of one model, the design it was
+    fitted with and its ``posterior_covariances``: the one seeded draw loop
+    that effects and contrasts project.
 
     Each draw resamples every document's topic proportions from its
     posterior, regresses all K topics on the covariates at once and draws
@@ -106,20 +110,19 @@ class EffectDraws:
     design, never on which topics or targets are estimated from them.
     """
 
-    def __init__(self, model: FittedModel, design: BuiltDesign,
+    def __init__(self, model: FittedModel, design: BuiltDesign, nu: np.ndarray,
                  n_draws: int = DEFAULT_DRAWS, seed: int = 0):
         if n_draws < MIN_DRAWS:
             raise ValueError(f"n_draws must be at least {MIN_DRAWS}")
-        if model.nu is None:
-            raise ValueError("EffectDraws needs the model's posterior covariances "
-                             "nu, which a loaded model lacks; set model.nu = "
-                             "posterior_covariances(corpus, design, model)")
         self.built = design
         self.x = design.x
         self.n, self.p = self.x.shape
         if self.n != model.n_docs:
             raise DimensionMismatch(
                 f"design has {self.n} rows for {model.n_docs} documents")
+        expected = (model.n_docs,) + model.eta.shape[1:] * 2  # a block per document
+        if nu.shape != expected:
+            raise DimensionMismatch(f"nu has shape {nu.shape}; expected {expected}")
         # Rank-revealing least squares. A complete B-spline block sums to 1
         # on every row, so each spline term is structurally collinear with
         # the intercept, and only rounding decides whether X'X looks
@@ -142,7 +145,7 @@ class EffectDraws:
         self.dof = self.n - rank
         self.n_draws = n_draws
         try:
-            factors = _factor_stack(model.nu)
+            factors = _factor_stack(nu)
         except HessianNotPD as exc:
             raise HessianNotPD(f"posterior covariance nu of document "
                                f"{model.doc_ids[exc.row]!r}: {exc}") from None

@@ -10,10 +10,10 @@ count (a stable sort), so a chunk pads its documents little; the partition,
 and so the order in which chunk results are summed, depends on the corpus
 alone and never on the thread count.
 
-``fit`` stops after an E-step, before the M-step that would follow it, so
-each saved posterior mode is the mode under the saved parameters, and
-:func:`posterior_covariances` recomputes the posterior covariances at those
-modes, bit for bit, from the saved model and its corpus; they are not saved.
+``fit`` keeps only the posterior covariances' sum, which is all the M-step
+reads, and stops after an E-step, so each saved posterior mode is the mode
+under the saved parameters; :func:`posterior_covariances` recomputes the
+covariances at those modes, bit for bit, from the model and its corpus.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import concurrent.futures
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -104,9 +104,6 @@ class FittedModel:
     gamma: np.ndarray                 # P x (K-1)
     sigma: np.ndarray                 # (K-1) x (K-1)
     eta: np.ndarray                   # D x (K-1) posterior modes
-    # D x (K-1) x (K-1) posterior covariances, exactly symmetric; not saved,
-    # so None in a loaded model until posterior_covariances recomputes them
-    nu: np.ndarray | None
     bound_trace: list[float]
     config: FitConfig
     vocabulary: list[str]
@@ -135,13 +132,12 @@ class FittedModel:
                                                   self.config.rel_tol)
 
     def save(self, path: str | Path) -> Path:
-        """Write every field but ``nu`` to ``path`` as JSON; returns ``path``."""
-        return write_json(path, {f.name: getattr(self, f.name)
-                                 for f in fields(self) if f.name != "nu"})
+        """Write every field to ``path`` as JSON; returns ``path``."""
+        return write_json(path, self)
 
     @classmethod
     def load(cls, path: str | Path) -> "FittedModel":
-        """The model at ``path``, with ``nu`` None; an array whose shape
+        """The model at ``path``; an array whose shape
         does not fit K, the vocabulary, the documents or the design columns
         raises :class:`DimensionMismatch` naming its file; one with a NaN or
         infinite entry, or a ``sigma`` that is not symmetric positive
@@ -152,7 +148,6 @@ class FittedModel:
                         gamma=np.array(obj["gamma"], dtype=float),
                         sigma=np.array(obj["sigma"], dtype=float),
                         eta=np.array(obj["eta"], dtype=float),
-                        nu=None,
                         bound_trace=list(obj["bound_trace"]),
                         config=FitConfig(**obj["config"]),
                         vocabulary=list(obj["vocabulary"]),
@@ -364,15 +359,16 @@ def _expected_counts(beta, w, den, cts, idx):
     return beta * (w.T @ r[:, :n_terms])
 
 
-def _estep_chunk(chunk: _Chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
+def _estep_chunk(chunk: _Chunk, eta_all, mu_all, sigma_inv, beta,
                  *, max_iter: int = 200, grad_tol: float = 1e-8, counts: bool = True):
-    """Newton ascent for every document of one chunk, batched.
+    """Newton ascent for every document of one chunk, batched, from its
+    rows of ``eta_all``.
 
     Each document's state (value, gradient and mixture pieces) is carried at
     its current mode estimate and updated only for the rows a step moves; an
-    accepted step takes its state from its line-search trial. Updates
-    eta_all/nu_all rows in place; returns (expected counts contribution, or
-    None without ``counts``, bound contribution).
+    accepted step takes its state from its line-search trial. Returns (modes,
+    Laplace covariance blocks, expected counts or None without ``counts``,
+    bound contribution), rows in ``chunk.rows`` order.
     """
     rows = chunk.rows
     m = len(rows)
@@ -381,7 +377,7 @@ def _estep_chunk(chunk: _Chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
         b[:, j] = beta_j[chunk.idx]
     cts = chunk.cts
     totals = chunk.totals
-    eta = eta_all[rows].copy()
+    eta = eta_all[rows]  # a copy: fancy indexing
     mu = mu_all[rows]
     tol = grad_tol * np.maximum(1.0, totals)
 
@@ -445,10 +441,8 @@ def _estep_chunk(chunk: _Chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
     nu = 0.5 * (nu + nu.transpose(0, 2, 1))
     logdet_nu = -2.0 * np.log(np.einsum("mii->mi", chols)).sum(axis=1)
     bound = float((value + 0.5 * logdet_nu).sum())
-
-    eta_all[rows] = eta
-    nu_all[rows] = nu
-    return (_expected_counts(beta, w, den, cts, chunk.idx) if counts else None), bound
+    return (eta, nu, _expected_counts(beta, w, den, cts, chunk.idx) if counts else None,
+            bound)
 
 
 def e_step_doc(counts_d: np.ndarray, mu_d: np.ndarray, sigma_inv: np.ndarray,
@@ -482,10 +476,8 @@ def e_step_doc(counts_d: np.ndarray, mu_d: np.ndarray, sigma_inv: np.ndarray,
     if not np.isfinite(mu).all():
         raise DimensionMismatch("mu_d must be finite")
     mu = mu.reshape(1, k_free)
-    eta = mu.copy()
-    nu = np.zeros((1, k_free, k_free))
     chunk = _Chunk([0], np.array([0, idx.size]), idx, counts_d[idx])
-    beta_ss, _ = _estep_chunk(chunk, eta, nu, mu, sigma_inv, beta)
+    eta, nu, beta_ss, _ = _estep_chunk(chunk, mu, mu, sigma_inv, beta)
     return DocPosterior(eta=eta[0], nu=nu[0], phi_sums=beta_ss.sum(axis=1))
 
 
@@ -534,7 +526,6 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
     n_docs, n_terms = corpus.n_docs, corpus.n_terms
     gamma = np.zeros((x.shape[1], k - 1))
     sigma = np.eye(k - 1)
-    nu = np.zeros((n_docs, k - 1, k - 1))
     bound_trace: list[float] = []
 
     chunks = _chunks(corpus)
@@ -542,16 +533,17 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
         chunk_map = pool.map if threads > 1 else map  # one thread: no worker starts
         for iteration in range(config.max_em_iters):
             if iteration:  # so the loop ends on an E-step, whatever stops it
-                beta, gamma, sigma = m_step(eta, nu.mean(axis=0), x, config,
-                                            beta_ss)
+                beta, gamma, sigma = m_step(eta, nu_sum / n_docs, x, config, beta_ss)
             sigma_inv, mu, logdet_sigma = _prior(sigma, x, gamma)
-            partials = chunk_map(
-                lambda c: _estep_chunk(c, eta, nu, mu, sigma_inv, beta), chunks)
+            partials = chunk_map(lambda c: _estep_chunk(c, eta, mu, sigma_inv, beta), chunks)
             beta_ss = np.zeros((k, n_terms))
+            nu_sum = np.zeros((k - 1, k - 1))
             bound = 0.0
-            for part_ss, part_bound in partials:  # fixed chunk order
-                beta_ss += part_ss
-                bound += part_bound
+            for chunk, (eta_c, nu_c, ss, bound_c) in zip(chunks, partials):  # fixed order
+                eta[chunk.rows] = eta_c  # rows that no other chunk reads
+                nu_sum += nu_c.sum(axis=0)
+                beta_ss += ss
+                bound += bound_c
             bound -= 0.5 * n_docs * logdet_sigma
 
             if not np.isfinite(bound):
@@ -560,7 +552,7 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
             if len(bound_trace) > 1 and _bound_settled(*bound_trace[-2:], config.rel_tol):
                 break
 
-    model = FittedModel(beta=beta, gamma=gamma, sigma=sigma, eta=eta, nu=nu,
+    model = FittedModel(beta=beta, gamma=gamma, sigma=sigma, eta=eta,
                         bound_trace=bound_trace, config=config,
                         vocabulary=list(corpus.vocabulary),
                         design_column_names=list(design.column_names),
@@ -578,9 +570,10 @@ def posterior_covariances(corpus: Corpus, design: PrevalenceDesign,
                           model: FittedModel, threads: int = 1) -> np.ndarray:
     """The D x (K-1) x (K-1) posterior covariances of ``model``, fitted to
     ``corpus`` under ``design``: the inverse damped curvature at each saved
-    mode under the saved parameters. This is the Laplace tail of ``fit``'s
-    E-step on ``fit``'s chunks, with no Newton step, so it gives the ``nu``
-    that ``fit`` returned, bit for bit, at any ``threads``."""
+    mode under the saved parameters, exactly symmetric. This is the Laplace
+    tail of ``fit``'s E-step on ``fit``'s chunks, with no Newton step, so it
+    gives the blocks of ``fit``'s last E-step, bit for bit, at any
+    ``threads``; the model keeps none."""
     x = _design_matrix(corpus, design)
     if model.eta.shape[0] != corpus.n_docs or model.beta.shape[1] != corpus.n_terms:
         raise DimensionMismatch("the model does not fit the corpus's documents and terms")
@@ -588,10 +581,12 @@ def posterior_covariances(corpus: Corpus, design: PrevalenceDesign,
         raise DimensionMismatch(f"design has {x.shape[1]} columns for the model's "
                                 f"{model.gamma.shape[0]} rows of gamma")
     sigma_inv, mu, _ = _prior(model.sigma, x, model.gamma)
-    eta = model.eta.copy()  # written back unchanged; the model is left alone
-    nu = np.zeros(eta.shape + eta.shape[1:])
+    nu = np.empty(model.eta.shape + model.eta.shape[1:])
+    chunks = _chunks(corpus)
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        list((pool.map if threads > 1 else map)(
-            lambda c: _estep_chunk(c, eta, nu, mu, sigma_inv, model.beta, max_iter=0,
-                                   counts=False), _chunks(corpus)))
+        blocks = (pool.map if threads > 1 else map)(
+            lambda c: _estep_chunk(c, model.eta, mu, sigma_inv, model.beta, max_iter=0,
+                                   counts=False)[1], chunks)
+        for chunk, nu_c in zip(chunks, blocks):
+            nu[chunk.rows] = nu_c
     return nu

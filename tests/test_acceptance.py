@@ -200,12 +200,12 @@ def _degenerate_model():
     n = len(x)
     return (FittedModel(beta=np.full((2, 6), 1 / 6),
                         gamma=np.zeros((1, 1)), sigma=np.eye(1),
-                        eta=np.zeros((n, 1)), nu=np.zeros((n, 1, 1)),
+                        eta=np.zeros((n, 1)),
                         bound_trace=[0.0], config=FitConfig(k=2, seed=0),
                         vocabulary=[f"v{i}" for i in range(6)],
                         design_column_names=["(intercept)"],
                         doc_ids=[f"D{i}" for i in range(n)]),
-            {"x": list(x)})
+            np.zeros((n, 1, 1)), {"x": list(x)})
 
 
 def _planted_model(seed: int):
@@ -213,14 +213,13 @@ def _planted_model(seed: int):
     n = 160
     x = (np.arange(n) % 2).astype(float)
     eta = (-0.2 + 0.8 * x + rng.normal(0.0, 0.15, n))[:, None]
-    nu = np.full((n, 1, 1), 1e-3)
-    model, _ = _degenerate_model()
+    model, _, _ = _degenerate_model()
     model = FittedModel(beta=model.beta, gamma=model.gamma, sigma=model.sigma,
-                        eta=eta, nu=nu, bound_trace=[0.0],
+                        eta=eta, bound_trace=[0.0],
                         config=model.config, vocabulary=model.vocabulary,
                         design_column_names=model.design_column_names,
                         doc_ids=[f"D{i}" for i in range(n)])
-    return model, {"x": list(x)}
+    return model, np.full((n, 1, 1), 1e-3), {"x": list(x)}
 
 
 def test_criterion_6_effects_engine():
@@ -228,14 +227,14 @@ def test_criterion_6_effects_engine():
     level swap with a shared seed; planted binary effect detected in >= 18
     of 20 replications at n_draws=500; B-spline partition of unity within
     1e-9 on every design row."""
-    model, covs = _degenerate_model()
-    est = estimate_effect(EffectDraws(model, build_design("x", covs), n_draws=500, seed=7),
+    model, nu, covs = _degenerate_model()
+    est = estimate_effect(EffectDraws(model, build_design("x", covs), nu, n_draws=500, seed=7),
                           0, "x")
     collapse_ok = (np.array_equal(est.ci_lower, est.mean)
                    and np.array_equal(est.ci_upper, est.mean))
 
-    model, covs = _planted_model(61)
-    draws = EffectDraws(model, build_design("x", covs), n_draws=500, seed=17)
+    model, nu, covs = _planted_model(61)
+    draws = EffectDraws(model, build_design("x", covs), nu, n_draws=500, seed=17)
     fwd = estimate_contrast(draws, 0, "x", 1.0, 0.0)
     rev = estimate_contrast(draws, 0, "x", 0.0, 1.0)
     antisym_ok = (rev.point == -fwd.point
@@ -243,8 +242,8 @@ def test_criterion_6_effects_engine():
 
     detected = 0
     for rep in range(20):
-        model, covs = _planted_model(600 + rep)
-        draws = EffectDraws(model, build_design("x", covs), n_draws=500, seed=6000 + rep)
+        model, nu, covs = _planted_model(600 + rep)
+        draws = EffectDraws(model, build_design("x", covs), nu, n_draws=500, seed=6000 + rep)
         est = estimate_contrast(draws, 0, "x", 1.0, 0.0)
         detected += int(est.ci[0] > 0.0)
     detect_ok = detected >= 18

@@ -146,6 +146,26 @@ class TestStages:
         assert direct.save(tmp_path / "model.json").read_bytes() == \
             (out / "model.json").read_bytes()
 
+    def test_fit_under_another_seed_than_search_rejected(self, sample_all, tmp_path,
+                                                         capsys):
+        """search.json scored its candidates under the config's seed, so a
+        fit with k from it under another seed would be none of them: it
+        exits 1 before fitting and names both seeds."""
+        config, out = sample_all
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        k = ModelSearchResult.load(copy / "search.json").selected_k
+        scored = load_config(config).seed ^ k
+        before = (copy / "model.json").read_bytes()
+        capsys.readouterr()
+        assert run_cli("fit", "--config", config, "--out", copy, "--seed", 5) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["violations"] == [
+            f"{copy / 'search.json'} scored k={k} with seed:{scored}, but seed 5 "
+            f"continues it with seed:{5 ^ k}; rerun search"]
+        assert (copy / "model.json").read_bytes() == before
+
 
 def effects_bytes(out: Path) -> dict[str, bytes]:
     """Every file the effects stage wrote to ``out``, manifest included."""
@@ -848,7 +868,7 @@ def test_readme_library_block_runs(sample_all, tmp_path, monkeypatch):
     names: dict = {}
     exec(compile(block, "README.md", "exec"), names)
     loaded, model = names["loaded"], names["model"]
-    assert loaded.nu.shape == (names["sub"].n_docs, loaded.k - 1, loaded.k - 1)
+    assert names["loaded_nu"].shape == (names["sub"].n_docs, loaded.k - 1, loaded.k - 1)
     assert model.k == names["result"].selected_k
 
 

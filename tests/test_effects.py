@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import agendascope
+import agendascope.effects as effects_mod
 from agendascope.cli import _design_and_subset, main
 from agendascope.config import load_config
 from agendascope.corpus import (Corpus, PreprocessConfig, build_corpus,
@@ -22,12 +23,12 @@ from agendascope.stm import FitConfig, FittedModel, posterior_covariances
 SAMPLE = Path(agendascope.__file__).parent / "data" / "sample"
 
 
-def fake_model(eta: np.ndarray, nu: np.ndarray) -> FittedModel:
+def fake_model(eta: np.ndarray) -> FittedModel:
     n_docs, k_free = eta.shape
     k = k_free + 1
     beta = np.full((k, 6), 1.0 / 6.0)
     return FittedModel(beta=beta, gamma=np.zeros((1, k_free)),
-                       sigma=np.eye(k_free), eta=eta, nu=nu,
+                       sigma=np.eye(k_free), eta=eta,
                        bound_trace=[0.0], config=FitConfig(k=k, seed=0),
                        vocabulary=[f"v{i}" for i in range(6)],
                        design_column_names=["(intercept)"],
@@ -36,12 +37,12 @@ def fake_model(eta: np.ndarray, nu: np.ndarray) -> FittedModel:
 
 def planted_binary_model(seed: int, n_docs: int = 160, shift: float = 0.8,
                          noise: float = 0.15, nu_scale: float = 1e-3):
-    """Topic-0 prevalence rises with a binary covariate."""
+    """(model, nu, covariates): topic-0 prevalence rises with a binary
+    covariate."""
     rng = np.random.default_rng(seed)
     x = (np.arange(n_docs) % 2).astype(float)
     eta = (-0.2 + shift * x + rng.normal(0.0, noise, n_docs))[:, None]
-    nu = np.full((n_docs, 1, 1), nu_scale)
-    return fake_model(eta, nu), {"x": list(x)}
+    return fake_model(eta), np.full((n_docs, 1, 1), nu_scale), {"x": list(x)}
 
 
 class TestDegenerateCollapse:
@@ -52,8 +53,8 @@ class TestDegenerateCollapse:
         x = np.array([0.0, 1.0] * 32)
         eta = np.zeros((len(x), 1))
         nu = np.zeros((len(x), 1, 1))
-        model = fake_model(eta, nu)
-        draws = EffectDraws(model, build_design("x", {"x": list(x)}), n_draws=120, seed=5)
+        model = fake_model(eta)
+        draws = EffectDraws(model, build_design("x", {"x": list(x)}), nu, n_draws=120, seed=5)
         est = estimate_effect(draws, topic=0, target="x")
         assert est.grid == [0.0, 1.0]
         assert np.array_equal(est.ci_lower, est.mean)
@@ -65,8 +66,8 @@ class TestDegenerateCollapse:
         p = 0.3 + 0.2 * x  # linear in x up to float rounding
         eta = np.log(p / (1.0 - p))[:, None]
         nu = np.zeros((len(x), 1, 1))
-        model = fake_model(eta, nu)
-        draws = EffectDraws(model, build_design("x", {"x": list(x)}), n_draws=120, seed=5)
+        model = fake_model(eta)
+        draws = EffectDraws(model, build_design("x", {"x": list(x)}), nu, n_draws=120, seed=5)
         est = estimate_effect(draws, topic=0, target="x")
         width = est.ci_upper - est.ci_lower
         assert np.abs(width).max() < 1e-12
@@ -75,15 +76,15 @@ class TestDegenerateCollapse:
 
 class TestContrast:
     def test_identical_levels_give_exact_zero(self):
-        model, covs = planted_binary_model(0)
-        draws = EffectDraws(model, build_design("x", covs), n_draws=120, seed=3)
+        model, nu, covs = planted_binary_model(0)
+        draws = EffectDraws(model, build_design("x", covs), nu, n_draws=120, seed=3)
         est = estimate_contrast(draws, 0, "x", 1.0, 1.0)
         assert est.point == 0.0
         assert est.ci == (0.0, 0.0)
 
     def test_level_swap_negates_exactly(self):
-        model, covs = planted_binary_model(1)
-        draws = EffectDraws(model, build_design("x", covs), n_draws=150, seed=9)
+        model, nu, covs = planted_binary_model(1)
+        draws = EffectDraws(model, build_design("x", covs), nu, n_draws=150, seed=9)
         fwd = estimate_contrast(draws, 0, "x", 1.0, 0.0)
         rev = estimate_contrast(draws, 0, "x", 0.0, 1.0)
         assert rev.point == -fwd.point
@@ -92,8 +93,8 @@ class TestContrast:
     def test_planted_effect_detected(self):
         detected = 0
         for rep in range(20):
-            model, covs = planted_binary_model(100 + rep)
-            draws = EffectDraws(model, build_design("x", covs), n_draws=150, seed=500 + rep)
+            model, nu, covs = planted_binary_model(100 + rep)
+            draws = EffectDraws(model, build_design("x", covs), nu, n_draws=150, seed=500 + rep)
             est = estimate_contrast(draws, 0, "x", 1.0, 0.0)
             assert est.ci[0] <= est.point <= est.ci[1]
             if est.ci[0] > 0.0:
@@ -107,8 +108,8 @@ class TestContrast:
         labels = [regions[i % 7] for i in range(210)]
         eta = np.array([offsets[r] for r in labels])[:, None]
         eta += rng.normal(0, 0.05, eta.shape)
-        model = fake_model(eta, np.full((210, 1, 1), 1e-4))
-        draws = EffectDraws(model, build_design("region", {"region": labels}),
+        model, nu = fake_model(eta), np.full((210, 1, 1), 1e-4)
+        draws = EffectDraws(model, build_design("region", {"region": labels}), nu,
                             n_draws=150, seed=11)
         est = estimate_effect(draws, 0, "region")
         assert est.grid == regions  # alphabetical levels
@@ -117,8 +118,8 @@ class TestContrast:
 
 class TestEffectEstimate:
     def test_ci_brackets_mean_and_values_in_unit_interval(self):
-        model, covs = planted_binary_model(2, noise=0.4, nu_scale=0.05)
-        est = estimate_effect(EffectDraws(model, build_design("x", covs), n_draws=200, seed=1),
+        model, nu, covs = planted_binary_model(2, noise=0.4, nu_scale=0.05)
+        est = estimate_effect(EffectDraws(model, build_design("x", covs), nu, n_draws=200, seed=1),
                               0, "x")
         assert np.all(est.ci_lower <= est.mean + 1e-15)
         assert np.all(est.mean <= est.ci_upper + 1e-15)
@@ -126,14 +127,14 @@ class TestEffectEstimate:
         assert np.all((est.ci_lower >= 0.0) & (est.ci_upper <= 1.0))
 
     def test_bit_reproducible_given_seed(self):
-        model, covs = planted_binary_model(3)
-        a = estimate_effect(EffectDraws(model, build_design("x", covs), n_draws=130, seed=21),
+        model, nu, covs = planted_binary_model(3)
+        a = estimate_effect(EffectDraws(model, build_design("x", covs), nu, n_draws=130, seed=21),
                             0, "x")
-        b = estimate_effect(EffectDraws(model, build_design("x", covs), n_draws=130, seed=21),
+        b = estimate_effect(EffectDraws(model, build_design("x", covs), nu, n_draws=130, seed=21),
                             0, "x")
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.ci_lower, b.ci_lower)
-        c = estimate_effect(EffectDraws(model, build_design("x", covs), n_draws=130, seed=22),
+        c = estimate_effect(EffectDraws(model, build_design("x", covs), nu, n_draws=130, seed=22),
                             0, "x")
         assert not np.array_equal(a.mean, c.mean)
 
@@ -142,8 +143,8 @@ class TestEffectEstimate:
         n = 150
         z = rng.uniform(-2, 2, n)
         eta = (0.3 * z + rng.normal(0, 0.1, n))[:, None]
-        model = fake_model(eta, np.full((n, 1, 1), 1e-3))
-        draws = EffectDraws(model, build_design("z", {"z": list(z)}), n_draws=120, seed=2)
+        model, nu = fake_model(eta), np.full((n, 1, 1), 1e-3)
+        draws = EffectDraws(model, build_design("z", {"z": list(z)}), nu, n_draws=120, seed=2)
         est = estimate_effect(draws, 0, "z", grid_points=25)
         grid = np.array(est.grid)
         assert grid.size == 25
@@ -154,19 +155,19 @@ class TestEffectEstimate:
         n = 150
         gdp = rng.uniform(100.0, 80000.0, n)
         eta = rng.normal(0, 0.2, (n, 1))
-        model = fake_model(eta, np.full((n, 1, 1), 1e-3))
-        draws = EffectDraws(model, build_design("s(gdp_pc,df=4)", {"gdp_pc": list(gdp)}),
+        model, nu = fake_model(eta), np.full((n, 1, 1), 1e-3)
+        draws = EffectDraws(model, build_design("s(gdp_pc,df=4)", {"gdp_pc": list(gdp)}), nu,
                             n_draws=120, seed=2)
         est = estimate_effect(draws, 0, "gdp_pc", grid_points=20)
         ratios = np.diff(np.log(np.array(est.grid)))
         assert np.allclose(ratios, ratios[0], rtol=1e-9)
 
     def test_monte_carlo_error_shrinks_with_more_draws(self):
-        model, covs = planted_binary_model(6, noise=0.3, nu_scale=0.05)
+        model, nu, covs = planted_binary_model(6, noise=0.3, nu_scale=0.05)
 
         def grid_point_means(n_draws):
             built = build_design("x", covs)
-            return [estimate_effect(EffectDraws(model, built, n_draws=n_draws,
+            return [estimate_effect(EffectDraws(model, built, nu, n_draws=n_draws,
                                                 seed=3000 + r), 0, "x").mean[1]
                     for r in range(20)]
 
@@ -177,8 +178,8 @@ class TestEffectEstimate:
     def test_observed_hold_averages_over_rows(self):
         # with a single-term formula the two hold strategies coincide on a
         # binary covariate; both must produce ordered, bounded intervals
-        model, covs = planted_binary_model(12, noise=0.3, nu_scale=0.02)
-        draws = EffectDraws(model, build_design("x", covs), n_draws=150, seed=31)
+        model, nu, covs = planted_binary_model(12, noise=0.3, nu_scale=0.02)
+        draws = EffectDraws(model, build_design("x", covs), nu, n_draws=150, seed=31)
         typical = estimate_effect(draws, 0, "x", hold="typical")
         observed = estimate_effect(draws, 0, "x", hold="observed")
         assert np.allclose(typical.mean, observed.mean, atol=1e-12)
@@ -187,9 +188,9 @@ class TestEffectEstimate:
         z = rng.uniform(-1, 1, n)
         x = (np.arange(n) % 2).astype(float)
         eta = (0.5 * x + 0.4 * z + rng.normal(0, 0.1, n))[:, None]
-        model2 = fake_model(eta, np.full((n, 1, 1), 1e-3))
+        model2, nu2 = fake_model(eta), np.full((n, 1, 1), 1e-3)
         covs2 = {"x": list(x), "z": list(z)}
-        draws2 = EffectDraws(model2, build_design("x + z", covs2), n_draws=150, seed=32)
+        draws2 = EffectDraws(model2, build_design("x + z", covs2), nu2, n_draws=150, seed=32)
         obs = estimate_effect(draws2, 0, "x", hold="observed")
         typ = estimate_effect(draws2, 0, "x", hold="typical")
         for est in (obs, typ):
@@ -200,34 +201,41 @@ class TestEffectEstimate:
         assert np.allclose(obs.mean, typ.mean, atol=5e-3)
 
     def test_table_rows_match_arrays(self):
-        model, covs = planted_binary_model(8)
-        est = estimate_effect(EffectDraws(model, build_design("x", covs), n_draws=110, seed=4),
+        model, nu, covs = planted_binary_model(8)
+        est = estimate_effect(EffectDraws(model, build_design("x", covs), nu, n_draws=110, seed=4),
                               0, "x")
         rows = est.table_rows()
         assert rows[0][0] == est.grid[0]
         assert rows[0][1] == pytest.approx(float(est.mean[0]))
 
     def test_row_count_mismatch_rejected(self):
-        model, covs = planted_binary_model(9)  # 160 documents
+        model, nu, covs = planted_binary_model(9)  # 160 documents
         with pytest.raises(DimensionMismatch, match="100 rows for 160 documents"):
-            EffectDraws(model, build_design("x", {"x": covs["x"][:100]}),
+            EffectDraws(model, build_design("x", {"x": covs["x"][:100]}), nu,
                         n_draws=120, seed=0)
 
+    @pytest.mark.parametrize("block", [-1e-3, np.nan], ids=["indefinite", "nan"])
+    def test_bad_nu_block_names_its_document(self, block):
+        model, nu, covs = planted_binary_model(9)
+        nu[3] = block
+        with pytest.raises(HessianNotPD, match="nu of document 'D0003'"):
+            EffectDraws(model, build_design("x", covs), nu, n_draws=120, seed=0)
+
     def test_draw_floor_enforced(self):
-        model, covs = planted_binary_model(10)
+        model, nu, covs = planted_binary_model(10)
         with pytest.raises(ValueError):
-            EffectDraws(model, build_design("x", covs), n_draws=50, seed=0)
+            EffectDraws(model, build_design("x", covs), nu, n_draws=50, seed=0)
 
     def test_topic_out_of_range_rejected(self):
-        model, covs = planted_binary_model(11)
+        model, nu, covs = planted_binary_model(11)
         with pytest.raises(ValueError, match="out of range"):
-            estimate_effect(EffectDraws(model, build_design("x", covs), n_draws=120, seed=0),
+            estimate_effect(EffectDraws(model, build_design("x", covs), nu, n_draws=120, seed=0),
                             2, "x")
 
     def test_unknown_target_rejected(self):
-        model, covs = planted_binary_model(11)
+        model, nu, covs = planted_binary_model(11)
         with pytest.raises(ValueError):
-            estimate_effect(EffectDraws(model, build_design("x", covs), n_draws=120, seed=0),
+            estimate_effect(EffectDraws(model, build_design("x", covs), nu, n_draws=120, seed=0),
                             0, "zzz")
 
 
@@ -291,10 +299,10 @@ class TestSharedDraws:
         cfg, both, _ = stage_runs
         model = FittedModel.load(both / "model.json")
         built, sub = _design_and_subset(cfg, Corpus.load(both / "corpus.json"))
-        model.nu = posterior_covariances(sub, built, model)
+        nu = posterior_covariances(sub, built, model)
         year, conflict = cfg.targets
         seed = cfg.seed + 7919
-        draws = EffectDraws(model, built, n_draws=cfg.n_draws, seed=seed)
+        draws = EffectDraws(model, built, nu, n_draws=cfg.n_draws, seed=seed)
         effect = estimate_effect(draws, 1, "year",
                                  grid_points=year.grid_points, hold=year.hold)
         contrast = estimate_contrast(draws, 1, "conflict", *conflict.contrast)
@@ -304,12 +312,22 @@ class TestSharedDraws:
         assert dumps_canonical(contrast) == \
             (effects / "contrast_conflict_topic1.json").read_text(encoding="utf-8")
 
-    def test_model_loaded_without_nu_rejected(self, stage_runs):
+    def test_nu_one_row_short_rejected(self, stage_runs, monkeypatch):
+        """A ``nu`` that is not one (K-1) x (K-1) block per document is a
+        DimensionMismatch, raised before any block is factored."""
         cfg, both, _ = stage_runs
         model = FittedModel.load(both / "model.json")
-        built, _ = _design_and_subset(cfg, Corpus.load(both / "corpus.json"))
-        with pytest.raises(ValueError, match=r"nu = posterior_covariances\(corpus, design, model\)"):
-            EffectDraws(model, built, n_draws=cfg.n_draws, seed=0)
+        built, sub = _design_and_subset(cfg, Corpus.load(both / "corpus.json"))
+        nu = posterior_covariances(sub, built, model)
+        factored = []
+        monkeypatch.setattr(effects_mod, "_factor_stack",
+                            lambda mats: factored.append(1) or _factor_stack(mats))
+        with pytest.raises(DimensionMismatch, match=r"nu has shape \(49, 3, 3\); "
+                           r"expected \(50, 3, 3\)"):
+            EffectDraws(model, built, nu[1:], n_draws=cfg.n_draws, seed=0)
+        assert not factored
+        EffectDraws(model, built, nu, n_draws=cfg.n_draws, seed=0)
+        assert factored
 
 
 class TestRegressionSolve:
@@ -321,9 +339,9 @@ class TestRegressionSolve:
         docs, covs, _ = load_ungdc_layout(SAMPLE / "speeches", SAMPLE / "metadata.csv")
         corpus, _ = build_corpus(docs, covs, PreprocessConfig(min_doc_freq=5))
         n = corpus.n_docs
-        model = fake_model(np.zeros((n, 2)), np.tile(np.eye(2) * 1e-3, (n, 1, 1)))
+        model, nu = fake_model(np.zeros((n, 2))), np.tile(np.eye(2) * 1e-3, (n, 1, 1))
         built = build_design("s(year,df=4) + region + conflict", corpus.covariate_table())
-        draws = EffectDraws(model, built, n_draws=100, seed=0)
+        draws = EffectDraws(model, built, nu, n_draws=100, seed=0)
         assert draws.dof == draws.n - (draws.p - 1)
         assert np.abs(draws.coef_factor).max() < 1e3
 

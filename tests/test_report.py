@@ -16,7 +16,7 @@ def model_with(beta: np.ndarray, eta: np.ndarray | None = None,
         sigma = np.eye(k - 1)
     n = eta.shape[0]
     return FittedModel(beta=beta, gamma=np.zeros((1, k - 1)), sigma=sigma,
-                       eta=eta, nu=np.zeros((n, k - 1, k - 1)),
+                       eta=eta,
                        bound_trace=[0.0], config=FitConfig(k=k, seed=0),
                        vocabulary=[f"w{i:02d}" for i in range(v)],
                        design_column_names=["(intercept)"],

@@ -27,7 +27,7 @@ SCRIPT = textwrap.dedent("""
     from agendascope.design import build_design
     from agendascope.effects import EffectDraws, estimate_effect
     from agendascope.metrics import exclusivity_frex
-    from agendascope.stm import FitConfig, fit, m_step
+    from agendascope.stm import FitConfig, fit, m_step, posterior_covariances
     from synth import model_draw
 
     n = 40
@@ -50,7 +50,8 @@ SCRIPT = textwrap.dedent("""
 
     # a continuous target, as both bench workloads estimate for year
     covs = {"year": [1970.0 + (7 * i) % 47 for i in range(corpus.n_docs)]}
-    draws = EffectDraws(model, build_design("s(year,df=4)", covs), n_draws=100, seed=0)
+    nu = posterior_covariances(corpus, design, model)
+    draws = EffectDraws(model, build_design("s(year,df=4)", covs), nu, n_draws=100, seed=0)
     assert len(estimate_effect(draws, 0, "year", grid_points=10).grid) == 10
     assert "numpy.ma" not in sys.modules
 

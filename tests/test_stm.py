@@ -2,7 +2,7 @@
 
 import collections
 import logging
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -248,8 +248,9 @@ class TestKernel:
 class TestKernelMatchesReference:
     """The E-step kernel against the earlier one, copied into ``oracles``:
     the Newton loop does the same floating-point operations in the same
-    order, so eta, nu and the bound are bit-equal on chunks that take each
-    branch of it; the expected counts agree to a few ulps."""
+    order, so the rows it returns (eta and nu) and the bound are bit-equal
+    to those the reference writes in place, on chunks that take each branch
+    of it; the expected counts agree to a few ulps."""
 
     # (prior precision, its coupling, start spread around mu, count scale,
     # grad_tol) and the first seed at K = 3, 8, 30 whose chunk takes the
@@ -299,9 +300,9 @@ class TestKernelMatchesReference:
         ref_eta, ref_nu = eta0.copy(), np.zeros((m, k - 1, k - 1))
         ref_counts, ref_bound = estep_chunk_reference(
             chunk, ref_eta, ref_nu, mu, sigma_inv, beta, events, grad_tol=grad_tol)
-        eta, nu = eta0.copy(), np.zeros((m, k - 1, k - 1))
-        counts, bound = _estep_chunk(chunk, eta, nu, mu, sigma_inv, beta,
-                                     grad_tol=grad_tol)
+        start = eta0.copy()
+        eta, nu, counts, bound = _estep_chunk(chunk, eta0, mu, sigma_inv, beta,
+                                              grad_tol=grad_tol)
 
         taken = {"accept": not (events["halved"] or events["damped"]
                                 or events["frozen"] or events["all_frozen"]),
@@ -310,6 +311,7 @@ class TestKernelMatchesReference:
                  "frozen": events["frozen"] > 0,
                  "damped": events["damped"] > 0}
         assert taken[name], dict(events)
+        assert np.array_equal(eta0, start)  # the caller's array is left alone
         assert np.array_equal(eta, ref_eta)
         assert np.array_equal(nu, ref_nu)
         assert bound == ref_bound
@@ -345,8 +347,7 @@ class TestKernelMatchesReference:
         value = stm_mod._batch_value
         monkeypatch.setattr(stm_mod, "_batch_value",
                             lambda eta, *args: rows.append(len(eta)) or value(eta, *args))
-        _estep_chunk(chunk, eta0.copy(), np.zeros((m, k_free, k_free)), mu, sigma_inv,
-                     beta, grad_tol=grad_tol)
+        _estep_chunk(chunk, eta0, mu, sigma_inv, beta, grad_tol=grad_tol)
         # the start state, each Newton step's first round, then one row per halving
         assert sum(rows) == m + events["steps"] + events["halved"]
         assert events["halved"] < events["trials"] - events["steps"]
@@ -559,8 +560,10 @@ class TestFit:
         corpus = two_block_corpus(seed=11, n_docs=8)
         design = PrevalenceDesign.intercept_only(8)
 
-        def bad_chunk(chunk, eta, nu, mu, sigma_inv, beta, **kw):
-            return np.zeros((2, corpus.n_terms)), float("nan")
+        def bad_chunk(chunk, eta, mu, sigma_inv, beta, **kw):
+            m = len(chunk.rows)
+            return (eta[chunk.rows], np.zeros((m, 1, 1)), np.zeros((2, corpus.n_terms)),
+                    float("nan"))
 
         monkeypatch.setattr(stm_mod, "_estep_chunk", bad_chunk)
         with pytest.raises(NonFiniteObjective) as err:
@@ -584,7 +587,7 @@ class TestFit:
         model = fit(corpus, design, FitConfig(k=2, seed=6, max_em_iters=6))
         path = model.save(tmp_path / "model.json")
         back = FittedModel.load(path)
-        assert dumps_canonical(back) == dumps_canonical(replace(model, nu=None))
+        assert dumps_canonical(back) == dumps_canonical(model)
 
     def test_legacy_model_with_k_loads(self, tmp_path):
         corpus = two_block_corpus(seed=10, n_docs=12)
@@ -592,8 +595,7 @@ class TestFit:
         model = fit(corpus, design, FitConfig(k=2, seed=6, max_em_iters=6))
         path = tmp_path / "model.json"
         write_json(path, {**read_json(model.save(path)), "k": 2})
-        assert dumps_canonical(FittedModel.load(path)) == dumps_canonical(
-            replace(model, nu=None))
+        assert dumps_canonical(FittedModel.load(path)) == dumps_canonical(model)
 
     def test_load_without_nu_opens_no_sidecar(self, tmp_path):
         corpus = two_block_corpus(seed=10, n_docs=12)
@@ -602,9 +604,8 @@ class TestFit:
         path = model.save(tmp_path / "model.json")
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
         assert "nu" not in read_json(path)
-        back = FittedModel.load(path)
-        assert back.nu is None
-        assert np.array_equal(back.eta, model.eta)
+        assert "nu" not in {f.name for f in fields(FittedModel)}
+        assert np.array_equal(FittedModel.load(path).eta, model.eta)
 
     @pytest.mark.parametrize("edit, name", [
         (lambda o: o["vocabulary"].pop(), "beta"),
@@ -670,9 +671,29 @@ class TestFit:
         assert len(calls) == len(model.bound_trace) - 1
 
 
+def fit_with_last_blocks(monkeypatch, corpus, design, config, threads=1):
+    """``fit``, and the covariance blocks its last E-step returned, placed
+    in document order: ``stm._estep_chunk`` is wrapped during the fit, as
+    ``test_fit_ends_on_an_estep`` wraps ``stm.m_step``."""
+    kernel = stm_mod._estep_chunk
+    k_free = config.k - 1
+    nu = np.full((corpus.n_docs, k_free, k_free), np.nan)
+
+    def capturing(chunk, *args, **kwargs):
+        out = kernel(chunk, *args, **kwargs)
+        nu[chunk.rows] = out[1]  # each E-step overwrites the one before
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stm_mod, "_estep_chunk", capturing)
+        model = fit(corpus, design, config, threads=threads)
+    return model, nu
+
+
 class TestPosteriorCovariances:
-    """``posterior_covariances`` gives the ``nu`` that ``fit`` returned, bit
-    for bit, from the saved model, its corpus and its design."""
+    """``posterior_covariances`` gives the covariance blocks of ``fit``'s
+    last E-step, bit for bit, from the saved model, its corpus and its
+    design."""
 
     @staticmethod
     def last_estep_events(corpus, design, model, grad_tol=1e-8):
@@ -681,35 +702,39 @@ class TestPosteriorCovariances:
         events = collections.Counter()
         k_free = model.eta.shape[1]
         eta = np.zeros_like(model.eta)
+        nu = np.zeros((model.n_docs, k_free, k_free))
         sigma_inv, mu, _ = stm_mod._prior(np.eye(k_free), design.x,
                                           np.zeros((design.x.shape[1], k_free)))
         for chunk in stm_mod._chunks(corpus):
-            estep_chunk_reference(chunk, eta, np.zeros_like(model.nu), mu, sigma_inv,
-                                  model.beta, events, grad_tol=grad_tol)
+            estep_chunk_reference(chunk, eta, nu, mu, sigma_inv, model.beta, events,
+                                  grad_tol=grad_tol)
         assert np.array_equal(eta, model.eta)
         return events
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("k", [2, 5, 30])
-    def test_equals_fit_nu(self, tmp_path, k, threads):
+    def test_equals_fit_nu(self, tmp_path, monkeypatch, k, threads):
         corpus, design, _, _ = model_draw(3, n_docs=150, n_terms=300, doc_len=80)
-        model = fit(corpus, design, FitConfig(k=k, seed=1, max_em_iters=6),
-                    threads=threads)
+        model, fit_nu = fit_with_last_blocks(
+            monkeypatch, corpus, design, FitConfig(k=k, seed=1, max_em_iters=6), threads)
         loaded = FittedModel.load(model.save(tmp_path / "model.json"))
         for recompute_threads in (1, 2):
             nu = posterior_covariances(corpus, design, loaded, threads=recompute_threads)
-            assert np.array_equal(nu, model.nu)
-        assert loaded.nu is None and np.array_equal(loaded.eta, model.eta)
+            assert np.array_equal(nu, fit_nu)
+        assert np.array_equal(loaded.eta, model.eta)  # the recompute writes no mode
 
-    def test_documents_dropped_for_missing_covariates(self):
+    def test_documents_dropped_for_missing_covariates(self, monkeypatch):
         corpus, _, _, _ = model_draw(4, n_docs=150, n_terms=300, doc_len=80)
         corpus.covariates = [replace(rec, conflict=None) if d % 9 == 4 else rec
                              for d, rec in enumerate(corpus.covariates)]
         built = build_design("conflict", corpus.covariate_table())
         sub = corpus.subset(built.kept_rows)
         assert built.kept_rows.size == sub.n_docs == corpus.n_docs - 17
-        model = fit(sub, built, FitConfig(k=4, seed=2, max_em_iters=5))
-        assert np.array_equal(posterior_covariances(sub, built, model), model.nu)
+        for threads in (1, 2):
+            model, fit_nu = fit_with_last_blocks(
+                monkeypatch, sub, built, FitConfig(k=4, seed=2, max_em_iters=5), threads)
+            assert np.array_equal(posterior_covariances(sub, built, model, threads),
+                                  fit_nu)
         with pytest.raises(DimensionMismatch, match="does not fit"):
             posterior_covariances(corpus, PrevalenceDesign.intercept_only(corpus.n_docs),
                                   model)
@@ -722,12 +747,16 @@ class TestPosteriorCovariances:
             posterior_covariances(corpus, PrevalenceDesign.intercept_only(corpus.n_docs),
                                   model)
 
-    def test_last_estep_damped(self):
+    def test_last_estep_damped(self, monkeypatch):
         corpus = two_block_corpus(seed=3, n_docs=40)
         design = PrevalenceDesign.intercept_only(corpus.n_docs)
-        model = fit(corpus, design, FitConfig(k=8, seed=2, max_em_iters=1))
-        assert self.last_estep_events(corpus, design, model)["damped"] > 0
-        assert np.array_equal(posterior_covariances(corpus, design, model), model.nu)
+        for threads in (1, 2):
+            model, fit_nu = fit_with_last_blocks(
+                monkeypatch, corpus, design, FitConfig(k=8, seed=2, max_em_iters=1),
+                threads)
+            assert self.last_estep_events(corpus, design, model)["damped"] > 0
+            assert np.array_equal(posterior_covariances(corpus, design, model, threads),
+                                  fit_nu)
 
     def test_last_estep_froze_documents(self, monkeypatch):
         """With no gradient tolerance, Newton ascent runs until a line
@@ -737,9 +766,13 @@ class TestPosteriorCovariances:
                             lambda *a, **kw: kernel(*a, **kw, grad_tol=0.0))
         corpus = two_block_corpus(seed=3, n_docs=100)
         design = PrevalenceDesign.intercept_only(corpus.n_docs)
-        model = fit(corpus, design, FitConfig(k=3, seed=2, max_em_iters=1))
-        assert self.last_estep_events(corpus, design, model, grad_tol=0.0)["frozen"] > 0
-        assert np.array_equal(posterior_covariances(corpus, design, model), model.nu)
+        for threads in (1, 2):
+            model, fit_nu = fit_with_last_blocks(
+                monkeypatch, corpus, design, FitConfig(k=3, seed=2, max_em_iters=1),
+                threads)
+            assert self.last_estep_events(corpus, design, model, grad_tol=0.0)["frozen"] > 0
+            assert np.array_equal(posterior_covariances(corpus, design, model, threads),
+                                  fit_nu)
 
 
 class TestRecovery:

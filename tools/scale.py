@@ -13,19 +13,21 @@ save wrote (``corpus.json`` and its sidecars) and the peak RSS of a fresh
 Python process that only loads that corpus. It then fits the loaded corpus,
 with the draw's two-column design, at K = 10 and 30 for 2 EM iterations and
 at K = 50 for 7 (``max_em_iters``, ``threads=2``, BLAS limited to one
-thread), and reports the mean seconds of EM iterations 1-2 at each K, with
-the size of the fitted ``nu``, and of iterations 6-7 at K = 50, after a
-warm-up of 5. An iteration is timed from the M-step before its E-step
-(the fit's start, for the first) to the M-step after it (the fit's end,
-for the last). Keeping the K=50 model, it times the effects
-draws over the design of the formula ``conflict``, built beforehand
-(``EffectDraws`` with ``n_draws=100``, ``seed=0``), and reports seconds
-per draw. It then saves that model and
-reports the bytes of ``model.json``, the bytes of the packed ``nu`` file
-that the fit no longer writes, and the time of one ``FittedModel.save``,
-one ``FittedModel.load``, and then of one ``posterior_covariances`` of the
-loaded model (``threads=2``), which it checks is bit-equal to the fit's
-``nu``.
+thread), and reports the mean seconds of EM iterations 1-2 at each K, and
+of iterations 6-7 at K = 50, after a warm-up of 5. An iteration is timed
+from the M-step before its E-step (the fit's start, for the first) to the
+M-step after it (the fit's end, for the last). The K = 50 fit also runs
+under ``tracemalloc``, whose peak over the fit it reports, and its last
+E-step's posterior covariance blocks are captured by wrapping
+``stm._estep_chunk``, into an array allocated before tracing starts. It
+then saves that model and reports the bytes of ``model.json``, the bytes
+of the packed covariance file that the fit no longer writes, and the time
+of one ``FittedModel.save``, one ``FittedModel.load``, and then of one
+``posterior_covariances`` of the loaded model (``threads=2``), which it
+checks is bit-equal to the captured blocks. With those covariances it
+times the effects draws over the design of the formula ``conflict``,
+built beforehand (``EffectDraws`` with ``n_draws=100``, ``seed=0``), and
+reports seconds per draw.
 Last, it renders each document as
 a speech, writing each term occurrence as a fixed word for its term id
 followed by a stopword, and times ``build_corpus`` on the speeches with the
@@ -46,6 +48,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -109,22 +112,31 @@ def timed(call):
     return result, round(time.perf_counter() - start, 3)
 
 
-def timed_em(corpus: Corpus, design, config: FitConfig):
+def timed_em(corpus: Corpus, design, config: FitConfig, last_blocks=None):
     """(model, seconds of each EM iteration) of one fit: an iteration ends
     where the M-step after its E-step begins, the last where the fit
-    returns."""
+    returns. Given ``last_blocks``, a D x (K-1) x (K-1) array, each E-step
+    writes its covariance blocks into it in document order, so it ends
+    holding the last E-step's."""
     stamps = [time.perf_counter()]
-    m_step = stm.m_step
+    m_step, kernel = stm.m_step, stm._estep_chunk
 
     def stamped(*args):
         stamps.append(time.perf_counter())
         return m_step(*args)
 
+    def capturing(chunk, *args, **kwargs):
+        out = kernel(chunk, *args, **kwargs)
+        last_blocks[chunk.rows] = out[1]
+        return out
+
     stm.m_step = stamped
+    if last_blocks is not None:
+        stm._estep_chunk = capturing
     try:
         model = fit(corpus, design, config, threads=EM_THREADS)
     finally:
-        stm.m_step = m_step
+        stm.m_step, stm._estep_chunk = m_step, kernel
     stamps.append(time.perf_counter())
     return model, np.diff(stamps)
 
@@ -179,25 +191,26 @@ def main() -> None:
     _, seconds["presence_matrix"] = timed(loaded.presence_matrix)
     logging.getLogger("agendascope.stm").setLevel(logging.ERROR)  # capped on purpose
     em, model = {}, None
+    k_free = EM_KS[-1] - 1
+    last_blocks = np.full((loaded.n_docs, k_free, k_free), np.nan)  # before tracing
     for k in EM_KS:
         model = None  # free the previous K's model before this fit
         iters = LATE_ITERS[-1] if k == EM_KS[-1] else EM_ITERS
-        model, seconds_per_iter = timed_em(loaded, design, FitConfig(k=k, max_em_iters=iters))
+        config = FitConfig(k=k, max_em_iters=iters)
+        if k == EM_KS[-1]:
+            tracemalloc.start()
+            model, seconds_per_iter = timed_em(loaded, design, config, last_blocks)
+            fit_peak_traced_mb = round(tracemalloc.get_traced_memory()[1] / 1e6, 1)
+            tracemalloc.stop()
+        else:
+            model, seconds_per_iter = timed_em(loaded, design, config)
         if len(seconds_per_iter) != iters:
             raise RuntimeError(f"timed {len(seconds_per_iter)} of the K={k} fit's "
                                f"{iters} EM iterations")
-        em[k] = {"s_per_em_iter": round(float(seconds_per_iter[:EM_ITERS].mean()), 3),
-                 "nu_mb": round(model.nu.nbytes / 1e6, 1)}
+        em[k] = {"s_per_em_iter": round(float(seconds_per_iter[:EM_ITERS].mean()), 3)}
     late = seconds_per_iter[LATE_ITERS[0] - 1:]
     em_late = {"k": EM_KS[-1], "iterations": list(LATE_ITERS),
                "s_per_em_iter": round(float(late.mean()), 3)}
-    rss_before_effects = peak_rss_mb()  # the K=50 model is still held
-    built = build_design("conflict", loaded.covariate_table())
-    _, wall = timed(lambda: EffectDraws(model, built, n_draws=EFFECT_DRAWS, seed=0))
-    effects = {"k": EM_KS[-1], "formula": "conflict", "n_draws": EFFECT_DRAWS,
-               "s_per_draw": round(wall / EFFECT_DRAWS, 4),
-               "peak_rss_mb_before": rss_before_effects,
-               "peak_rss_mb_after": peak_rss_mb()}
     with tempfile.TemporaryDirectory() as tmp:
         path, seconds["model_save"] = timed(lambda: model.save(Path(tmp) / "model.json"))
         model_files = {p.name: round(p.stat().st_size / 1e6, 2)
@@ -205,13 +218,20 @@ def main() -> None:
         loaded_model, seconds["model_load"] = timed(lambda: FittedModel.load(path))
     nu, wall = timed(lambda: posterior_covariances(loaded, design, loaded_model,
                                                    threads=EM_THREADS))
-    k_free = model.nu.shape[1]
     recompute = {"k": EM_KS[-1], "threads": EM_THREADS, "s": wall,
-                 "bit_equal": bool(np.array_equal(nu, model.nu)),
+                 "bit_equal": bool(np.array_equal(nu, last_blocks)),
                  # the .npy of each document's packed upper triangle, its
-                 # 128-byte header included, that fit wrote before nu was
-                 # recomputed
+                 # 128-byte header included, that fit wrote before the
+                 # covariances were recomputed
                  "bytes_not_written": 128 + 8 * model.n_docs * k_free * (k_free + 1) // 2}
+    last_blocks = None
+    rss_before_effects = peak_rss_mb()  # the K=50 model and its covariances are held
+    built = build_design("conflict", loaded.covariate_table())
+    _, wall = timed(lambda: EffectDraws(model, built, nu, n_draws=EFFECT_DRAWS, seed=0))
+    effects = {"k": EM_KS[-1], "formula": "conflict", "n_draws": EFFECT_DRAWS,
+               "s_per_draw": round(wall / EFFECT_DRAWS, 4),
+               "peak_rss_mb_before": rss_before_effects,
+               "peak_rss_mb_after": peak_rss_mb()}
     model = loaded_model = nu = None
     ingest = time_ingest(loaded)  # last, so its text does not raise the peaks above
     cpus = len(os.sched_getaffinity(0))
@@ -221,7 +241,8 @@ def main() -> None:
         "corpus_files_mb": files, "corpus_mb": round(corpus_mb, 1),
         "load_only_peak_rss_mb": load_rss_mb,
         "em": {"iterations": EM_ITERS, "threads": EM_THREADS, "by_k": em,
-               "late": em_late},
+               "late": em_late,
+               "peak_traced_mb": {"k": EM_KS[-1], "mb": fit_peak_traced_mb}},
         "effects": effects, "model_files_mb": {"k": EM_KS[-1], **model_files},
         "posterior_covariances": recompute,
         "peak_rss_mb": peak_rss_mb(),
