@@ -168,7 +168,8 @@ def run_fit(cfg: RunConfig) -> Stage:
 def run_metrics(cfg: RunConfig) -> Stage:
     out_dir = Path(cfg.out_dir)
     model, _, sub, inputs = _load_fitted(
-        cfg, sizes={"metrics.coherence_m": cfg.coherence_m})
+        cfg, sizes={"metrics.coherence_m": cfg.coherence_m,
+                    "metrics.top_words": cfg.top_words})
     summaries = summarize_topics(model.beta, model.vocabulary, sub,
                                  n_words=cfg.top_words, frex_w=cfg.frex_w)
     quality = model_quality(model.beta, sub, m=cfg.coherence_m,

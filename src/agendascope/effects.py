@@ -23,6 +23,11 @@ DEFAULT_DRAWS = 500
 DEFAULT_GRID_POINTS = 50
 LOG_GRID_COVARIATES = frozenset({"gdp_pc", "population"})
 MIN_DRAWS = 100
+# Byte cap on one block of draws' document normals, a memory decision: on
+# 384 documents at K=30 (5 draws a block) 1 MiB took the effects stage's
+# peak RSS above the fit stage's, and 256 KiB (2 draws) lost most of the
+# gain of sharing each matrix product.
+DRAW_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass
@@ -96,6 +101,13 @@ def _factor_stack(mats: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.maximum(vals, 0.0))[..., None, :]
 
 
+def draws_per_block(n_docs: int, k_free: int) -> int:
+    """Draws per block of the effects draw loop: as many as keep a block's
+    (n_docs, k_free) document normals within ``DRAW_BLOCK_BYTES``, at
+    least one."""
+    return max(1, DRAW_BLOCK_BYTES // (8 * n_docs * k_free))
+
+
 class EffectDraws:
     """Coefficient draws for every topic of one model, the design it was
     fitted with and its ``posterior_covariances``: the one seeded draw loop
@@ -107,7 +119,9 @@ class EffectDraws:
     as ``estimateEffect`` in the stm package does. Draw i's generator
     yields the document normals and then a (K, rank) block of coefficient
     normals, so a topic's draws depend only on the seed, the model and the
-    design, never on which topics or targets are estimated from them.
+    design, never on which topics or targets are estimated from them. The
+    draws run in blocks that share each matrix product; a block changes
+    no draw's generator or the order of its normals.
     """
 
     def __init__(self, model: FittedModel, design: BuiltDesign, nu: np.ndarray,
@@ -154,21 +168,40 @@ class EffectDraws:
     def _coefficient_draws(self, eta: np.ndarray, nu_factors: np.ndarray,
                            seed: int) -> np.ndarray:
         """n_draws x K x p coefficient draws, from one generator per draw
-        spawned from the seed."""
-        k = eta.shape[1] + 1
-        out = np.empty((self.n_draws, k, self.p))
+        spawned from the seed, computed ``draws_per_block`` draws at a
+        time."""
+        out = np.empty((self.n_draws, eta.shape[1] + 1, self.p))
         children = np.random.SeedSequence(seed).spawn(self.n_draws)
-        for i, child in enumerate(children):
-            rng = np.random.default_rng(child)
-            z = rng.standard_normal(eta.shape)
-            theta = softmax_with_zero(
-                eta + np.einsum("nij,nj->ni", nu_factors, z))
-            bhat = self.solver @ theta
-            resid = theta - self.x @ bhat
-            s2 = np.einsum("nk,nk->k", resid, resid) / self.dof
-            zb = rng.standard_normal((k, self.coef_factor.shape[1]))
-            out[i] = bhat.T + np.sqrt(s2)[:, None] * (zb @ self.coef_factor.T)
+        size = draws_per_block(*eta.shape)
+        for start in range(0, self.n_draws, size):
+            out[start:start + size] = self._draw_block(
+                eta, nu_factors, children[start:start + size])
         return out
+
+    def _draw_block(self, eta: np.ndarray, nu_factors: np.ndarray,
+                    children: list[np.random.SeedSequence]) -> np.ndarray:
+        """B x K x p coefficient draws, one per seed in ``children``. Its
+        (n, K-1, B) arrays are freed on return, before the next block's."""
+        n, k_free = eta.shape
+        k, b = k_free + 1, len(children)
+        z = np.empty((n, k_free, b))
+        zb = np.empty((b, k, self.coef_factor.shape[1]))
+        for j, child in enumerate(children):
+            rng = np.random.default_rng(child)
+            z[:, :, j] = rng.standard_normal((n, k_free))
+            zb[j] = rng.standard_normal(zb.shape[1:])
+        # C order makes each draw's K-1 values one contiguous row for the
+        # softmax, twice as fast as the strided layout of the swapped
+        # product; draw j's proportions are then column block j of an
+        # n x (B*K) theta
+        theta = softmax_with_zero(np.add(
+            eta[:, None, :], np.swapaxes(nu_factors @ z, 1, 2), order="C")).reshape(n, b * k)
+        bhat = self.solver @ theta
+        resid = self.x @ bhat
+        np.subtract(theta, resid, out=resid)  # in place: one (n, B*K) array fewer
+        s2 = np.einsum("nk,nk->k", resid, resid) / self.dof
+        return (bhat.reshape(self.p, b, k).transpose(1, 2, 0)
+                + np.sqrt(s2).reshape(b, k, 1) * (zb @ self.coef_factor.T))
 
     def project(self, topic: int, rows: np.ndarray) -> np.ndarray:
         """``rows @ b`` for each coefficient draw b of ``topic``, as an

@@ -23,10 +23,19 @@ DEFAULT_SUMMARY_WORDS = 20
 
 def rank_terms(values: np.ndarray, m: int | None = None) -> np.ndarray:
     """Indices of the top-m entries, descending, ties broken by ascending
-    vocabulary index (the single ranking source of truth for the toolkit)."""
-    values = np.asarray(values)
-    order = np.argsort(-values, kind="stable")
-    return order if m is None else order[:m]
+    vocabulary index (the single ranking source of truth for the toolkit).
+
+    A top m short of the whole vocabulary comes from a partition: every
+    index at or above the m-th largest value, ties at that cut included,
+    is stable-sorted in index order, so the list is that of a full stable
+    sort."""
+    neg = -np.asarray(values)
+    if m is None or not 0 < m < neg.size:
+        return np.argsort(neg, kind="stable")[:m]
+    cut = np.partition(neg, m - 1)[m - 1]
+    # not "neg <= cut": NaNs sort last and a NaN cut keeps every index
+    keep = np.flatnonzero(~(neg > cut))
+    return keep[np.argsort(neg[keep], kind="stable")[:m]]
 
 
 def semantic_coherence(beta: np.ndarray, corpus: Corpus, m: int = DEFAULT_TOP_WORDS) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 from agendascope.errors import FormulaSyntaxError
 from agendascope.formula import (CATEGORICAL, DEFAULT_SPLINE_DF, KNOWN_CATEGORICAL,
                                  LINEAR, MIN_SPLINE_DF, SPLINE, Term)
+from agendascope.stm import softmax_with_zero
 
 
 def padded_chunk_reference(docs: list[tuple[np.ndarray, np.ndarray]]):
@@ -29,6 +30,34 @@ def padded_chunk_reference(docs: list[tuple[np.ndarray, np.ndarray]]):
         idx_out[i, :idx.size] = idx
         cts_out[i, :idx.size] = cts
     return idx_out, cts_out, cts_out.sum(axis=1)
+
+
+def rank_terms_reference(values: np.ndarray, m: int | None = None) -> np.ndarray:
+    """Top-m indices by one full stable sort of the negated values: ties
+    go to the lower index, NaNs last."""
+    order = np.argsort(-np.asarray(values), kind="stable")
+    return order if m is None else order[:m]
+
+
+def coefficient_draws_reference(draws, eta: np.ndarray, nu_factors: np.ndarray,
+                                seed: int) -> np.ndarray:
+    """``EffectDraws._coefficient_draws`` one draw at a time, with the
+    regression pieces (``solver``, ``x``, ``dof``, ``coef_factor``) of the
+    ``draws`` instance: draw i's generator yields its document normals,
+    then its (K, rank) coefficient normals."""
+    k = eta.shape[1] + 1
+    out = np.empty((draws.n_draws, k, draws.p))
+    children = np.random.SeedSequence(seed).spawn(draws.n_draws)
+    for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        z = rng.standard_normal(eta.shape)
+        theta = softmax_with_zero(eta + np.einsum("nij,nj->ni", nu_factors, z))
+        bhat = draws.solver @ theta
+        resid = theta - draws.x @ bhat
+        s2 = np.einsum("nk,nk->k", resid, resid) / draws.dof
+        zb = rng.standard_normal((k, draws.coef_factor.shape[1]))
+        out[i] = bhat.T + np.sqrt(s2)[:, None] * (zb @ draws.coef_factor.T)
+    return out
 
 
 def coherence_brute_force(beta_row: np.ndarray, doc_term_lists: list[set[int]],

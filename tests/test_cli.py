@@ -550,6 +550,21 @@ class TestTopNAgainstVocabulary:
             f"{name} is 100000, but the vocabulary has {n_terms} terms"]
         assert not any((out / output).exists() for output in outputs)
 
+    def test_top_words_one_above_vocabulary(self, sample_all, tmp_path, capsys):
+        """metrics.top_words one above the vocabulary size fails before
+        the metrics stage writes a file, not as lists padded with blanks."""
+        config, out = TestTopicsAgainstModel.copy_run(sample_all, tmp_path)
+        n_terms = len(read_json(out / "corpus.json")["vocabulary"])
+        set_setting(config, "metrics.top_words", n_terms + 1)
+        (out / "topic_summaries.json").unlink()
+        capsys.readouterr()
+        assert run_cli("metrics", "--config", config) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["violations"] == [
+            f"metrics.top_words is {n_terms + 1}, but the vocabulary has {n_terms} terms"]
+        assert not (out / "topic_summaries.json").exists()
+
 
 def _index_out_of_range(copy: Path, obj: dict) -> str:
     """Write a term index equal to the vocabulary size into the indices

@@ -19,6 +19,7 @@ from agendascope.effects import (EffectDraws, _factor_stack, estimate_contrast,
 from agendascope.errors import DimensionMismatch, HessianNotPD
 from agendascope.jsonio import dumps_canonical
 from agendascope.stm import FitConfig, FittedModel, posterior_covariances
+from oracles import coefficient_draws_reference
 
 SAMPLE = Path(agendascope.__file__).parent / "data" / "sample"
 
@@ -43,6 +44,45 @@ def planted_binary_model(seed: int, n_docs: int = 160, shift: float = 0.8,
     x = (np.arange(n_docs) % 2).astype(float)
     eta = (-0.2 + shift * x + rng.normal(0.0, noise, n_docs))[:, None]
     return fake_model(eta), np.full((n_docs, 1, 1), nu_scale), {"x": list(x)}
+
+
+def random_model(seed: int, n_docs: int = 400, k: int = 6):
+    """(model, nu, covariates): random modes, positive definite covariance
+    blocks and a numeric and a categorical covariate."""
+    rng = np.random.default_rng(seed)
+    eta = rng.normal(0.0, 0.5, (n_docs, k - 1))
+    a = rng.normal(0.0, 0.2, (n_docs, k - 1, k - 1))
+    nu = a @ np.swapaxes(a, 1, 2) + 1e-3 * np.eye(k - 1)
+    covs = {"x": list(rng.normal(size=n_docs)),
+            "g": [("a", "b", "c")[i % 3] for i in range(n_docs)]}
+    return fake_model(eta), nu, covs
+
+
+class TestBlockedDraws:
+    """The draw loop runs blocks of draws, each draw from its own
+    generator, and matches the one-draw-at-a-time loop in ``oracles``."""
+
+    def test_matches_per_draw_loop(self):
+        model, nu, covs = random_model(0)
+        n_draws = 150
+        block = effects_mod.draws_per_block(*model.eta.shape)
+        assert 1 < block < n_draws and n_draws % block
+        draws = EffectDraws(model, build_design("x + g", covs), nu,
+                            n_draws=n_draws, seed=4)
+        ref = coefficient_draws_reference(draws, model.eta, _factor_stack(nu), 4)
+        np.testing.assert_allclose(draws.coef, ref, rtol=1e-12, atol=0)
+
+    def test_prefix_of_more_draws(self, monkeypatch):
+        """Draw i does not depend on how many draws follow it or on the
+        block it falls in, one draw per block included."""
+        model, nu, covs = random_model(1)
+        built = build_design("x + g", covs)
+        many = EffectDraws(model, built, nu, n_draws=250, seed=8)
+        few = EffectDraws(model, built, nu, n_draws=100, seed=8)
+        np.testing.assert_allclose(many.coef[:100], few.coef, rtol=1e-12, atol=0)
+        monkeypatch.setattr(effects_mod, "DRAW_BLOCK_BYTES", 1)
+        single = EffectDraws(model, built, nu, n_draws=100, seed=8)
+        np.testing.assert_allclose(single.coef, few.coef, rtol=1e-12, atol=0)
 
 
 class TestDegenerateCollapse:

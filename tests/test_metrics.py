@@ -12,13 +12,43 @@ from agendascope.errors import TermAbsentFromCorpus
 from agendascope.metrics import (exclusivity_frex, lift, model_quality,
                                  rank_terms, score, semantic_coherence,
                                  summarize_topics, top_words_table)
-from oracles import coherence_brute_force
+from oracles import coherence_brute_force, rank_terms_reference
 from synth import tiny_corpus
 
 
 def random_beta(rng, k, v):
     beta = rng.random((k, v)) + 1e-3
     return beta / beta.sum(axis=1, keepdims=True)
+
+
+# tie-heavy values: small integers, both zeros, and signed values as score
+# gives them
+TIE_VALUES = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([0.0, -0.0]),
+                       st.sampled_from([-0.25, -1e-3, 1e-3, 0.25]))
+
+
+class TestRankTerms:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(TIE_VALUES, min_size=1, max_size=40))
+    def test_matches_full_stable_sort(self, values):
+        """The partition path keeps the full sort's list, ties to the
+        lower index, for m = None, 0, 1, every tie boundary, size and
+        size + 5."""
+        values = np.array(values)
+        for m in [None, *range(values.size + 6)]:
+            assert np.array_equal(rank_terms(values, m),
+                                  rank_terms_reference(values, m)), m
+
+    def test_tie_at_cut_goes_to_lower_index(self):
+        values = np.array([1.0, 3.0, 2.0, 3.0, 2.0, -0.0, 0.0])
+        assert rank_terms(values, 3).tolist() == [1, 3, 2]
+        assert rank_terms(values, 6).tolist() == [1, 3, 2, 4, 0, 5]
+
+    def test_nan_ranks_last(self):
+        values = np.array([np.nan, 1.0, np.nan, 2.0])
+        for m in [None, *range(6)]:
+            assert np.array_equal(rank_terms(values, m),
+                                  rank_terms_reference(values, m)), m
 
 
 class TestSemanticCoherence:

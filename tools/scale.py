@@ -27,7 +27,9 @@ of one ``FittedModel.save``, one ``FittedModel.load``, and then of one
 checks is bit-equal to the captured blocks. With those covariances it
 times the effects draws over the design of the formula ``conflict``,
 built beforehand (``EffectDraws`` with ``n_draws=100``, ``seed=0``), and
-reports seconds per draw.
+reports seconds per draw and the draws per block (1 at this size). Then it
+times the metrics stage's kernels on that model's beta: one
+``summarize_topics`` (20 words) and one ``model_quality`` (10 words).
 Last, it renders each document as
 a speech, writing each term occurrence as a fixed word for its term id
 followed by a stopword, and times ``build_corpus`` on the speeches with the
@@ -66,7 +68,8 @@ import agendascope.stm as stm  # noqa: E402
 from agendascope.corpus import (Corpus, PreprocessConfig, RawDocument,  # noqa: E402
                                 build_corpus)
 from agendascope.design import build_design  # noqa: E402
-from agendascope.effects import EffectDraws  # noqa: E402
+from agendascope.effects import EffectDraws, draws_per_block  # noqa: E402
+from agendascope.metrics import model_quality, summarize_topics  # noqa: E402
 from agendascope.stm import (FitConfig, FittedModel, fit,  # noqa: E402
                              posterior_covariances)
 
@@ -230,8 +233,13 @@ def main() -> None:
     _, wall = timed(lambda: EffectDraws(model, built, nu, n_draws=EFFECT_DRAWS, seed=0))
     effects = {"k": EM_KS[-1], "formula": "conflict", "n_draws": EFFECT_DRAWS,
                "s_per_draw": round(wall / EFFECT_DRAWS, 4),
+               "draws_per_block": draws_per_block(*model.eta.shape),
                "peak_rss_mb_before": rss_before_effects,
                "peak_rss_mb_after": peak_rss_mb()}
+    _, summarize_s = timed(lambda: summarize_topics(model.beta, loaded.vocabulary, loaded))
+    _, quality_s = timed(lambda: model_quality(model.beta, loaded))
+    metrics = {"k": EM_KS[-1], "n_terms": loaded.n_terms,
+               "summarize_topics_s": summarize_s, "model_quality_s": quality_s}
     model = loaded_model = nu = None
     ingest = time_ingest(loaded)  # last, so its text does not raise the peaks above
     cpus = len(os.sched_getaffinity(0))
@@ -243,7 +251,7 @@ def main() -> None:
         "em": {"iterations": EM_ITERS, "threads": EM_THREADS, "by_k": em,
                "late": em_late,
                "peak_traced_mb": {"k": EM_KS[-1], "mb": fit_peak_traced_mb}},
-        "effects": effects, "model_files_mb": {"k": EM_KS[-1], **model_files},
+        "effects": effects, "metrics": metrics, "model_files_mb": {"k": EM_KS[-1], **model_files},
         "posterior_covariances": recompute,
         "peak_rss_mb": peak_rss_mb(),
         "cpus": cpus,
