@@ -130,7 +130,8 @@ def run_search(cfg: RunConfig) -> Stage:
         raise ConfigError(["search stage requires fit.k_grid"])
     corpus, inputs = _load_corpus(out_dir)
     _check_settings(corpus.n_terms, max(cfg.k_grid),
-                    sizes={"metrics.coherence_m": cfg.coherence_m})
+                    sizes={"fit.k_grid": max(cfg.k_grid),
+                           "metrics.coherence_m": cfg.coherence_m})
     built, sub = _design_and_subset(cfg, corpus)
     result = search(sub, built, cfg.k_grid,
                     _from_settings(FitConfig, cfg, k=cfg.k_grid[0]),

@@ -147,12 +147,6 @@ class Corpus:
         """Corpus-wide count of each term."""
         return np.bincount(self.indices, self.counts, self.n_terms).astype(np.int64)
 
-    def presence_matrix(self) -> np.ndarray:
-        """Dense boolean D x V term-presence matrix."""
-        out = np.zeros((self.n_docs, self.n_terms), dtype=bool)
-        out[np.repeat(np.arange(self.n_docs), np.diff(self.indptr)), self.indices] = True
-        return out
-
     def subset(self, indices: np.ndarray | list[int]) -> "Corpus":
         """Row subset sharing the vocabulary (used for per-analysis drops).
         Every row in order gives a corpus that shares the CSR arrays."""

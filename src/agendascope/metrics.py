@@ -43,9 +43,9 @@ def semantic_coherence(beta: np.ndarray, corpus: Corpus, m: int = DEFAULT_TOP_WO
 
     For top terms v1..vm (by beta), accumulates log((D(vi,vj)+1)/D(vj))
     over i = 2..m (outer, ascending) and j < i (inner, ascending), where
-    D counts documents by binary term presence. The loop order and the
-    per-pair expression are pinned so an independent double-loop oracle
-    reproduces the result bit for bit.
+    D counts the documents holding the terms, gathered from the CSR for the
+    top terms only. The loop order and the per-pair expression are pinned
+    so an independent double-loop oracle reproduces the result bit for bit.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -53,20 +53,26 @@ def semantic_coherence(beta: np.ndarray, corpus: Corpus, m: int = DEFAULT_TOP_WO
         raise ValueError("m exceeds vocabulary size")
     if beta.shape[1] != corpus.n_terms:
         raise ValueError("beta column count differs from corpus vocabulary")
-    presence = corpus.presence_matrix()
-    doc_freq = presence.sum(axis=0)
+    tops = np.array([rank_terms(row, m) for row in beta])
+    terms, slots = np.unique(tops, return_inverse=True)
+    column = np.full(corpus.n_terms, -1)
+    column[terms] = np.arange(terms.size)
+    hits = np.flatnonzero((column >= 0)[corpus.indices])
+    present = np.zeros((corpus.n_docs, terms.size), dtype=bool)
+    present[np.searchsorted(corpus.indptr, hits, side="right") - 1,
+            column[corpus.indices[hits]]] = True
     out = np.zeros(beta.shape[0])
-    for k in range(beta.shape[0]):
-        top = rank_terms(beta[k], m)
+    for k, (top, slot) in enumerate(zip(tops, slots.reshape(tops.shape))):
+        cols = present[:, slot].astype(float)
+        # co-document counts, exact in float64; D(vj) on the diagonal
+        together = (cols.T @ cols).tolist()
         total = 0.0
         for i in range(1, m):
-            col_i = presence[:, top[i]]
             for j in range(i):
-                d_j = int(doc_freq[top[j]])
+                d_j = together[j][j]
                 if d_j == 0:
                     raise TermAbsentFromCorpus(corpus.vocabulary[top[j]])
-                d_ij = int(np.count_nonzero(col_i & presence[:, top[j]]))
-                total += math.log((d_ij + 1.0) / d_j)
+                total += math.log((together[i][j] + 1.0) / d_j)
         out[k] = total
     return out
 

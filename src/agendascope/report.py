@@ -81,7 +81,7 @@ def topic_graph(model: FittedModel,
     if not -1.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (-1, 1)")
     k = model.k
-    nodes = [(i, ", ".join(t for t, _ in wordcloud_data(model, i, 3)))
+    nodes = [(i, ", ".join(model.vocabulary[v] for v in rank_terms(model.beta[i], 3)))
              for i in range(k)]
     edges: list[tuple[int, int, float]] = []
     theta = model.theta

@@ -550,6 +550,29 @@ class TestTopNAgainstVocabulary:
             f"{name} is 100000, but the vocabulary has {n_terms} terms"]
         assert not any((out / output).exists() for output in outputs)
 
+    def test_k_grid_above_vocabulary_before_any_fit(self, sample_all, tmp_path, capsys,
+                                                    monkeypatch):
+        """A fit.k_grid value above the vocabulary size fails before the
+        first candidate fit, not as CandidateFailed after the smaller ones."""
+        config, out = TestTopicsAgainstModel.copy_run(sample_all, tmp_path)
+        n_terms = len(read_json(out / "corpus.json")["vocabulary"])
+        set_setting(config, "fit.k_grid", [3, 4, 500])
+        for name in ("search.json", "search_points.csv"):
+            (out / name).unlink()
+        search_module = importlib.import_module("agendascope.search")
+        calls = []
+        fit = search_module.fit
+        monkeypatch.setattr(search_module, "fit",
+                            lambda *a, **kw: calls.append(a) or fit(*a, **kw))
+        capsys.readouterr()
+        assert run_cli("search", "--config", config) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["violations"] == [
+            f"fit.k_grid is 500, but the vocabulary has {n_terms} terms"]
+        assert not (out / "search.json").exists()
+        assert calls == []
+
     def test_top_words_one_above_vocabulary(self, sample_all, tmp_path, capsys):
         """metrics.top_words one above the vocabulary size fails before
         the metrics stage writes a file, not as lists padded with blanks."""

@@ -199,8 +199,7 @@ class TestBuildCorpus:
         covs = [cov(d.doc_id) for d in docs]
         corpus, _ = build_corpus(docs, covs, PreprocessConfig(min_doc_freq=3))
         assert corpus.vocabulary == sorted(set(corpus.vocabulary))
-        presence = corpus.presence_matrix()
-        assert presence.sum(axis=0).min() >= 3
+        assert np.bincount(corpus.indices, minlength=corpus.n_terms).min() >= 3
 
     def test_serialization_deterministic_and_round_trips(self, tmp_path):
         docs = [doc("a", "peace talks economy"), doc("b", "economy peace")]
@@ -241,9 +240,9 @@ class TestCsrLayout:
         assert {a.dtype for a in (corpus.indptr, corpus.indices, corpus.counts)} == {
             np.dtype(np.int64)}
         assert corpus.term_totals().tolist() == [3, 4, 4, 1, 7, 3]
-        presence = corpus.presence_matrix()
         for d, (idx, _) in enumerate(self.DOCS):
-            assert np.flatnonzero(presence[d]).tolist() == idx.tolist()
+            row = corpus.indices[corpus.indptr[d]:corpus.indptr[d + 1]]
+            assert row.tolist() == idx.tolist()
 
     def test_save_load_round_trip(self, tmp_path):
         corpus = self.corpus()
@@ -353,7 +352,6 @@ class TestCsrLayout:
         assert sub.indices.dtype == sub.counts.dtype == np.int64
         assert sub.indices.size == sub.counts.size == 0
         assert sub.term_totals().tolist() == [0] * 6
-        assert sub.presence_matrix().shape == (0, 6)
 
     @pytest.mark.parametrize("edit, reason", [
         (lambda o: o.pop("vocabulary"), "missing key 'vocabulary'"),

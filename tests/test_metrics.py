@@ -73,7 +73,11 @@ class TestSemanticCoherence:
         top = rank_terms(beta[0], 2)
         assert len(set(top.tolist())) == 2
 
-    def test_matches_brute_force_exactly(self):
+    @staticmethod
+    def coherence_cases():
+        """(corpus, beta, m): random corpora, then topics whose top-m sets
+        overlap fully and partly, m equal to the vocabulary size, and empty
+        documents or documents holding none of the top terms."""
         rng = np.random.default_rng(42)
         for trial in range(10):
             n_docs = int(rng.integers(3, 11))
@@ -86,10 +90,23 @@ class TestSemanticCoherence:
             corpus = tiny_corpus(doc_terms)
             beta = random_beta(rng, 3, corpus.n_terms)
             m = int(rng.integers(2, min(6, corpus.n_terms) + 1))
+            yield corpus, beta, m
+        corpus = tiny_corpus([["a", "b", "c"], [], ["x", "y"], ["a", "c", "d", "x"],
+                              ["b", "d", "e"], ["y"], ["a", "b", "c", "d", "e"], []])
+        beta = np.array([[0.30, 0.25, 0.20, 0.10, 0.06, 0.05, 0.04],   # a b c d e
+                         [0.06, 0.10, 0.20, 0.25, 0.30, 0.05, 0.04],   # e d c b a
+                         [0.30, 0.25, 0.20, 0.10, 0.06, 0.05, 0.04],   # as topic 0
+                         [0.01, 0.02, 0.20, 0.25, 0.30, 0.15, 0.07]])  # e d c x y
+        for m in (2, 3, 5, 7):
+            yield corpus, beta, m
+        yield corpus, random_beta(rng, 6, corpus.n_terms), corpus.n_terms
+
+    def test_matches_brute_force_exactly(self):
+        for corpus, beta, m in self.coherence_cases():
             got = semantic_coherence(beta, corpus, m=m)
             doc_sets = [set(idx.tolist())
                         for idx in np.split(corpus.indices, corpus.indptr[1:-1])]
-            for k in range(3):
+            for k in range(beta.shape[0]):
                 expected = coherence_brute_force(beta[k], doc_sets, m)
                 assert got[k] == expected  # bit-exact, same expression order
 
@@ -101,6 +118,20 @@ class TestSemanticCoherence:
         beta = np.array([[0.3, 0.7]])
         with pytest.raises(TermAbsentFromCorpus):
             semantic_coherence(beta, corpus, m=2)
+        # ccc and ddd occur in no kept document; topic 0 is clean
+        corpus = tiny_corpus([["aaa", "bbb"], ["bbb", "eee"], ["ccc", "ddd"]]).subset([0, 1])
+        beta = np.array([[0.4, 0.3, 0.0, 0.0, 0.3],    # aaa bbb eee
+                         [0.1, 0.0, 0.2, 0.3, 0.4]])   # eee ddd ccc
+        # the oracle's loop reaches D(ddd) at (i=2, j=1) and never takes
+        # the last top term, ccc, as its j
+        with pytest.raises(TermAbsentFromCorpus) as caught:
+            semantic_coherence(beta, corpus, m=3)
+        assert caught.value.term == "ddd"
+        doc_sets = [set(idx.tolist())
+                    for idx in np.split(corpus.indices, corpus.indptr[1:-1])]
+        assert np.isfinite(coherence_brute_force(beta[0], doc_sets, 3))
+        with pytest.raises(ZeroDivisionError):
+            coherence_brute_force(beta[1], doc_sets, 3)
 
 
 class TestFrex:

@@ -136,6 +136,13 @@ class TestTopicGraph:
         assert a.startswith("graph topics {")
         assert "t0" in a
 
+    def test_two_term_vocabulary_labels_every_term(self):
+        """Labels take the top 3 terms, or every term of a smaller
+        vocabulary, in rank order."""
+        model = model_with(np.array([[0.3, 0.7], [0.6, 0.4]]))
+        graph = topic_graph(model)
+        assert graph.nodes == [(0, "w01, w00"), (1, "w00, w01")]
+
     def test_threshold_bounds(self):
         model = model_with(np.full((2, 3), 1 / 3))
         with pytest.raises(ValueError):

@@ -7,8 +7,8 @@ corpus the size of the UN General Debate corpus.
 Draws a corpus from the model with ``tests/synth.py``'s ``model_draw(0,
 n_docs=7500, n_terms=8000, k=50, doc_len=1200)`` (7,500 documents, as in
 UNGDC 1970-2016), then times one call each of ``Corpus.save``,
-``Corpus.load``, ``subset`` (every document but each tenth, and every
-document) and ``presence_matrix``, and reports the bytes of every file the
+``Corpus.load`` and ``subset`` (every document but each tenth, and every
+document), and reports the bytes of every file the
 save wrote (``corpus.json`` and its sidecars) and the peak RSS of a fresh
 Python process that only loads that corpus. It then fits the loaded corpus,
 with the draw's two-column design, at K = 10 and 30 for 2 EM iterations and
@@ -29,7 +29,9 @@ times the effects draws over the design of the formula ``conflict``,
 built beforehand (``EffectDraws`` with ``n_draws=100``, ``seed=0``), and
 reports seconds per draw and the draws per block (1 at this size). Then it
 times the metrics stage's kernels on that model's beta: one
-``summarize_topics`` (20 words) and one ``model_quality`` (10 words).
+``summarize_topics`` (20 words), one ``model_quality`` (10 words) and one
+``semantic_coherence`` (10 words), the last also under ``tracemalloc``,
+whose peak over the call it reports.
 Last, it renders each document as
 a speech, writing each term occurrence as a fixed word for its term id
 followed by a stopword, and times ``build_corpus`` on the speeches with the
@@ -69,7 +71,8 @@ from agendascope.corpus import (Corpus, PreprocessConfig, RawDocument,  # noqa: 
                                 build_corpus)
 from agendascope.design import build_design  # noqa: E402
 from agendascope.effects import EffectDraws, draws_per_block  # noqa: E402
-from agendascope.metrics import model_quality, summarize_topics  # noqa: E402
+from agendascope.metrics import (model_quality, semantic_coherence,  # noqa: E402
+                                 summarize_topics)
 from agendascope.stm import (FitConfig, FittedModel, fit,  # noqa: E402
                              posterior_covariances)
 
@@ -191,7 +194,6 @@ def main() -> None:
     rows = np.flatnonzero(np.arange(loaded.n_docs) % 10 != 0)
     _, seconds["subset"] = timed(lambda: loaded.subset(rows))
     _, seconds["subset_all"] = timed(lambda: loaded.subset(np.arange(loaded.n_docs)))
-    _, seconds["presence_matrix"] = timed(loaded.presence_matrix)
     logging.getLogger("agendascope.stm").setLevel(logging.ERROR)  # capped on purpose
     em, model = {}, None
     k_free = EM_KS[-1] - 1
@@ -238,8 +240,15 @@ def main() -> None:
                "peak_rss_mb_after": peak_rss_mb()}
     _, summarize_s = timed(lambda: summarize_topics(model.beta, loaded.vocabulary, loaded))
     _, quality_s = timed(lambda: model_quality(model.beta, loaded))
+    _, coherence_s = timed(lambda: semantic_coherence(model.beta, loaded, 10))
+    tracemalloc.start()
+    semantic_coherence(model.beta, loaded, 10)
+    coherence_peak_traced_mb = round(tracemalloc.get_traced_memory()[1] / 1e6, 1)
+    tracemalloc.stop()
     metrics = {"k": EM_KS[-1], "n_terms": loaded.n_terms,
-               "summarize_topics_s": summarize_s, "model_quality_s": quality_s}
+               "summarize_topics_s": summarize_s, "model_quality_s": quality_s,
+               "semantic_coherence_s": coherence_s,
+               "semantic_coherence_peak_traced_mb": coherence_peak_traced_mb}
     model = loaded_model = nu = None
     ingest = time_ingest(loaded)  # last, so its text does not raise the peaks above
     cpus = len(os.sched_getaffinity(0))
