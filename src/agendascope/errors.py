@@ -137,6 +137,16 @@ class CorruptArtifact(AgendascopeError):
         self.reason = reason
 
 
+class NonFiniteArtifact(AgendascopeError):
+    """An artifact to be written holds a NaN or an infinity, which JSON
+    cannot encode; nothing is written."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"cannot write {path}: {reason}")
+        self.path = path
+        self.reason = reason
+
+
 class ConfigError(AgendascopeError):
     """Run-configuration validation failure; carries every violation."""
 

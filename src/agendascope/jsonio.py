@@ -18,7 +18,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .errors import CorruptArtifact, MissingArtifact
+from .errors import CorruptArtifact, MissingArtifact, NonFiniteArtifact
 
 
 def _numpy_default(obj: Any) -> Any:
@@ -45,9 +45,15 @@ def dumps_canonical(obj: Any) -> str:
 
 
 def write_json(path: str | Path, obj: Any) -> Path:
+    """Write ``obj`` to ``path`` canonically; a NaN or infinite float in it
+    raises :class:`NonFiniteArtifact` naming ``path``, before any write."""
     path = Path(path)
+    try:  # the encoder's only ValueError for an artifact's tree of values
+        text = dumps_canonical(obj)
+    except ValueError as exc:
+        raise NonFiniteArtifact(str(path), str(exc)) from None
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dumps_canonical(obj), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     return path
 
 

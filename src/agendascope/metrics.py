@@ -124,12 +124,14 @@ def exclusivity_frex(beta: np.ndarray, w: float = DEFAULT_FREX_WEIGHT,
 
 
 def lift(beta: np.ndarray, corpus: Corpus) -> np.ndarray:
-    """beta_kv over the term's corpus-wide relative frequency."""
+    """beta_kv over the term's corpus-wide relative frequency; 0 for a term
+    with no count in ``corpus`` (a vocabulary term held only by rows the
+    design dropped), so it never tops a lift ranking."""
     if beta.shape[1] != corpus.n_terms:
         raise ValueError("beta column count differs from corpus vocabulary")
     totals = corpus.term_totals().astype(float)
-    freq = totals / totals.sum()
-    return beta / freq[None, :]
+    freq = (totals / totals.sum())[None, :]
+    return np.divide(beta, freq, out=np.zeros(beta.shape), where=freq > 0)
 
 
 def score(beta: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ logger = logging.getLogger(__name__)
 
 BETA_FLOOR = 1e-12
 _CHUNK = 64  # E-step chunk size; reduction order never depends on thread count
+_DECREMENT_TOL = 1e-8  # Newton stop: lambda^2 / 2 < this x max(1, tokens)
 
 
 @dataclass(frozen=True)
@@ -294,9 +295,15 @@ def _batch_state(eta, mu, sigma_inv, b, cts, totals):
     return value, grad, w, den, q, theta
 
 
-def _batch_neg_hessian(q, theta, w, den, b, cts, sigma_inv, totals):
-    s = b * (np.sqrt(cts) / den)[:, None, :]
+def _batch_neg_hessian(rows, q, theta, w, den, b, cts, sigma_inv, totals):
+    """Negative Hessians, undamped, of the batch rows ``rows`` (an index
+    array) from their carried state. ``s`` is those rows of ``b``, gathered
+    once and scaled in place, so the only array of ``b``'s size formed
+    here is sized by ``rows``."""
+    s = b.take(rows, axis=0)
+    s *= (np.sqrt(cts[rows]) / den[rows])[:, None, :]
     a = s @ s.transpose(0, 2, 1)
+    q, theta, w, totals = q[rows], theta[rows], w[rows], totals[rows]
     a *= w[:, :, None] * w[:, None, :]
     a -= totals[:, None, None] * theta[:, :, None] * theta[:, None, :]
     k = a.shape[1]
@@ -339,6 +346,11 @@ def _damped_cholesky(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return factors, fixed
 
 
+def _half_logdet(chols: np.ndarray) -> np.ndarray:
+    """Half the log-determinant of each matrix from its Cholesky factor."""
+    return np.log(np.einsum("mii->mi", chols)).sum(axis=1)
+
+
 def _expected_counts(beta, w, den, cts, idx):
     """K x V expected token counts of a chunk: ``b * (w / den) * cts``
     summed by term, where ``b[d, j, pos] = beta[j, idx[d, pos]]``.
@@ -366,9 +378,14 @@ def _estep_chunk(chunk: _Chunk, eta_all, mu_all, sigma_inv, beta,
 
     Each document's state (value, gradient and mixture pieces) is carried at
     its current mode estimate and updated only for the rows a step moves; an
-    accepted step takes its state from its line-search trial. Returns (modes,
-    Laplace covariance blocks, expected counts or None without ``counts``,
-    bound contribution), rows in ``chunk.rows`` order.
+    accepted step takes its state from its line-search trial. A document
+    stops when its max |gradient| falls below ``grad_tol`` x max(1, tokens),
+    or, before its line search, when half its squared Newton decrement
+    ``grad . step`` falls below ``_DECREMENT_TOL`` x max(1, tokens); the
+    curvature block of that step, formed at its final point, is then its
+    Laplace block, and only the other documents get a block after the loop.
+    Returns (modes, Laplace covariance blocks, expected counts or None
+    without ``counts``, bound contribution), rows in ``chunk.rows`` order.
     """
     rows = chunk.rows
     m = len(rows)
@@ -379,7 +396,14 @@ def _estep_chunk(chunk: _Chunk, eta_all, mu_all, sigma_inv, beta,
     totals = chunk.totals
     eta = eta_all[rows]  # a copy: fancy indexing
     mu = mu_all[rows]
-    tol = grad_tol * np.maximum(1.0, totals)
+    scale = np.maximum(1.0, totals)
+    tol = grad_tol * scale
+    stop_slope = 2.0 * _DECREMENT_TOL * scale
+    # each document's damped curvature block at its final point, and half
+    # its log-determinant: allocated when the first document stops on its
+    # decrement, and completed after the loop
+    neg_h = half_logdet = None
+    formed = np.zeros(m, dtype=bool)
 
     value, grad, w, den, q, theta = _batch_state(eta, mu, sigma_inv, b, cts, totals)
     active = np.arange(m)
@@ -388,16 +412,26 @@ def _estep_chunk(chunk: _Chunk, eta_all, mu_all, sigma_inv, beta,
         if not live.any():
             break
         active = active[live]
-        whole = len(active) == m
-        eta_a, value_a, grad_a, w_a, den_a, q_a, theta_a, b_a, cts_a, tot_a, mu_a = (
-            (a if whole else a[active])
-            for a in (eta, value, grad, w, den, q, theta, b, cts, totals, mu))
-
-        neg_h = _batch_neg_hessian(q_a, theta_a, w_a, den_a, b_a, cts_a, sigma_inv,
-                                   tot_a)
-        _, neg_h = _damped_cholesky(neg_h)
-        step = np.linalg.solve(neg_h, grad_a[:, :, None])[:, :, 0]
+        chols_a, neg_h_a = _damped_cholesky(_batch_neg_hessian(
+            active, q, theta, w, den, b, cts, sigma_inv, totals))
+        grad_a = grad[active]
+        step = np.linalg.solve(neg_h_a, grad_a[:, :, None])[:, :, 0]
         slope = (grad_a * step).sum(axis=1)
+        done = slope < stop_slope[active]
+        if done.any():  # these stop here, with this block as their Laplace block
+            if neg_h is None:
+                neg_h, half_logdet = np.empty((m,) + sigma_inv.shape), np.empty(m)
+            stopped = active[done]
+            neg_h[stopped] = neg_h_a[done]
+            half_logdet[stopped] = _half_logdet(chols_a[done])
+            formed[stopped] = True
+            active, step, slope = active[~done], step[~done], slope[~done]
+            if not active.size:
+                break
+        # the rows that search, copied out after the blocks are formed
+        whole = len(active) == m
+        eta_a, value_a, b_a, cts_a, tot_a, mu_a = (
+            (a if whole else a[active]) for a in (eta, value, b, cts, totals, mu))
         # Armijo backtracking: the first round tries every row at t = 1;
         # each later round halves t and tries only the rows still pending
         t, pending, kept = 1.0, slice(None), None
@@ -425,6 +459,7 @@ def _estep_chunk(chunk: _Chunk, eta_all, mu_all, sigma_inv, beta,
             b_a, cts_a, tot_a = b_a[accepted], cts_a[accepted], tot_a[accepted]
         eta_m, value_m, w_m, wsum_m, den_m, dsi_m = kept
         grad_m, q_m, theta_m = _batch_grad(w_m, wsum_m, den_m, dsi_m, b_a, cts_a, tot_a)
+        del b_a  # not held while the next step forms its blocks
         if len(active) == m:
             eta, value, grad, w, den, q, theta = (eta_m, value_m, grad_m, w_m,
                                                   den_m, q_m, theta_m)
@@ -432,15 +467,18 @@ def _estep_chunk(chunk: _Chunk, eta_all, mu_all, sigma_inv, beta,
             eta[active], value[active], grad[active] = eta_m, value_m, grad_m
             w[active], den[active], q[active], theta[active] = w_m, den_m, q_m, theta_m
 
-    # Laplace pieces at the modes, from the carried state of every document
-    neg_h = _batch_neg_hessian(q, theta, w, den, b, cts, sigma_inv, totals)
-    chols, neg_h = _damped_cholesky(neg_h)
-    k_free = neg_h.shape[1]
-    eye = np.broadcast_to(np.eye(k_free), neg_h.shape)
+    # Laplace blocks at the modes not yet formed, from the carried state
+    rest = np.flatnonzero(~formed)
+    chols_r, neg_h_r = _damped_cholesky(_batch_neg_hessian(
+        rest, q, theta, w, den, b, cts, sigma_inv, totals))
+    if neg_h is None:  # no document stopped on its decrement: no copy
+        neg_h, half_logdet = neg_h_r, _half_logdet(chols_r)
+    else:
+        neg_h[rest], half_logdet[rest] = neg_h_r, _half_logdet(chols_r)
+    eye = np.broadcast_to(np.eye(neg_h.shape[1]), neg_h.shape)
     nu = np.linalg.solve(neg_h, eye)
     nu = 0.5 * (nu + nu.transpose(0, 2, 1))
-    logdet_nu = -2.0 * np.log(np.einsum("mii->mi", chols)).sum(axis=1)
-    bound = float((value + 0.5 * logdet_nu).sum())
+    bound = float((value - half_logdet).sum())
     return (eta, nu, _expected_counts(beta, w, den, cts, chunk.idx) if counts else None,
             bound)
 

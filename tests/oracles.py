@@ -157,11 +157,13 @@ def ols_closed_form(x_vals: np.ndarray, y_vals: np.ndarray):
 # transposed fancy-index gather, a whole-state recompute after every
 # accepted step and once more for the whole chunk, a line search that
 # evaluates every active row in every round, and the m x K x width count
-# block. It adds only ``events``, counters of the branches taken and of the
-# rows each Newton step and line-search round tries, so a test can show
-# that its chunk exercises the branch it names. Its value helper mirrors
-# the kernel's per-row ``diff @ sigma_inv``, shared by the prior term and
-# the gradient; the einsum form it replaced is kept below it. The current
+# block. It adds the Newton decrement stop, which keeps a stopped row's
+# block and factor for the Laplace tail, and ``events``, counters of the
+# branches taken and of the rows each Newton step and line-search round
+# tries, so a test can show that its chunk exercises the branch it names.
+# Its value helper mirrors the kernel's per-row ``diff @ sigma_inv``,
+# shared by the prior term and the gradient; the einsum form it replaced is
+# kept below it. The current
 # kernel must match it bit for bit in eta, nu and the bound, and in the
 # expected counts to rtol 1e-14, since it sums them with one GEMM.
 
@@ -242,18 +244,25 @@ def _ref_damped_cholesky(mats, events):
 
 
 def estep_chunk_reference(chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
-                          events, *, max_iter=200, grad_tol=1e-8):
-    """The earlier batched Newton E-step for one chunk: updates eta_all and
-    nu_all rows in place and returns (K x V expected counts, bound)."""
+                          events, *, max_iter=200, grad_tol=1e-8, decrement_tol=1e-8):
+    """The earlier batched Newton E-step for one chunk, with the Newton
+    decrement stop: a row whose half squared decrement falls below
+    ``decrement_tol`` x max(1, tokens) stops before its line search and
+    keeps that step's block as its Laplace block. Updates eta_all and nu_all
+    rows in place and returns (K x V expected counts, bound)."""
     rows = chunk.rows
+    m = len(rows)
     b = np.ascontiguousarray(beta[:, chunk.idx].transpose(1, 0, 2))
     cts = chunk.cts
     totals = chunk.totals
     eta = eta_all[rows].copy()
     mu = mu_all[rows]
     tol = grad_tol * np.maximum(1.0, totals)
+    k_free = beta.shape[0] - 1
+    kept_h, kept_chols = np.zeros((m, k_free, k_free)), np.zeros((m, k_free, k_free))
+    stopped = np.zeros(m, dtype=bool)
 
-    active = np.arange(len(rows))
+    active = np.arange(m)
     value, grad, w, den, q, theta = _ref_batch_state(eta, mu, sigma_inv, b, cts, totals)
     for _ in range(max_iter):
         live = np.abs(grad).max(axis=1) >= tol[active]
@@ -267,10 +276,19 @@ def estep_chunk_reference(chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
         b_a, cts_a, tot_a, mu_a = b[active], cts[active], totals[active], mu[active]
 
         neg_h = _ref_batch_neg_hessian(q, theta, w, den, b_a, cts_a, sigma_inv, tot_a)
-        _, neg_h = _ref_damped_cholesky(neg_h, events)
+        chols, neg_h = _ref_damped_cholesky(neg_h, events)
         step = np.linalg.solve(neg_h, grad[:, :, None])[:, :, 0]
         events["steps"] += len(active)
         slope = (grad * step).sum(axis=1)
+        done = 0.5 * slope < decrement_tol * np.maximum(1.0, tot_a)
+        events["decrement"] += int(done.sum())
+        kept_h[active[done]], kept_chols[active[done]] = neg_h[done], chols[done]
+        stopped[active[done]] = True
+        if done.all():
+            break
+        active, value, step, slope = active[~done], value[~done], step[~done], slope[~done]
+        eta_a, b_a, cts_a, tot_a, mu_a = (eta_a[~done], b_a[~done], cts_a[~done],
+                                          tot_a[~done], mu_a[~done])
         t = np.ones(len(active))
         accepted = np.zeros(len(active), dtype=bool)
         cand = eta_a.copy()
@@ -297,9 +315,12 @@ def estep_chunk_reference(chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
             totals[active])
 
     value, grad, w, den, q, theta = _ref_batch_state(eta, mu, sigma_inv, b, cts, totals)
-    neg_h = _ref_batch_neg_hessian(q, theta, w, den, b, cts, sigma_inv, totals)
-    chols, neg_h = _ref_damped_cholesky(neg_h, events)
-    k_free = neg_h.shape[1]
+    rest = ~stopped
+    events["tail"] += int(rest.sum())
+    neg_h = _ref_batch_neg_hessian(q[rest], theta[rest], w[rest], den[rest], b[rest],
+                                   cts[rest], sigma_inv, totals[rest])
+    kept_chols[rest], kept_h[rest] = _ref_damped_cholesky(neg_h, events)
+    chols, neg_h = kept_chols, kept_h
     eye = np.broadcast_to(np.eye(k_free), neg_h.shape)
     nu = np.linalg.solve(neg_h, eye)
     nu = 0.5 * (nu + nu.transpose(0, 2, 1))

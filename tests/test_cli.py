@@ -3,12 +3,13 @@
 import importlib.util
 import inspect
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -338,6 +339,51 @@ class TestMetricsStage:
             model_quality(beta, sub, m=cfg.coherence_m, frex_w=cfg.frex_w))
         assert written != dumps_canonical(
             model_quality(beta, corpus, m=cfg.coherence_m, frex_w=cfg.frex_w))
+
+
+    def test_term_held_only_by_dropped_rows(self, tmp_path):
+        """The sample with ``conflict`` blank for every speech holding
+        ``mediat``: the formula drops them all, so no scored row holds the
+        term. Its lift is 0, not inf, and ``all`` exits 0."""
+        config, out = copy_sample(tmp_path)
+        assert run_cli("ingest", "--config", config) == 0
+        corpus = Corpus.load(out / "corpus.json")
+        term = corpus.vocabulary.index("mediat")
+        holders = {corpus.doc_ids[d] for d in range(corpus.n_docs)
+                   if term in corpus.indices[corpus.indptr[d]:corpus.indptr[d + 1]]}
+        assert len(holders) == 15
+        meta = config.parent / "metadata.csv"
+        header, *lines = meta.read_text().splitlines()
+        col = header.split(",").index("conflict")
+        rows = [line.split(",") for line in lines]
+        for cells in rows:
+            if cells[0] in holders:
+                cells[col] = ""
+        meta.write_text("\n".join([header] + [",".join(c) for c in rows]) + "\n")
+        assert run_cli("all", "--config", config) == 0
+        topics = read_json(out / "topic_summaries.json")["topics"]
+        ranked = [pair for topic in topics for pair in topic["top_lift"]]
+        assert all(math.isfinite(value) for _, value in ranked)
+        assert "mediat" not in {word for word, _ in ranked}
+
+    def test_non_finite_value_exit_is_structured(self, sample_all, tmp_path, capsys,
+                                                 monkeypatch):
+        """A NaN that reaches ``write_json`` through a stage fails as
+        NonFiniteArtifact naming the file, which is not written, not as an
+        encoder traceback."""
+        config, out = sample_all
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        (copy / "model_quality.json").unlink()
+        quality = cli.model_quality
+        monkeypatch.setattr(cli, "model_quality", lambda *a, **kw: replace(
+            quality(*a, **kw), mean_coherence=float("nan")))
+        capsys.readouterr()
+        assert run_cli("metrics", "--config", config, "--out", copy) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NonFiniteArtifact"
+        assert str(copy / "model_quality.json") in err["message"]
+        assert not (copy / "model_quality.json").exists()
 
 
 class TestCorpusSidecars:

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from agendascope.jsonio import dumps_canonical, save_sidecar
+from agendascope.errors import NonFiniteArtifact
+from agendascope.jsonio import dumps_canonical, save_sidecar, write_json
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,16 @@ def test_nested_numpy_payload_bytes():
 def test_nan_float64_rejected():
     with pytest.raises(ValueError):
         dumps_canonical({"x": [np.float64("nan")]})
+
+
+@pytest.mark.parametrize("value", [float("nan"), np.inf])
+def test_non_finite_write_names_file(tmp_path, value):
+    """``write_json`` refuses a non-finite float as a package error naming
+    its file, and writes nothing."""
+    path = tmp_path / "out" / "a.json"
+    with pytest.raises(NonFiniteArtifact, match=f"cannot write {path}"):
+        write_json(path, {"x": [1.0, value]})
+    assert not path.exists()
 
 
 def test_arbitrary_object_rejected():

@@ -230,6 +230,17 @@ class TestLift:
         freq = np.array([3 / 8, 1 / 8, 4 / 8])
         assert values == pytest.approx(beta / freq, abs=1e-12)
 
+    def test_term_absent_from_scored_rows_is_zero(self):
+        """A vocabulary term that only rows outside the scored corpus hold
+        has no frequency to compare with: its lift is 0, not inf, so it
+        tops no ranking; the held terms keep their ratios."""
+        corpus = tiny_corpus([["aaa", "bbb", "bbb"], ["aaa", "ccc"]]).subset([0])
+        beta = np.array([[0.2, 0.3, 0.5]])
+        values = lift(beta, corpus)
+        assert values[0, 2] == 0.0
+        assert values[0, :2] == pytest.approx([0.2 / (1 / 3), 0.3 / (2 / 3)], abs=1e-12)
+        assert rank_terms(values[0], 1)[0] == 0
+
 
 class TestScore:
     def test_identical_rows_vanish(self):

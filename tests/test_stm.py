@@ -206,8 +206,8 @@ class TestKernel:
         args = (mu, sigma_inv, b, chunk.cts, chunk.totals)
 
         _, _, w, den, q, theta = _batch_state(eta, *args)
-        neg_h = _batch_neg_hessian(q, theta, w, den, b, chunk.cts, sigma_inv,
-                                   chunk.totals)
+        neg_h = _batch_neg_hessian(np.arange(3), q, theta, w, den, b, chunk.cts,
+                                   sigma_inv, chunk.totals)
 
         h = 1e-3
         step = h * np.eye(k - 1)
@@ -253,15 +253,19 @@ class TestKernelMatchesReference:
     of it; the expected counts agree to a few ulps."""
 
     # (prior precision, its coupling, start spread around mu, count scale,
-    # grad_tol) and the first seed at K = 3, 8, 30 whose chunk takes the
-    # case's branch. The prior precision is prior * (I + coupling * 1 1');
-    # "coupled" halves like "halve" under a dense one, so the bit-equality
-    # sees how the pending-only line search forms diff @ sigma_inv.
+    # grad_tol, the Newton decrement tolerance) and the first seed at K = 3,
+    # 8, 30 whose chunk takes the case's branch. The prior precision is
+    # prior * (I + coupling * 1 1'); "coupled" halves like "halve" under a
+    # dense one, so the bit-equality sees how the pending-only line search
+    # forms diff @ sigma_inv. "frozen" turns both stopping tests off, so
+    # Newton ascent runs until a line search fails; "decrement" stops every
+    # row on its decrement, so the Laplace tail forms no block.
     CASES = {
-        "accept": ((5.0, 0.0, 0.0, 1.0, 1e-8), {3: 0, 8: 0, 30: 0}),
-        "halve": ((2.0, 0.0, 3.0, 1.0, 1e-8), {3: 1, 8: 0, 30: 0}),
-        "coupled": ((2.0, 0.3, 3.0, 1.0, 1e-8), {3: 1, 8: 1, 30: 0}),
-        "frozen": ((1.0, 0.0, 0.0, 1e4, 0.0), {3: 7, 8: 28, 30: 1}),
+        "accept": ((5.0, 0.0, 0.0, 1.0, 1e-8, 1e-8), {3: 0, 8: 0, 30: 0}),
+        "halve": ((2.0, 0.0, 3.0, 1.0, 1e-8, 1e-8), {3: 1, 8: 0, 30: 0}),
+        "coupled": ((2.0, 0.3, 3.0, 1.0, 1e-8, 1e-8), {3: 1, 8: 1, 30: 0}),
+        "frozen": ((1.0, 0.0, 0.0, 1e4, 0.0, 0.0), {3: 7, 8: 28, 30: 1}),
+        "decrement": ((2.0, 0.0, 3.0, 1.0, 1e-8, 1e-8), {3: 2, 8: 0, 30: 3}),
     }
 
     @classmethod
@@ -277,8 +281,9 @@ class TestKernelMatchesReference:
             docs = [(np.arange(6 + d), np.full(6 + d, 3.0)) for d in range(m)]
             mu = rng.normal(scale=0.3, size=(m, k - 1))
             eta = -8.0 + rng.normal(scale=0.5, size=(m, k - 1))
-            return _Chunk(range(m), *csr(docs)), eta, mu, 1e-3 * np.eye(k - 1), beta, 1e-8
-        (prior, coupling, spread, scale, grad_tol), seeds = cls.CASES[name]
+            return (_Chunk(range(m), *csr(docs)), eta, mu, 1e-3 * np.eye(k - 1), beta,
+                    {"grad_tol": 1e-8, "decrement_tol": 1e-8})
+        (prior, coupling, spread, scale, grad_tol, decrement_tol), seeds = cls.CASES[name]
         rng = np.random.default_rng(seeds[k])
         beta = rng.dirichlet(np.full(v, 0.5), size=k)
         docs = []
@@ -289,28 +294,46 @@ class TestKernelMatchesReference:
         mu = rng.normal(scale=0.3, size=(m, k - 1))
         eta = mu + rng.normal(scale=spread, size=(m, k - 1)) if spread else mu.copy()
         sigma_inv = prior * (np.eye(k - 1) + coupling)
-        return _Chunk(range(m), *csr(docs)), eta, mu, sigma_inv, beta, grad_tol
+        return (_Chunk(range(m), *csr(docs)), eta, mu, sigma_inv, beta,
+                {"grad_tol": grad_tol, "decrement_tol": decrement_tol})
+
+    @staticmethod
+    def kernel(monkeypatch, chunk, eta, mu, sigma_inv, beta, tols):
+        """``_estep_chunk`` under the case's tolerances: the decrement's is a
+        module constant, not a parameter."""
+        monkeypatch.setattr(stm_mod, "_DECREMENT_TOL", tols["decrement_tol"])
+        return _estep_chunk(chunk, eta, mu, sigma_inv, beta, grad_tol=tols["grad_tol"])
 
     @pytest.mark.parametrize("k", [3, 8, 30])
-    @pytest.mark.parametrize("name", ["accept", "halve", "coupled", "frozen", "damped"])
-    def test_bit_equal_to_reference(self, name, k):
-        chunk, eta0, mu, sigma_inv, beta, grad_tol = self.case(name, k)
+    @pytest.mark.parametrize("name", ["accept", "halve", "coupled", "frozen", "damped",
+                                      "decrement"])
+    def test_bit_equal_to_reference(self, monkeypatch, name, k):
+        chunk, eta0, mu, sigma_inv, beta, tols = self.case(name, k)
         m = len(chunk.rows)
         events = collections.Counter()
         ref_eta, ref_nu = eta0.copy(), np.zeros((m, k - 1, k - 1))
         ref_counts, ref_bound = estep_chunk_reference(
-            chunk, ref_eta, ref_nu, mu, sigma_inv, beta, events, grad_tol=grad_tol)
+            chunk, ref_eta, ref_nu, mu, sigma_inv, beta, events, **tols)
         start = eta0.copy()
-        eta, nu, counts, bound = _estep_chunk(chunk, eta0, mu, sigma_inv, beta,
-                                              grad_tol=grad_tol)
+        blocks = []
+        neg_hessian = stm_mod._batch_neg_hessian
+        monkeypatch.setattr(stm_mod, "_batch_neg_hessian",
+                            lambda rows, *args: (blocks.append(len(rows))
+                                                 or neg_hessian(rows, *args)))
+        eta, nu, counts, bound = self.kernel(monkeypatch, chunk, eta0, mu, sigma_inv,
+                                             beta, tols)
 
         taken = {"accept": not (events["halved"] or events["damped"]
                                 or events["frozen"] or events["all_frozen"]),
                  "halve": 0 < events["halved"] and not events["damped"],
                  "coupled": 0 < events["halved"] and not events["damped"],
-                 "frozen": events["frozen"] > 0,
-                 "damped": events["damped"] > 0}
+                 "frozen": events["frozen"] > 0 and not events["decrement"],
+                 "damped": events["damped"] > 0,
+                 "decrement": events["decrement"] == m}
         assert taken[name], dict(events)
+        # one block per Newton step, then one per row not stopped on its
+        # decrement: a stopped row's Laplace block is its last step's
+        assert sum(blocks) == events["steps"] + events["tail"]
         assert np.array_equal(eta0, start)  # the caller's array is left alone
         assert np.array_equal(eta, ref_eta)
         assert np.array_equal(nu, ref_nu)
@@ -336,21 +359,25 @@ class TestKernelMatchesReference:
     def test_line_search_evaluates_pending_rows_only(self, monkeypatch):
         """Each line-search round after the first evaluates only the rows no
         round has accepted, so each halving costs one row evaluation; the
-        reference evaluates every row of the batch in every round."""
-        chunk, eta0, mu, sigma_inv, beta, grad_tol = self.case("halve", 8)
+        reference evaluates every row of the batch in every round. A row
+        that stops on its Newton decrement takes no line search."""
+        chunk, eta0, mu, sigma_inv, beta, tols = self.case("halve", 8)
         m, k_free = len(chunk.rows), beta.shape[0] - 1
         events = collections.Counter()
         estep_chunk_reference(chunk, eta0.copy(), np.zeros((m, k_free, k_free)), mu,
-                              sigma_inv, beta, events, grad_tol=grad_tol)
+                              sigma_inv, beta, events, **tols)
         assert events["halved"] and not (events["frozen"] or events["all_frozen"])
+        assert events["decrement"]
         rows = []
         value = stm_mod._batch_value
         monkeypatch.setattr(stm_mod, "_batch_value",
                             lambda eta, *args: rows.append(len(eta)) or value(eta, *args))
-        _estep_chunk(chunk, eta0, mu, sigma_inv, beta, grad_tol=grad_tol)
-        # the start state, each Newton step's first round, then one row per halving
-        assert sum(rows) == m + events["steps"] + events["halved"]
-        assert events["halved"] < events["trials"] - events["steps"]
+        self.kernel(monkeypatch, chunk, eta0, mu, sigma_inv, beta, tols)
+        # the start state, the first round of each Newton step not stopped
+        # on its decrement, then one row per halving
+        searched = events["steps"] - events["decrement"]
+        assert sum(rows) == m + searched + events["halved"]
+        assert events["halved"] < events["trials"] - searched
 
 
 class TestMStep:
@@ -672,22 +699,26 @@ class TestFit:
 
 
 def fit_with_last_blocks(monkeypatch, corpus, design, config, threads=1):
-    """``fit``, and the covariance blocks its last E-step returned, placed
-    in document order: ``stm._estep_chunk`` is wrapped during the fit, as
-    ``test_fit_ends_on_an_estep`` wraps ``stm.m_step``."""
+    """``fit``, the covariance blocks its last E-step returned, placed in
+    document order, and that E-step's inputs, one (chunk, its rows of eta,
+    mu, sigma_inv, beta) per chunk: ``stm._estep_chunk`` is wrapped during
+    the fit, as ``test_fit_ends_on_an_estep`` wraps ``stm.m_step``."""
     kernel = stm_mod._estep_chunk
     k_free = config.k - 1
     nu = np.full((corpus.n_docs, k_free, k_free), np.nan)
+    inputs = {}
 
-    def capturing(chunk, *args, **kwargs):
-        out = kernel(chunk, *args, **kwargs)
-        nu[chunk.rows] = out[1]  # each E-step overwrites the one before
+    def capturing(chunk, eta_all, mu, sigma_inv, beta, **kwargs):
+        # each E-step overwrites the one before
+        inputs[chunk.rows[0]] = (chunk, eta_all[chunk.rows], mu, sigma_inv, beta)
+        out = kernel(chunk, eta_all, mu, sigma_inv, beta, **kwargs)
+        nu[chunk.rows] = out[1]
         return out
 
     with monkeypatch.context() as patch:
         patch.setattr(stm_mod, "_estep_chunk", capturing)
         model = fit(corpus, design, config, threads=threads)
-    return model, nu
+    return model, nu, list(inputs.values())
 
 
 class TestPosteriorCovariances:
@@ -696,32 +727,44 @@ class TestPosteriorCovariances:
     design."""
 
     @staticmethod
-    def last_estep_events(corpus, design, model, grad_tol=1e-8):
-        """Branches taken by the only E-step of a ``max_em_iters=1`` fit,
-        replayed from the fit's start by the reference kernel."""
+    def last_estep_events(model, fit_nu, inputs, **tols):
+        """Branches taken by the fit's last E-step, replayed from its
+        captured inputs by the reference kernel, which must reach the fit's
+        modes and blocks."""
         events = collections.Counter()
-        k_free = model.eta.shape[1]
-        eta = np.zeros_like(model.eta)
-        nu = np.zeros((model.n_docs, k_free, k_free))
-        sigma_inv, mu, _ = stm_mod._prior(np.eye(k_free), design.x,
-                                          np.zeros((design.x.shape[1], k_free)))
-        for chunk in stm_mod._chunks(corpus):
-            estep_chunk_reference(chunk, eta, nu, mu, sigma_inv, model.beta, events,
-                                  grad_tol=grad_tol)
+        eta, nu = np.zeros_like(model.eta), np.zeros_like(fit_nu)
+        for chunk, eta_rows, mu, sigma_inv, beta in inputs:
+            eta[chunk.rows] = eta_rows
+            estep_chunk_reference(chunk, eta, nu, mu, sigma_inv, beta, events, **tols)
         assert np.array_equal(eta, model.eta)
+        assert np.array_equal(nu, fit_nu)
         return events
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("k", [2, 5, 30])
     def test_equals_fit_nu(self, tmp_path, monkeypatch, k, threads):
         corpus, design, _, _ = model_draw(3, n_docs=150, n_terms=300, doc_len=80)
-        model, fit_nu = fit_with_last_blocks(
+        model, fit_nu, _ = fit_with_last_blocks(
             monkeypatch, corpus, design, FitConfig(k=k, seed=1, max_em_iters=6), threads)
         loaded = FittedModel.load(model.save(tmp_path / "model.json"))
         for recompute_threads in (1, 2):
             nu = posterior_covariances(corpus, design, loaded, threads=recompute_threads)
             assert np.array_equal(nu, fit_nu)
         assert np.array_equal(loaded.eta, model.eta)  # the recompute writes no mode
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_equals_blocks_kept_on_the_decrement(self, monkeypatch, threads):
+        """A document that stopped on its Newton decrement in the fit's last
+        E-step kept the block of that step; the recompute forms it again
+        from the saved mode, bit for bit."""
+        corpus, design, _, _ = model_draw(3, n_docs=150, n_terms=300, doc_len=80)
+        model, fit_nu, inputs = fit_with_last_blocks(
+            monkeypatch, corpus, design, FitConfig(k=5, seed=1, max_em_iters=6), threads)
+        events = self.last_estep_events(model, fit_nu, inputs)
+        assert events["decrement"] > corpus.n_docs // 2
+        for recompute_threads in (1, 2):
+            assert np.array_equal(
+                posterior_covariances(corpus, design, model, recompute_threads), fit_nu)
 
     def test_documents_dropped_for_missing_covariates(self, monkeypatch):
         corpus, _, _, _ = model_draw(4, n_docs=150, n_terms=300, doc_len=80)
@@ -731,7 +774,7 @@ class TestPosteriorCovariances:
         sub = corpus.subset(built.kept_rows)
         assert built.kept_rows.size == sub.n_docs == corpus.n_docs - 17
         for threads in (1, 2):
-            model, fit_nu = fit_with_last_blocks(
+            model, fit_nu, _ = fit_with_last_blocks(
                 monkeypatch, sub, built, FitConfig(k=4, seed=2, max_em_iters=5), threads)
             assert np.array_equal(posterior_covariances(sub, built, model, threads),
                                   fit_nu)
@@ -751,26 +794,29 @@ class TestPosteriorCovariances:
         corpus = two_block_corpus(seed=3, n_docs=40)
         design = PrevalenceDesign.intercept_only(corpus.n_docs)
         for threads in (1, 2):
-            model, fit_nu = fit_with_last_blocks(
+            model, fit_nu, inputs = fit_with_last_blocks(
                 monkeypatch, corpus, design, FitConfig(k=8, seed=2, max_em_iters=1),
                 threads)
-            assert self.last_estep_events(corpus, design, model)["damped"] > 0
+            assert self.last_estep_events(model, fit_nu, inputs)["damped"] > 0
             assert np.array_equal(posterior_covariances(corpus, design, model, threads),
                                   fit_nu)
 
     def test_last_estep_froze_documents(self, monkeypatch):
-        """With no gradient tolerance, Newton ascent runs until a line
+        """With neither stopping test, Newton ascent runs until a line
         search fails, which freezes its document."""
         kernel = stm_mod._estep_chunk
         monkeypatch.setattr(stm_mod, "_estep_chunk",
                             lambda *a, **kw: kernel(*a, **kw, grad_tol=0.0))
+        monkeypatch.setattr(stm_mod, "_DECREMENT_TOL", 0.0)
         corpus = two_block_corpus(seed=3, n_docs=100)
         design = PrevalenceDesign.intercept_only(corpus.n_docs)
         for threads in (1, 2):
-            model, fit_nu = fit_with_last_blocks(
+            model, fit_nu, inputs = fit_with_last_blocks(
                 monkeypatch, corpus, design, FitConfig(k=3, seed=2, max_em_iters=1),
                 threads)
-            assert self.last_estep_events(corpus, design, model, grad_tol=0.0)["frozen"] > 0
+            events = self.last_estep_events(model, fit_nu, inputs, grad_tol=0.0,
+                                            decrement_tol=0.0)
+            assert events["frozen"] > 0
             assert np.array_equal(posterior_covariances(corpus, design, model, threads),
                                   fit_nu)
 

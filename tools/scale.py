@@ -16,7 +16,10 @@ at K = 50 for 7 (``max_em_iters``, ``threads=2``, BLAS limited to one
 thread), and reports the mean seconds of EM iterations 1-2 at each K, and
 of iterations 6-7 at K = 50, after a warm-up of 5. An iteration is timed
 from the M-step before its E-step (the fit's start, for the first) to the
-M-step after it (the fit's end, for the last). The K = 50 fit also runs
+M-step after it (the fit's end, for the last). Next to each span it reports
+the curvature blocks per document per E-step, the Newton steps' and the
+Laplace blocks', counted as the rows each ``stm._batch_neg_hessian`` call
+forms, which is wrapped for the count. The K = 50 fit also runs
 under ``tracemalloc``, whose peak over the fit it reports, and its last
 E-step's posterior covariance blocks are captured by wrapping
 ``stm._estep_chunk``, into an array allocated before tracing starts. It
@@ -119,32 +122,41 @@ def timed(call):
 
 
 def timed_em(corpus: Corpus, design, config: FitConfig, last_blocks=None):
-    """(model, seconds of each EM iteration) of one fit: an iteration ends
-    where the M-step after its E-step begins, the last where the fit
-    returns. Given ``last_blocks``, a D x (K-1) x (K-1) array, each E-step
+    """(model, seconds of each EM iteration, curvature blocks per document
+    of each E-step) of one fit: an iteration ends where the M-step after its
+    E-step begins, the last where the fit returns. Blocks are the rows that
+    ``stm._batch_neg_hessian`` calls form, Newton steps and Laplace blocks
+    alike. Given ``last_blocks``, a D x (K-1) x (K-1) array, each E-step
     writes its covariance blocks into it in document order, so it ends
     holding the last E-step's."""
-    stamps = [time.perf_counter()]
-    m_step, kernel = stm.m_step, stm._estep_chunk
+    stamps, marks, blocks = [time.perf_counter()], [0], []
+    m_step, kernel, neg_hessian = stm.m_step, stm._estep_chunk, stm._batch_neg_hessian
 
     def stamped(*args):
         stamps.append(time.perf_counter())
+        marks.append(len(blocks))
         return m_step(*args)
+
+    def counting(rows, *args):
+        blocks.append(len(rows))  # one append, so the pool's threads lose none
+        return neg_hessian(rows, *args)
 
     def capturing(chunk, *args, **kwargs):
         out = kernel(chunk, *args, **kwargs)
         last_blocks[chunk.rows] = out[1]
         return out
 
-    stm.m_step = stamped
+    stm.m_step, stm._batch_neg_hessian = stamped, counting
     if last_blocks is not None:
         stm._estep_chunk = capturing
     try:
         model = fit(corpus, design, config, threads=EM_THREADS)
     finally:
-        stm.m_step, stm._estep_chunk = m_step, kernel
+        stm.m_step, stm._estep_chunk, stm._batch_neg_hessian = m_step, kernel, neg_hessian
     stamps.append(time.perf_counter())
-    return model, np.diff(stamps)
+    marks.append(len(blocks))
+    per_doc = [sum(blocks[a:b]) / corpus.n_docs for a, b in zip(marks, marks[1:])]
+    return model, np.diff(stamps), np.array(per_doc)
 
 
 def term_word(v: int) -> str:
@@ -204,18 +216,21 @@ def main() -> None:
         config = FitConfig(k=k, max_em_iters=iters)
         if k == EM_KS[-1]:
             tracemalloc.start()
-            model, seconds_per_iter = timed_em(loaded, design, config, last_blocks)
+            model, seconds_per_iter, blocks = timed_em(loaded, design, config,
+                                                       last_blocks)
             fit_peak_traced_mb = round(tracemalloc.get_traced_memory()[1] / 1e6, 1)
             tracemalloc.stop()
         else:
-            model, seconds_per_iter = timed_em(loaded, design, config)
+            model, seconds_per_iter, blocks = timed_em(loaded, design, config)
         if len(seconds_per_iter) != iters:
             raise RuntimeError(f"timed {len(seconds_per_iter)} of the K={k} fit's "
                                f"{iters} EM iterations")
-        em[k] = {"s_per_em_iter": round(float(seconds_per_iter[:EM_ITERS].mean()), 3)}
-    late = seconds_per_iter[LATE_ITERS[0] - 1:]
+        em[k] = {"s_per_em_iter": round(float(seconds_per_iter[:EM_ITERS].mean()), 3),
+                 "blocks_per_doc": round(float(blocks[:EM_ITERS].mean()), 3)}
+    late = slice(LATE_ITERS[0] - 1, None)
     em_late = {"k": EM_KS[-1], "iterations": list(LATE_ITERS),
-               "s_per_em_iter": round(float(late.mean()), 3)}
+               "s_per_em_iter": round(float(seconds_per_iter[late].mean()), 3),
+               "blocks_per_doc": round(float(blocks[late].mean()), 3)}
     with tempfile.TemporaryDirectory() as tmp:
         path, seconds["model_save"] = timed(lambda: model.save(Path(tmp) / "model.json"))
         model_files = {p.name: round(p.stat().st_size / 1e6, 2)
