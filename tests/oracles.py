@@ -163,9 +163,9 @@ def ols_closed_form(x_vals: np.ndarray, y_vals: np.ndarray):
 # tries, so a test can show that its chunk exercises the branch it names.
 # Its value helper mirrors the kernel's per-row ``diff @ sigma_inv``,
 # shared by the prior term and the gradient; the einsum form it replaced is
-# kept below it. The current
-# kernel must match it bit for bit in eta, nu and the bound, and in the
-# expected counts to rtol 1e-14, since it sums them with one GEMM.
+# kept below it. The current kernel must match it bit for bit in eta, nu
+# and the bound, and in the expected counts to rtol 1e-14, since it sums
+# them with one GEMM.
 
 
 def _ref_batch_value(eta, mu, sigma_inv, b, cts, totals):

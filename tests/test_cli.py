@@ -340,7 +340,6 @@ class TestMetricsStage:
         assert written != dumps_canonical(
             model_quality(beta, corpus, m=cfg.coherence_m, frex_w=cfg.frex_w))
 
-
     def test_term_held_only_by_dropped_rows(self, tmp_path):
         """The sample with ``conflict`` blank for every speech holding
         ``mediat``: the formula drops them all, so no scored row holds the
