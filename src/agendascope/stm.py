@@ -372,20 +372,23 @@ def _expected_counts(beta, w, den, cts, idx):
 
 
 def _estep_chunk(chunk: _Chunk, eta_all, mu_all, sigma_inv, beta,
-                 *, max_iter: int = 200, grad_tol: float = 1e-8, counts: bool = True):
+                 *, max_iter: int = 200, counts: bool = True):
     """Newton ascent for every document of one chunk, batched, from its
     rows of ``eta_all``.
 
     Each document's state (value, gradient and mixture pieces) is carried at
     its current mode estimate and updated only for the rows a step moves; an
-    accepted step takes its state from its line-search trial. A document
-    stops when its max |gradient| falls below ``grad_tol`` x max(1, tokens),
-    or, before its line search, when half its squared Newton decrement
-    ``grad . step`` falls below ``_DECREMENT_TOL`` x max(1, tokens); the
-    curvature block of that step, formed at its final point, is then its
-    Laplace block, and only the other documents get a block after the loop.
-    Returns (modes, Laplace covariance blocks, expected counts or None
-    without ``counts``, bound contribution), rows in ``chunk.rows`` order.
+    accepted step takes its state from its line-search trial. Each pass
+    forms the damped curvature block of every moving document at its
+    current point and keeps it, with half its log-determinant, as that
+    document's Laplace block. A document stops, before its line search,
+    when half its squared Newton decrement ``grad . step`` falls below
+    ``_DECREMENT_TOL`` x max(1, tokens), or when its line search fails;
+    after ``max_iter`` steps one more pass forms blocks only and stops the
+    rest. So each Laplace block is formed once, at the document's final
+    point. Returns (modes, Laplace covariance blocks, expected counts or
+    None without ``counts``, bound contribution), rows in ``chunk.rows``
+    order.
     """
     rows = chunk.rows
     m = len(rows)
@@ -396,35 +399,28 @@ def _estep_chunk(chunk: _Chunk, eta_all, mu_all, sigma_inv, beta,
     totals = chunk.totals
     eta = eta_all[rows]  # a copy: fancy indexing
     mu = mu_all[rows]
-    scale = np.maximum(1.0, totals)
-    tol = grad_tol * scale
-    stop_slope = 2.0 * _DECREMENT_TOL * scale
-    # each document's damped curvature block at its final point, and half
-    # its log-determinant: allocated when the first document stops on its
-    # decrement, and completed after the loop
-    neg_h = half_logdet = None
-    formed = np.zeros(m, dtype=bool)
+    stop_slope = 2.0 * _DECREMENT_TOL * np.maximum(1.0, totals)
 
     value, grad, w, den, q, theta = _batch_state(eta, mu, sigma_inv, b, cts, totals)
     active = np.arange(m)
-    for _ in range(max_iter):
-        live = np.abs(grad[active]).max(axis=1) >= tol[active]
-        if not live.any():
-            break
-        active = active[live]
+    # neg_h and half_logdet hold each document's damped curvature block and
+    # half its log-determinant: the first pass forms every document's, and
+    # each later pass replaces those of the documents still moving
+    for n_steps in range(max_iter + 1):
         chols_a, neg_h_a = _damped_cholesky(_batch_neg_hessian(
             active, q, theta, w, den, b, cts, sigma_inv, totals))
+        if n_steps:
+            neg_h[active], half_logdet[active] = neg_h_a, _half_logdet(chols_a)
+        else:
+            neg_h, half_logdet = neg_h_a, _half_logdet(chols_a)
+        if n_steps == max_iter:  # the step limit: blocks only
+            break
         grad_a = grad[active]
         step = np.linalg.solve(neg_h_a, grad_a[:, :, None])[:, :, 0]
+        del chols_a, neg_h_a  # kept above, so not held through the line search
         slope = (grad_a * step).sum(axis=1)
         done = slope < stop_slope[active]
         if done.any():  # these stop here, with this block as their Laplace block
-            if neg_h is None:
-                neg_h, half_logdet = np.empty((m,) + sigma_inv.shape), np.empty(m)
-            stopped = active[done]
-            neg_h[stopped] = neg_h_a[done]
-            half_logdet[stopped] = _half_logdet(chols_a[done])
-            formed[stopped] = True
             active, step, slope = active[~done], step[~done], slope[~done]
             if not active.size:
                 break
@@ -449,9 +445,10 @@ def _estep_chunk(chunk: _Chunk, eta_all, mu_all, sigma_inv, beta,
             if not pending.size:
                 break
             t *= 0.5
+        # line-search failures freeze in place, with this pass's block
         if pending.size == len(active):
             break
-        if pending.size:  # line-search failures freeze in place
+        if pending.size:
             accepted = np.ones(len(active), dtype=bool)
             accepted[pending] = False
             active = active[accepted]
@@ -467,14 +464,6 @@ def _estep_chunk(chunk: _Chunk, eta_all, mu_all, sigma_inv, beta,
             eta[active], value[active], grad[active] = eta_m, value_m, grad_m
             w[active], den[active], q[active], theta[active] = w_m, den_m, q_m, theta_m
 
-    # Laplace blocks at the modes not yet formed, from the carried state
-    rest = np.flatnonzero(~formed)
-    chols_r, neg_h_r = _damped_cholesky(_batch_neg_hessian(
-        rest, q, theta, w, den, b, cts, sigma_inv, totals))
-    if neg_h is None:  # no document stopped on its decrement: no copy
-        neg_h, half_logdet = neg_h_r, _half_logdet(chols_r)
-    else:
-        neg_h[rest], half_logdet[rest] = neg_h_r, _half_logdet(chols_r)
     eye = np.broadcast_to(np.eye(neg_h.shape[1]), neg_h.shape)
     nu = np.linalg.solve(neg_h, eye)
     nu = 0.5 * (nu + nu.transpose(0, 2, 1))
@@ -608,10 +597,11 @@ def posterior_covariances(corpus: Corpus, design: PrevalenceDesign,
                           model: FittedModel, threads: int = 1) -> np.ndarray:
     """The D x (K-1) x (K-1) posterior covariances of ``model``, fitted to
     ``corpus`` under ``design``: the inverse damped curvature at each saved
-    mode under the saved parameters, exactly symmetric. This is the Laplace
-    tail of ``fit``'s E-step on ``fit``'s chunks, with no Newton step, so it
-    gives the blocks of ``fit``'s last E-step, bit for bit, at any
-    ``threads``; the model keeps none."""
+    mode under the saved parameters, exactly symmetric. This is ``fit``'s
+    E-step on ``fit``'s chunks with ``max_iter=0``: its block-only pass
+    forms each block at the saved mode, as the pass that stopped the
+    document there did, so it gives the blocks of ``fit``'s last E-step,
+    bit for bit, at any ``threads``; the model keeps none."""
     x = _design_matrix(corpus, design)
     if model.eta.shape[0] != corpus.n_docs or model.beta.shape[1] != corpus.n_terms:
         raise DimensionMismatch("the model does not fit the corpus's documents and terms")

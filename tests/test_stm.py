@@ -253,13 +253,14 @@ class TestKernelMatchesReference:
     of it; the expected counts agree to a few ulps."""
 
     # (prior precision, its coupling, start spread around mu, count scale,
-    # grad_tol, the Newton decrement tolerance) and the first seed at K = 3,
-    # 8, 30 whose chunk takes the case's branch. The prior precision is
-    # prior * (I + coupling * 1 1'); "coupled" halves like "halve" under a
-    # dense one, so the bit-equality sees how the pending-only line search
-    # forms diff @ sigma_inv. "frozen" turns both stopping tests off, so
-    # Newton ascent runs until a line search fails; "decrement" stops every
-    # row on its decrement, so the Laplace tail forms no block.
+    # the reference's grad_tol, the Newton decrement tolerance) and the first
+    # seed at K = 3, 8, 30 whose chunk takes the case's branch. The prior
+    # precision is prior * (I + coupling * 1 1'); "coupled" halves like
+    # "halve" under a dense one, so the bit-equality sees how the
+    # pending-only line search forms diff @ sigma_inv. "frozen" turns every
+    # stopping test off, so Newton ascent runs until a line search fails;
+    # "decrement" stops every row on its decrement, so the reference's
+    # Laplace tail forms no block.
     CASES = {
         "accept": ((5.0, 0.0, 0.0, 1.0, 1e-8, 1e-8), {3: 0, 8: 0, 30: 0}),
         "halve": ((2.0, 0.0, 3.0, 1.0, 1e-8, 1e-8), {3: 1, 8: 0, 30: 0}),
@@ -298,50 +299,59 @@ class TestKernelMatchesReference:
                 {"grad_tol": grad_tol, "decrement_tol": decrement_tol})
 
     @staticmethod
-    def kernel(monkeypatch, chunk, eta, mu, sigma_inv, beta, tols):
-        """``_estep_chunk`` under the case's tolerances: the decrement's is a
-        module constant, not a parameter."""
+    def kernel(monkeypatch, chunk, eta, mu, sigma_inv, beta, tols, **kwargs):
+        """``_estep_chunk`` under the case's decrement tolerance, a module
+        constant, not a parameter; the kernel has no gradient test, so the
+        case's ``grad_tol`` is the reference's alone."""
         monkeypatch.setattr(stm_mod, "_DECREMENT_TOL", tols["decrement_tol"])
-        return _estep_chunk(chunk, eta, mu, sigma_inv, beta, grad_tol=tols["grad_tol"])
+        return _estep_chunk(chunk, eta, mu, sigma_inv, beta, **kwargs)
 
     @pytest.mark.parametrize("k", [3, 8, 30])
     @pytest.mark.parametrize("name", ["accept", "halve", "coupled", "frozen", "damped",
                                       "decrement"])
     def test_bit_equal_to_reference(self, monkeypatch, name, k):
+        """At the default step limit, where the case takes its branch, and
+        at ``max_iter`` 0 and 2, where the block-only pass stops the rows
+        still moving."""
         chunk, eta0, mu, sigma_inv, beta, tols = self.case(name, k)
         m = len(chunk.rows)
-        events = collections.Counter()
-        ref_eta, ref_nu = eta0.copy(), np.zeros((m, k - 1, k - 1))
-        ref_counts, ref_bound = estep_chunk_reference(
-            chunk, ref_eta, ref_nu, mu, sigma_inv, beta, events, **tols)
         start = eta0.copy()
         blocks = []
         neg_hessian = stm_mod._batch_neg_hessian
         monkeypatch.setattr(stm_mod, "_batch_neg_hessian",
                             lambda rows, *args: (blocks.append(len(rows))
                                                  or neg_hessian(rows, *args)))
-        eta, nu, counts, bound = self.kernel(monkeypatch, chunk, eta0, mu, sigma_inv,
-                                             beta, tols)
+        for max_iter in (200, 0, 2):
+            events = collections.Counter()
+            ref_eta, ref_nu = eta0.copy(), np.zeros((m, k - 1, k - 1))
+            ref_counts, ref_bound = estep_chunk_reference(
+                chunk, ref_eta, ref_nu, mu, sigma_inv, beta, events, max_iter=max_iter,
+                **tols)
+            blocks.clear()
+            eta, nu, counts, bound = self.kernel(monkeypatch, chunk, eta0, mu, sigma_inv,
+                                                 beta, tols, max_iter=max_iter)
 
-        taken = {"accept": not (events["halved"] or events["damped"]
-                                or events["frozen"] or events["all_frozen"]),
-                 "halve": 0 < events["halved"] and not events["damped"],
-                 "coupled": 0 < events["halved"] and not events["damped"],
-                 "frozen": events["frozen"] > 0 and not events["decrement"],
-                 "damped": events["damped"] > 0,
-                 "decrement": events["decrement"] == m}
-        assert taken[name], dict(events)
-        # one block per Newton step, then one per row not stopped on its
-        # decrement: a stopped row's Laplace block is its last step's
-        assert sum(blocks) == events["steps"] + events["tail"]
-        assert np.array_equal(eta0, start)  # the caller's array is left alone
-        assert np.array_equal(eta, ref_eta)
-        assert np.array_equal(nu, ref_nu)
-        assert bound == ref_bound
-        # the counts are one GEMM, not the reference's per-term sums, so
-        # they round differently
-        np.testing.assert_allclose(counts, ref_counts, rtol=1e-14, atol=0)
-        assert np.array_equal(counts == 0, ref_counts == 0)
+            if max_iter == 200:
+                taken = {"accept": not (events["halved"] or events["damped"]
+                                        or events["frozen"] or events["all_frozen"]),
+                         "halve": 0 < events["halved"] and not events["damped"],
+                         "coupled": 0 < events["halved"] and not events["damped"],
+                         "frozen": events["frozen"] > 0 and not events["decrement"],
+                         "damped": events["damped"] > 0,
+                         "decrement": events["decrement"] == m}
+                assert taken[name], dict(events)
+            # one block per Newton step, then one per row the block-only pass
+            # stops: every row's Laplace block is formed once, at its final
+            # point, where the reference forms a frozen row's block again
+            assert sum(blocks) == events["steps"] + events["tail"] - events["frozen"]
+            assert np.array_equal(eta0, start)  # the caller's array is left alone
+            assert np.array_equal(eta, ref_eta)
+            assert np.array_equal(nu, ref_nu)
+            assert bound == ref_bound
+            # the counts are one GEMM, not the reference's per-term sums, so
+            # they round differently
+            np.testing.assert_allclose(counts, ref_counts, rtol=1e-14, atol=0)
+            assert np.array_equal(counts == 0, ref_counts == 0)
 
     @pytest.mark.parametrize("k", [3, 8, 30])
     @pytest.mark.parametrize("name", ["accept", "halve", "coupled", "frozen", "damped"])
@@ -802,11 +812,8 @@ class TestPosteriorCovariances:
                                   fit_nu)
 
     def test_last_estep_froze_documents(self, monkeypatch):
-        """With neither stopping test, Newton ascent runs until a line
+        """With the decrement test off, Newton ascent runs until a line
         search fails, which freezes its document."""
-        kernel = stm_mod._estep_chunk
-        monkeypatch.setattr(stm_mod, "_estep_chunk",
-                            lambda *a, **kw: kernel(*a, **kw, grad_tol=0.0))
         monkeypatch.setattr(stm_mod, "_DECREMENT_TOL", 0.0)
         corpus = two_block_corpus(seed=3, n_docs=100)
         design = PrevalenceDesign.intercept_only(corpus.n_docs)
