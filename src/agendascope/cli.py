@@ -171,8 +171,8 @@ def run_metrics(cfg: RunConfig) -> Stage:
     model, _, sub, inputs = _load_fitted(
         cfg, sizes={"metrics.coherence_m": cfg.coherence_m,
                     "metrics.top_words": cfg.top_words})
-    summaries = summarize_topics(model.beta, model.vocabulary, sub,
-                                 n_words=cfg.top_words, frex_w=cfg.frex_w)
+    summaries = summarize_topics(model.beta, sub, n_words=cfg.top_words,
+                                 frex_w=cfg.frex_w)
     quality = model_quality(model.beta, sub, m=cfg.coherence_m,
                             frex_w=cfg.frex_w)
     summaries_path = write_json(out_dir / SUMMARIES_FILE, {"topics": summaries})
@@ -242,7 +242,7 @@ def run_effects(cfg: RunConfig) -> Stage:
     _check_contrasts(cfg.targets, built)
     draws = None
     if cfg.targets:
-        nu = posterior_covariances(sub, built, model, threads=cfg.threads)
+        nu = posterior_covariances(sub, model, threads=cfg.threads)
         draws = EffectDraws(model, built, nu, cfg.n_draws, cfg.seed + _EFFECT_SEED_OFFSET)
     effects_dir = out_dir / "effects"
     effects_dir.mkdir(parents=True, exist_ok=True)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -25,10 +25,6 @@ REGIONS = ("EAS", "ECS", "LCN", "MEA", "NAC", "SAS", "SSA")
 YEAR_RANGE = (1970, 2016)
 
 _FILENAME_RE = re.compile(r"^([A-Z]{3})_(\d+)_(\d{4})$")
-
-_METADATA_COLUMNS = ("doc_id", "gdp_pc", "population", "oda", "polity",
-                     "conflict", "region")
-
 
 @cache
 def _builtin_stopwords() -> frozenset[str]:
@@ -87,6 +83,9 @@ class CovariateRecord:
             raise ValueError(f"population {self.population} not positive")
         if self.region not in REGIONS:
             raise ValueError(f"region {self.region!r} not one of {REGIONS}")
+
+
+_METADATA_COLUMNS = tuple(f.name for f in fields(CovariateRecord))
 
 
 @dataclass
@@ -164,9 +163,7 @@ class Corpus:
 
     def covariate_table(self) -> dict[str, list]:
         """Column view of covariates plus doc year, for design building."""
-        table: dict[str, list] = {k: [] for k in
-                                  ("doc_id", "gdp_pc", "population", "oda",
-                                   "polity", "conflict", "region", "year")}
+        table: dict[str, list] = {k: [] for k in (*_METADATA_COLUMNS, "year")}
         for rec, year in zip(self.covariates, self.years):
             d = {**vars(rec), "year": year,
                  "conflict": None if rec.conflict is None else int(rec.conflict)}

@@ -101,8 +101,6 @@ def _numeric_column(values: list, name: str) -> np.ndarray:
     for i, v in enumerate(values):
         if v is None:
             out[i] = np.nan
-        elif isinstance(v, bool):
-            out[i] = float(v)
         elif isinstance(v, (int, float, np.integer, np.floating)):
             out[i] = float(v)
         else:

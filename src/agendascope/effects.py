@@ -267,8 +267,14 @@ def estimate_effect(draws: EffectDraws, topic: int, target: str, *,
     """Expected proportion of ``topic`` over a grid of ``target`` values,
     other covariates held at means/modes (or averaged over observed rows
     with ``hold='observed'``). Per-draw predictions are clipped to [0, 1].
+    Raises ValueError for a ``hold`` other than those two or a
+    ``grid_points`` below 2, as the config does.
     """
     _check_request(draws, topic, target)
+    if hold not in ("typical", "observed"):
+        raise ValueError(f"hold must be 'typical' or 'observed', not {hold!r}")
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be at least 2, not {grid_points}")
     grid = _grid_for(draws, target, grid_points)
     x_grid = _prediction_matrix(draws, target, grid, hold)
     preds = np.clip(draws.project(topic, x_grid), 0.0, 1.0)

@@ -28,7 +28,9 @@ def rank_terms(values: np.ndarray, m: int | None = None) -> np.ndarray:
     A top m short of the whole vocabulary comes from a partition: every
     index at or above the m-th largest value, ties at that cut included,
     is stable-sorted in index order, so the list is that of a full stable
-    sort."""
+    sort. A negative m is a ValueError."""
+    if m is not None and m < 0:
+        raise ValueError(f"m must be None or at least 0, not {m}")
     neg = -np.asarray(values)
     if m is None or not 0 < m < neg.size:
         return np.argsort(neg, kind="stable")[:m]
@@ -174,17 +176,18 @@ def model_quality(beta: np.ndarray, corpus: Corpus, m: int = DEFAULT_TOP_WORDS,
                         m_top_words=m)
 
 
-def summarize_topics(beta: np.ndarray, vocabulary: list[str], corpus: Corpus,
+def summarize_topics(beta: np.ndarray, corpus: Corpus,
                      n_words: int = DEFAULT_SUMMARY_WORDS,
                      frex_w: float = DEFAULT_FREX_WEIGHT) -> list[TopicSummary]:
-    """Ranked word lists per topic under all four keyword metrics."""
+    """Ranked word lists per topic under all four keyword metrics, each
+    term named from ``corpus.vocabulary``."""
     frex = exclusivity_frex(beta, w=frex_w).frex
     lift_vals = lift(beta, corpus)
     score_vals = score(beta)
 
     def top(values_row):
         idx = rank_terms(values_row, n_words)
-        return [(vocabulary[i], float(values_row[i])) for i in idx]
+        return [(corpus.vocabulary[i], float(values_row[i])) for i in idx]
 
     return [TopicSummary(topic_index=k,
                          top_prob=top(beta[k]),

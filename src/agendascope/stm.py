@@ -511,15 +511,6 @@ def e_step_doc(counts_d: np.ndarray, mu_d: np.ndarray, sigma_inv: np.ndarray,
 # -- the EM loop -------------------------------------------------------------
 
 
-def _design_matrix(corpus: Corpus, design: PrevalenceDesign) -> np.ndarray:
-    design.validate()
-    x = np.asarray(design.x, dtype=float)
-    if x.shape[0] != corpus.n_docs:
-        raise DimensionMismatch(
-            f"design has {x.shape[0]} rows for {corpus.n_docs} documents")
-    return x
-
-
 def _chunks(corpus: Corpus) -> list[_Chunk]:
     """The E-step partition: longest documents first, so chunks pad little
     and a pool does not end on its heaviest chunk; it depends on the corpus
@@ -530,13 +521,13 @@ def _chunks(corpus: Corpus) -> list[_Chunk]:
             for start in range(0, corpus.n_docs, _CHUNK)]
 
 
-def _prior(sigma: np.ndarray, x: np.ndarray, gamma: np.ndarray):
-    """(sigma_inv, mu, log det sigma) of the prevalence prior."""
+def _prior(sigma: np.ndarray):
+    """(sigma_inv, log det sigma) of the prevalence prior."""
     chol_sigma = np.linalg.cholesky(sigma)
     sigma_inv = np.linalg.solve(sigma, np.eye(sigma.shape[0]))
     sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
     logdet_sigma = 2.0 * float(np.log(np.diag(chol_sigma)).sum())
-    return sigma_inv, x @ gamma, logdet_sigma
+    return sigma_inv, logdet_sigma
 
 
 def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
@@ -547,7 +538,11 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
     Deterministic given the seed: document order, the length-sorted chunk
     partition, and reduction order are fixed regardless of ``threads``.
     """
-    x = _design_matrix(corpus, design)
+    design.validate()
+    x = np.asarray(design.x, dtype=float)
+    if x.shape[0] != corpus.n_docs:
+        raise DimensionMismatch(
+            f"design has {x.shape[0]} rows for {corpus.n_docs} documents")
     k = config.k
     beta, eta = init_params(corpus, config)
     n_docs, n_terms = corpus.n_docs, corpus.n_terms
@@ -561,7 +556,8 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
         for iteration in range(config.max_em_iters):
             if iteration:  # so the loop ends on an E-step, whatever stops it
                 beta, gamma, sigma = m_step(eta, nu_sum / n_docs, x, config, beta_ss)
-            sigma_inv, mu, logdet_sigma = _prior(sigma, x, gamma)
+            sigma_inv, logdet_sigma = _prior(sigma)
+            mu = x @ gamma
             partials = chunk_map(lambda c: _estep_chunk(c, eta, mu, sigma_inv, beta), chunks)
             beta_ss = np.zeros((k, n_terms))
             nu_sum = np.zeros((k - 1, k - 1))
@@ -593,28 +589,27 @@ def fit(corpus: Corpus, design: PrevalenceDesign, config: FitConfig,
     return model
 
 
-def posterior_covariances(corpus: Corpus, design: PrevalenceDesign,
-                          model: FittedModel, threads: int = 1) -> np.ndarray:
+def posterior_covariances(corpus: Corpus, model: FittedModel,
+                          threads: int = 1) -> np.ndarray:
     """The D x (K-1) x (K-1) posterior covariances of ``model``, fitted to
-    ``corpus`` under ``design``: the inverse damped curvature at each saved
-    mode under the saved parameters, exactly symmetric. This is ``fit``'s
-    E-step on ``fit``'s chunks with ``max_iter=0``: its block-only pass
-    forms each block at the saved mode, as the pass that stopped the
-    document there did, so it gives the blocks of ``fit``'s last E-step,
-    bit for bit, at any ``threads``; the model keeps none."""
-    x = _design_matrix(corpus, design)
+    ``corpus``: the inverse damped curvature at each saved mode under the
+    saved parameters, exactly symmetric. This is ``fit``'s E-step on
+    ``fit``'s chunks with ``max_iter=0``: its block-only pass forms each
+    block at the saved mode, as the pass that stopped the document there
+    did, so it gives the blocks of ``fit``'s last E-step, bit for bit, at
+    any ``threads``; the model keeps none. The curvature reads the prior
+    only through sigma's inverse, never through its mean, so neither the
+    design nor gamma enters."""
     if model.eta.shape[0] != corpus.n_docs or model.beta.shape[1] != corpus.n_terms:
         raise DimensionMismatch("the model does not fit the corpus's documents and terms")
-    if x.shape[1] != model.gamma.shape[0]:
-        raise DimensionMismatch(f"design has {x.shape[1]} columns for the model's "
-                                f"{model.gamma.shape[0]} rows of gamma")
-    sigma_inv, mu, _ = _prior(model.sigma, x, model.gamma)
+    sigma_inv, _ = _prior(model.sigma)
     nu = np.empty(model.eta.shape + model.eta.shape[1:])
     chunks = _chunks(corpus)
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         blocks = (pool.map if threads > 1 else map)(
-            lambda c: _estep_chunk(c, model.eta, mu, sigma_inv, model.beta, max_iter=0,
-                                   counts=False)[1], chunks)
+            # the modes stand in for the prior mean, which no block reads
+            lambda c: _estep_chunk(c, model.eta, model.eta, sigma_inv, model.beta,
+                                   max_iter=0, counts=False)[1], chunks)
         for chunk, nu_c in zip(chunks, blocks):
             nu[chunk.rows] = nu_c
     return nu

@@ -305,7 +305,7 @@ def estep_chunk_reference(chunk, eta_all, nu_all, mu_all, sigma_inv, beta,
             t[~accepted] *= 0.5
             events["halved"] += int((~accepted).sum())
         if not accepted.any():
-            events["all_frozen"] += 1
+            events["all_frozen"] += len(active)
             break
         events["frozen"] += int((~accepted).sum())
         eta[active[accepted]] = cand[accepted]

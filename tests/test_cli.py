@@ -797,6 +797,14 @@ class TestConfig:
         assert err["error"] == "ConfigError"
         assert err["violations"] == ["fit.rel_tol must be a number > 0"]
 
+    def test_search_with_fixed_k_exit_is_structured(self, sample_run, capsys):
+        config, _ = sample_run
+        set_setting(config, "fit", {"k": 3})
+        assert run_cli("search", "--config", config) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["violations"] == ["search stage requires fit.k_grid"]
+
     def test_relative_paths_resolve_against_config(self, sample_run):
         config, _ = sample_run
         cfg = load_config(config)
@@ -818,6 +826,15 @@ class TestConfig:
         del obj["threads"]
         config.write_text(json.dumps(obj))
         assert load_config(config).threads == 1
+
+    def test_non_integer_threads_env_reported_with_others(self, sample_run, monkeypatch):
+        config, _ = sample_run
+        set_setting(config, "seed", -1)
+        monkeypatch.setenv("AGENDASCOPE_THREADS", "two")
+        with pytest.raises(ConfigError) as err:
+            load_config(config)
+        assert err.value.violations == ["AGENDASCOPE_THREADS is not an integer: 'two'",
+                                        "seed must be an integer >= 0"]
 
     @pytest.mark.parametrize("source", ["flag", "file", "env"])
     def test_threads_below_one_rejected(self, sample_run, monkeypatch, capsys, source):

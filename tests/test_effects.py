@@ -278,6 +278,23 @@ class TestEffectEstimate:
             estimate_effect(EffectDraws(model, build_design("x", covs), nu, n_draws=120, seed=0),
                             0, "zzz")
 
+    def test_unknown_hold_rejected(self):
+        model, nu, covs = planted_binary_model(11)
+        draws = EffectDraws(model, build_design("x", covs), nu, n_draws=120, seed=0)
+        with pytest.raises(ValueError, match="hold must be 'typical' or 'observed', "
+                                             "not 'observd'"):
+            estimate_effect(draws, 0, "x", hold="observd")
+
+    @pytest.mark.parametrize("grid_points", [1, 0, -3])
+    def test_grid_points_below_two_rejected(self, grid_points):
+        rng = np.random.default_rng(4)
+        z = rng.uniform(-2, 2, 150)
+        model, nu = fake_model(rng.normal(0, 0.2, (150, 1))), np.full((150, 1, 1), 1e-3)
+        draws = EffectDraws(model, build_design("z", {"z": list(z)}), nu, n_draws=120, seed=2)
+        with pytest.raises(ValueError, match=f"grid_points must be at least 2, "
+                                             f"not {grid_points}"):
+            estimate_effect(draws, 0, "z", grid_points=grid_points)
+
 
 class TestQuantilePair:
     def test_mirror_symmetry_exact(self):
@@ -339,7 +356,7 @@ class TestSharedDraws:
         cfg, both, _ = stage_runs
         model = FittedModel.load(both / "model.json")
         built, sub = _design_and_subset(cfg, Corpus.load(both / "corpus.json"))
-        nu = posterior_covariances(sub, built, model)
+        nu = posterior_covariances(sub, model)
         year, conflict = cfg.targets
         seed = cfg.seed + 7919
         draws = EffectDraws(model, built, nu, n_draws=cfg.n_draws, seed=seed)
@@ -358,7 +375,7 @@ class TestSharedDraws:
         cfg, both, _ = stage_runs
         model = FittedModel.load(both / "model.json")
         built, sub = _design_and_subset(cfg, Corpus.load(both / "corpus.json"))
-        nu = posterior_covariances(sub, built, model)
+        nu = posterior_covariances(sub, model)
         factored = []
         monkeypatch.setattr(effects_mod, "_factor_stack",
                             lambda mats: factored.append(1) or _factor_stack(mats))

@@ -50,6 +50,10 @@ class TestRankTerms:
             assert np.array_equal(rank_terms(values, m),
                                   rank_terms_reference(values, m)), m
 
+    def test_negative_m_rejected(self):
+        with pytest.raises(ValueError, match="m must be None or at least 0, not -2"):
+            rank_terms(np.array([3.0, 1.0, 2.0, 0.0]), -2)
+
 
 class TestSemanticCoherence:
     def test_perfect_cooccurrence_hand_value(self):
@@ -274,7 +278,7 @@ class TestSummaries:
 
     def test_summary_shapes_and_sorting(self):
         corpus, beta = self.make()
-        summaries = summarize_topics(beta, corpus.vocabulary, corpus, n_words=3)
+        summaries = summarize_topics(beta, corpus, n_words=3)
         assert len(summaries) == 2
         for s in summaries:
             for ranked in (s.top_prob, s.top_frex, s.top_lift, s.top_score):
@@ -293,7 +297,7 @@ class TestSummaries:
 
     def test_table_renders_every_topic(self):
         corpus, beta = self.make()
-        summaries = summarize_topics(beta, corpus.vocabulary, corpus, n_words=2)
+        summaries = summarize_topics(beta, corpus, n_words=2)
         table = top_words_table(summaries)
         assert "topic 0" in table and "topic 1" in table
         assert "prob" in table and "frex" in table

@@ -50,7 +50,7 @@ SCRIPT = textwrap.dedent("""
 
     # a continuous target, as both bench workloads estimate for year
     covs = {"year": [1970.0 + (7 * i) % 47 for i in range(corpus.n_docs)]}
-    nu = posterior_covariances(corpus, design, model)
+    nu = posterior_covariances(corpus, model)
     draws = EffectDraws(model, build_design("s(year,df=4)", covs), nu, n_draws=100, seed=0)
     assert len(estimate_effect(draws, 0, "year", grid_points=10).grid) == 10
     assert "numpy.ma" not in sys.modules

@@ -2,6 +2,8 @@
 
 import collections
 import logging
+import math
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -259,13 +261,15 @@ class TestKernelMatchesReference:
     # "halve" under a dense one, so the bit-equality sees how the
     # pending-only line search forms diff @ sigma_inv. "frozen" turns every
     # stopping test off, so Newton ascent runs until a line search fails;
-    # "decrement" stops every row on its decrement, so the reference's
-    # Laplace tail forms no block.
+    # "all_frozen" does so on a one-document chunk with larger counts, so a
+    # whole pass freezes; "decrement" stops every row on its decrement, so
+    # the reference's Laplace tail forms no block.
     CASES = {
         "accept": ((5.0, 0.0, 0.0, 1.0, 1e-8, 1e-8), {3: 0, 8: 0, 30: 0}),
         "halve": ((2.0, 0.0, 3.0, 1.0, 1e-8, 1e-8), {3: 1, 8: 0, 30: 0}),
         "coupled": ((2.0, 0.3, 3.0, 1.0, 1e-8, 1e-8), {3: 1, 8: 1, 30: 0}),
         "frozen": ((1.0, 0.0, 0.0, 1e4, 0.0, 0.0), {3: 7, 8: 28, 30: 1}),
+        "all_frozen": ((1.0, 0.0, 0.0, 1e6, 0.0, 0.0), {3: 45, 8: 0, 30: 35}),
         "decrement": ((2.0, 0.0, 3.0, 1.0, 1e-8, 1e-8), {3: 2, 8: 0, 30: 3}),
     }
 
@@ -285,6 +289,8 @@ class TestKernelMatchesReference:
             return (_Chunk(range(m), *csr(docs)), eta, mu, 1e-3 * np.eye(k - 1), beta,
                     {"grad_tol": 1e-8, "decrement_tol": 1e-8})
         (prior, coupling, spread, scale, grad_tol, decrement_tol), seeds = cls.CASES[name]
+        if name == "all_frozen":
+            m = 1
         rng = np.random.default_rng(seeds[k])
         beta = rng.dirichlet(np.full(v, 0.5), size=k)
         docs = []
@@ -308,7 +314,7 @@ class TestKernelMatchesReference:
 
     @pytest.mark.parametrize("k", [3, 8, 30])
     @pytest.mark.parametrize("name", ["accept", "halve", "coupled", "frozen", "damped",
-                                      "decrement"])
+                                      "decrement", "all_frozen"])
     def test_bit_equal_to_reference(self, monkeypatch, name, k):
         """At the default step limit, where the case takes its branch, and
         at ``max_iter`` 0 and 2, where the block-only pass stops the rows
@@ -338,12 +344,15 @@ class TestKernelMatchesReference:
                          "coupled": 0 < events["halved"] and not events["damped"],
                          "frozen": events["frozen"] > 0 and not events["decrement"],
                          "damped": events["damped"] > 0,
-                         "decrement": events["decrement"] == m}
+                         "decrement": events["decrement"] == m,
+                         "all_frozen": events["all_frozen"] > 0}
                 assert taken[name], dict(events)
             # one block per Newton step, then one per row the block-only pass
             # stops: every row's Laplace block is formed once, at its final
-            # point, where the reference forms a frozen row's block again
-            assert sum(blocks) == events["steps"] + events["tail"] - events["frozen"]
+            # point, where the reference forms a frozen row's block again, a
+            # row of a pass that froze whole included
+            assert sum(blocks) == (events["steps"] + events["tail"] - events["frozen"]
+                                   - events["all_frozen"])
             assert np.array_equal(eta0, start)  # the caller's array is left alone
             assert np.array_equal(eta, ref_eta)
             assert np.array_equal(nu, ref_nu)
@@ -582,6 +591,21 @@ class TestFit:
         with pytest.raises(DimensionMismatch):
             fit(corpus, design, FitConfig(k=2, seed=0))
 
+    @pytest.mark.parametrize("x, names, message", [
+        (np.ones(10), ["(intercept)"], "design matrix must be 2-D"),
+        (np.ones((10, 1)), ["(intercept)", "z"],
+         "column_names length differs from design width"),
+        (np.column_stack([np.ones(10), np.r_[np.arange(9.0), np.nan]]), ["(intercept)", "z"],
+         "design matrix contains non-finite entries"),
+        (np.ones((0, 1)), ["(intercept)"], "design matrix has no rows"),
+        (np.column_stack([np.full(10, 2.0), np.arange(10.0)]), ["(intercept)", "z"],
+         "first design column must be the all-ones intercept"),
+    ], ids=["one_dimensional", "names_length", "non_finite", "no_rows", "no_intercept"])
+    def test_invalid_design_rejected(self, x, names, message):
+        corpus = two_block_corpus(seed=8, n_docs=10)
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            fit(corpus, PrevalenceDesign(x=x, column_names=names), FitConfig(k=2, seed=0))
+
     def test_phi_count_conservation_through_fit(self):
         corpus = two_block_corpus(seed=9, n_docs=16)
         design = PrevalenceDesign.intercept_only(corpus.n_docs)
@@ -678,6 +702,21 @@ class TestFit:
         with pytest.raises(CorruptArtifact, match=f"model.json: {reason}"):
             FittedModel.load(path)
 
+    def test_nan_literal_in_eta_is_corrupt(self, tmp_path):
+        """Python's JSON reader takes the literal NaN, which no writer of
+        the package emits; loading names the file."""
+        corpus = two_block_corpus(seed=10, n_docs=12)
+        design = PrevalenceDesign.intercept_only(corpus.n_docs)
+        model = fit(corpus, design, FitConfig(k=3, seed=6, max_em_iters=2))
+        path = model.save(tmp_path / "model.json")
+        text = path.read_text(encoding="utf-8")
+        path.write_text(re.sub(r'"eta":\[\[[^,\]]+', '"eta":[[NaN', text, count=1),
+                        encoding="utf-8")
+        assert math.isnan(read_json(path)["eta"][0][0])
+        with pytest.raises(CorruptArtifact, match=f"^corrupt artifact {re.escape(str(path))}: "
+                                                  "eta has a non-finite entry$"):
+            FittedModel.load(path)
+
     def test_converged_flags_capped_fit_and_warns(self, caplog):
         corpus = two_block_corpus(seed=5, n_docs=24)
         design = PrevalenceDesign.intercept_only(corpus.n_docs)
@@ -733,8 +772,7 @@ def fit_with_last_blocks(monkeypatch, corpus, design, config, threads=1):
 
 class TestPosteriorCovariances:
     """``posterior_covariances`` gives the covariance blocks of ``fit``'s
-    last E-step, bit for bit, from the saved model, its corpus and its
-    design."""
+    last E-step, bit for bit, from the saved model and its corpus."""
 
     @staticmethod
     def last_estep_events(model, fit_nu, inputs, **tols):
@@ -758,7 +796,7 @@ class TestPosteriorCovariances:
             monkeypatch, corpus, design, FitConfig(k=k, seed=1, max_em_iters=6), threads)
         loaded = FittedModel.load(model.save(tmp_path / "model.json"))
         for recompute_threads in (1, 2):
-            nu = posterior_covariances(corpus, design, loaded, threads=recompute_threads)
+            nu = posterior_covariances(corpus, loaded, threads=recompute_threads)
             assert np.array_equal(nu, fit_nu)
         assert np.array_equal(loaded.eta, model.eta)  # the recompute writes no mode
 
@@ -774,7 +812,7 @@ class TestPosteriorCovariances:
         assert events["decrement"] > corpus.n_docs // 2
         for recompute_threads in (1, 2):
             assert np.array_equal(
-                posterior_covariances(corpus, design, model, recompute_threads), fit_nu)
+                posterior_covariances(corpus, model, recompute_threads), fit_nu)
 
     def test_documents_dropped_for_missing_covariates(self, monkeypatch):
         corpus, _, _, _ = model_draw(4, n_docs=150, n_terms=300, doc_len=80)
@@ -786,19 +824,9 @@ class TestPosteriorCovariances:
         for threads in (1, 2):
             model, fit_nu, _ = fit_with_last_blocks(
                 monkeypatch, sub, built, FitConfig(k=4, seed=2, max_em_iters=5), threads)
-            assert np.array_equal(posterior_covariances(sub, built, model, threads),
-                                  fit_nu)
+            assert np.array_equal(posterior_covariances(sub, model, threads), fit_nu)
         with pytest.raises(DimensionMismatch, match="does not fit"):
-            posterior_covariances(corpus, PrevalenceDesign.intercept_only(corpus.n_docs),
-                                  model)
-
-    def test_design_width_differs_from_gamma(self):
-        corpus, design, _, _ = model_draw(4, n_docs=60, n_terms=120, doc_len=40)
-        model = fit(corpus, design, FitConfig(k=3, seed=2, max_em_iters=2))
-        with pytest.raises(DimensionMismatch, match=f"design has 1 columns for the "
-                           f"model's {design.x.shape[1]} rows of gamma"):
-            posterior_covariances(corpus, PrevalenceDesign.intercept_only(corpus.n_docs),
-                                  model)
+            posterior_covariances(corpus, model)
 
     def test_last_estep_damped(self, monkeypatch):
         corpus = two_block_corpus(seed=3, n_docs=40)
@@ -808,7 +836,7 @@ class TestPosteriorCovariances:
                 monkeypatch, corpus, design, FitConfig(k=8, seed=2, max_em_iters=1),
                 threads)
             assert self.last_estep_events(model, fit_nu, inputs)["damped"] > 0
-            assert np.array_equal(posterior_covariances(corpus, design, model, threads),
+            assert np.array_equal(posterior_covariances(corpus, model, threads),
                                   fit_nu)
 
     def test_last_estep_froze_documents(self, monkeypatch):
@@ -824,7 +852,7 @@ class TestPosteriorCovariances:
             events = self.last_estep_events(model, fit_nu, inputs, grad_tol=0.0,
                                             decrement_tol=0.0)
             assert events["frozen"] > 0
-            assert np.array_equal(posterior_covariances(corpus, design, model, threads),
+            assert np.array_equal(posterior_covariances(corpus, model, threads),
                                   fit_nu)
 
 

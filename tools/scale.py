@@ -236,7 +236,7 @@ def main() -> None:
         model_files = {p.name: round(p.stat().st_size / 1e6, 2)
                        for p in sorted(Path(tmp).iterdir())}
         loaded_model, seconds["model_load"] = timed(lambda: FittedModel.load(path))
-    nu, wall = timed(lambda: posterior_covariances(loaded, design, loaded_model,
+    nu, wall = timed(lambda: posterior_covariances(loaded, loaded_model,
                                                    threads=EM_THREADS))
     recompute = {"k": EM_KS[-1], "threads": EM_THREADS, "s": wall,
                  "bit_equal": bool(np.array_equal(nu, last_blocks)),
@@ -253,7 +253,7 @@ def main() -> None:
                "draws_per_block": draws_per_block(*model.eta.shape),
                "peak_rss_mb_before": rss_before_effects,
                "peak_rss_mb_after": peak_rss_mb()}
-    _, summarize_s = timed(lambda: summarize_topics(model.beta, loaded.vocabulary, loaded))
+    _, summarize_s = timed(lambda: summarize_topics(model.beta, loaded))
     _, quality_s = timed(lambda: model_quality(model.beta, loaded))
     _, coherence_s = timed(lambda: semantic_coherence(model.beta, loaded, 10))
     tracemalloc.start()
