@@ -243,7 +243,8 @@ def run_effects(cfg: RunConfig) -> Stage:
     draws = None
     if cfg.targets:
         nu = posterior_covariances(sub, model, threads=cfg.threads)
-        draws = EffectDraws(model, built, nu, cfg.n_draws, cfg.seed + _EFFECT_SEED_OFFSET)
+        draws = EffectDraws(model, built, nu, cfg.n_draws, cfg.seed + _EFFECT_SEED_OFFSET,
+                            threads=cfg.threads)
     effects_dir = out_dir / "effects"
     effects_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
@@ -328,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="run-config JSON")
         cmd.add_argument("--seed", type=int, help="override the config seed")
         cmd.add_argument("--threads", type=int,
-                         help="intra-stage parallelism (env AGENDASCOPE_THREADS as fallback)")
+                         help="threads for the search, fit and effects stages "
+                              "(env AGENDASCOPE_THREADS as fallback)")
         cmd.add_argument("--out", dest="paths.out_dir", metavar="DIR",
                          help="override the output dir")
         cmd.add_argument("--deterministic", action=argparse.BooleanOptionalAction,

@@ -10,6 +10,7 @@ them.
 
 from __future__ import annotations
 
+import concurrent.futures
 from collections import Counter
 from dataclasses import dataclass
 
@@ -26,7 +27,8 @@ MIN_DRAWS = 100
 # Byte cap on one block of draws' document normals, a memory decision: on
 # 384 documents at K=30 (5 draws a block) 1 MiB took the effects stage's
 # peak RSS above the fit stage's, and 256 KiB (2 draws) lost most of the
-# gain of sharing each matrix product.
+# gain of sharing each matrix product. The cap is per block, and up to
+# ``threads`` blocks are in flight at once.
 DRAW_BLOCK_BYTES = 512 * 1024
 
 
@@ -121,11 +123,13 @@ class EffectDraws:
     normals, so a topic's draws depend only on the seed, the model and the
     design, never on which topics or targets are estimated from them. The
     draws run in blocks that share each matrix product; a block changes
-    no draw's generator or the order of its normals.
+    no draw's generator or the order of its normals. The blocks run on
+    ``threads`` threads, and each writes only its own draws, so the draws
+    are the same, bit for bit, at any ``threads``.
     """
 
     def __init__(self, model: FittedModel, design: BuiltDesign, nu: np.ndarray,
-                 n_draws: int = DEFAULT_DRAWS, seed: int = 0):
+                 n_draws: int = DEFAULT_DRAWS, seed: int = 0, threads: int = 1):
         if n_draws < MIN_DRAWS:
             raise ValueError(f"n_draws must be at least {MIN_DRAWS}")
         self.built = design
@@ -163,19 +167,25 @@ class EffectDraws:
         except HessianNotPD as exc:
             raise HessianNotPD(f"posterior covariance nu of document "
                                f"{model.doc_ids[exc.row]!r}: {exc}") from None
-        self.coef = self._coefficient_draws(model.eta, factors, seed)
+        self.coef = self._coefficient_draws(model.eta, factors, seed, threads)
 
     def _coefficient_draws(self, eta: np.ndarray, nu_factors: np.ndarray,
-                           seed: int) -> np.ndarray:
+                           seed: int, threads: int) -> np.ndarray:
         """n_draws x K x p coefficient draws, from one generator per draw
         spawned from the seed, computed ``draws_per_block`` draws at a
-        time."""
+        time on ``threads`` threads."""
         out = np.empty((self.n_draws, eta.shape[1] + 1, self.p))
         children = np.random.SeedSequence(seed).spawn(self.n_draws)
         size = draws_per_block(*eta.shape)
-        for start in range(0, self.n_draws, size):
+
+        def fill(start: int) -> None:  # a block writes only its own draws
             out[start:start + size] = self._draw_block(
                 eta, nu_factors, children[start:start + size])
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            # list() drains the map and re-raises a block's error; one
+            # thread: no worker starts
+            list((pool.map if threads > 1 else map)(fill, range(0, self.n_draws, size)))
         return out
 
     def _draw_block(self, eta: np.ndarray, nu_factors: np.ndarray,

@@ -105,6 +105,21 @@ class TestStages:
                 continue
             assert allrun[rel] == digest, rel
 
+    def test_threads_do_not_change_artifacts(self, sample_run, tmp_path, monkeypatch):
+        """``all`` at one and at two threads writes the same bytes. The
+        sample's 300 draws fit in one block of draws, so the block cap is
+        cut to one draw a block for the effects pool to run many."""
+        config, _ = sample_run
+        monkeypatch.setattr(effects, "DRAW_BLOCK_BYTES", 1)
+        runs = {}
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            assert run_cli("all", "--config", config, "--out", out,
+                           "--threads", threads) == 0
+            runs[threads] = {p.relative_to(out): file_sha256(p) for p in out.rglob("*")
+                             if p.is_file() and not p.name.endswith(".manifest.json")}
+        assert runs[1] == runs[2]
+
     def test_manifest_lists_every_output_with_hash(self, sample_run):
         config, out = sample_run
         assert run_cli("ingest", "--config", config) == 0

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,25 @@ class TestBlockedDraws:
         monkeypatch.setattr(effects_mod, "DRAW_BLOCK_BYTES", 1)
         single = EffectDraws(model, built, nu, n_draws=100, seed=8)
         np.testing.assert_allclose(single.coef, few.coef, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("block_bytes", [effects_mod.DRAW_BLOCK_BYTES, 1])
+    def test_same_bits_at_any_thread_count(self, monkeypatch, block_bytes):
+        """The blocks on a pool of threads give the serial loop's draws,
+        bit for bit, with several draws a block and with one; 3 threads
+        and a short switch interval interleave the blocks' writes."""
+        monkeypatch.setattr(effects_mod, "DRAW_BLOCK_BYTES", block_bytes)
+        model, nu, covs = random_model(0)
+        built = build_design("x + g", covs)
+        assert effects_mod.draws_per_block(*model.eta.shape) < 150
+        serial = EffectDraws(model, built, nu, n_draws=150, seed=4, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (2, 3):
+                pooled = EffectDraws(model, built, nu, n_draws=150, seed=4, threads=threads)
+                assert np.array_equal(pooled.coef, serial.coef), threads
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestDegenerateCollapse:

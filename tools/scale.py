@@ -29,8 +29,10 @@ of one ``FittedModel.save``, one ``FittedModel.load``, and then of one
 ``posterior_covariances`` of the loaded model (``threads=2``), which it
 checks is bit-equal to the captured blocks. With those covariances it
 times the effects draws over the design of the formula ``conflict``,
-built beforehand (``EffectDraws`` with ``n_draws=100``, ``seed=0``), and
-reports seconds per draw and the draws per block (1 at this size). Then it
+built beforehand (``EffectDraws`` with ``n_draws=100``, ``seed=0``), at
+``threads=1`` and at ``threads=2``, checks that the two runs' draws are
+bit-equal, and reports seconds per draw at each thread count, the draws
+per block (1 at this size) and the peak RSS after both runs. Then it
 times the metrics stage's kernels on that model's beta: one
 ``summarize_topics`` (20 words), one ``model_quality`` (10 words) and one
 ``semantic_coherence`` (10 words), the last also under ``tracemalloc``,
@@ -84,6 +86,7 @@ EM_ITERS = 2
 LATE_ITERS = (6, 7)  # 1-based, timed at the last K only
 EM_THREADS = 2
 EFFECT_DRAWS = 100
+EFFECT_THREADS = (1, 2)
 # stopwords of the built-in list, written after every term word
 SPEECH_STOPWORDS = ("the", "of", "and", "to", "in", "that", "we", "our", "is", "for")
 _ONSETS, _VOWELS = "bdfgklmnprstvz", "aeiou"
@@ -247,9 +250,16 @@ def main() -> None:
     last_blocks = None
     rss_before_effects = peak_rss_mb()  # the K=50 model and its covariances are held
     built = build_design("conflict", loaded.covariate_table())
-    _, wall = timed(lambda: EffectDraws(model, built, nu, n_draws=EFFECT_DRAWS, seed=0))
+    coef, s_per_draw = None, {}
+    for threads in EFFECT_THREADS:
+        draws, wall = timed(lambda: EffectDraws(model, built, nu, n_draws=EFFECT_DRAWS,
+                                                seed=0, threads=threads))
+        if coef is not None and not np.array_equal(draws.coef, coef):
+            raise RuntimeError(f"the effects draws at threads={threads} differ from "
+                               f"those at threads={EFFECT_THREADS[0]}")
+        coef, s_per_draw[threads] = draws.coef, round(wall / EFFECT_DRAWS, 4)
     effects = {"k": EM_KS[-1], "formula": "conflict", "n_draws": EFFECT_DRAWS,
-               "s_per_draw": round(wall / EFFECT_DRAWS, 4),
+               "s_per_draw_by_threads": s_per_draw,
                "draws_per_block": draws_per_block(*model.eta.shape),
                "peak_rss_mb_before": rss_before_effects,
                "peak_rss_mb_after": peak_rss_mb()}
